@@ -140,7 +140,6 @@ def _build_parser():
         help="keep same-video atoms in the support",
     )
     sol.add_argument("--no-second-stage", action="store_true")
-    sol.add_argument("--seed", type=int, default=None)
     sol.add_argument("--xyz-out", default=None, help="point cloud text file")
     sol.set_defaults(func=_cmd_solve)
 
@@ -238,14 +237,34 @@ def _cmd_simulate(args):
     return 0
 
 
+# solve options copied onto the config field of the same name when given
+_CONFIG_OVERRIDES = (
+    "lambda1",
+    "lambda2",
+    "rho",
+    "outer_max",
+    "outer_rel_tol",
+    "admm_abs_tol",
+    "admm_rel_tol",
+    "admm_max_iter",
+    "consensus_tol",
+)
+
+
 def _config_from_args(args):
     config = (
         sceneio.load_config(args.config) if args.config else SolverConfig()
     )
-    if args.lambda1 is not None:
-        config.lambda1 = args.lambda1
-    if args.lambda2 is not None:
-        config.lambda2 = args.lambda2
+    for name in _CONFIG_OVERRIDES:
+        value = getattr(args, name)
+        if value is not None:
+            setattr(config, name, value)
+    if args.adapt_rho:
+        config.adapt_rho = True
+    if args.allow_same_video:
+        config.same_video_exclusion = False
+    if args.no_second_stage:
+        config.second_stage = False
     if args.soft and args.lambda3 is None:
         config.lambda3 = 100.0
     if args.lambda3 is not None:
@@ -255,28 +274,6 @@ def _config_from_args(args):
             )
         except ValueError as exc:
             raise InputError(f"bad --lambda3 value {args.lambda3!r}") from exc
-    if args.rho is not None:
-        config.rho = args.rho
-    if args.adapt_rho:
-        config.adapt_rho = True
-    if args.outer_max is not None:
-        config.outer_max = args.outer_max
-    if args.outer_rel_tol is not None:
-        config.outer_rel_tol = args.outer_rel_tol
-    if args.admm_abs_tol is not None:
-        config.admm_abs_tol = args.admm_abs_tol
-    if args.admm_rel_tol is not None:
-        config.admm_rel_tol = args.admm_rel_tol
-    if args.admm_max_iter is not None:
-        config.admm_max_iter = args.admm_max_iter
-    if args.consensus_tol is not None:
-        config.consensus_tol = args.consensus_tol
-    if args.allow_same_video:
-        config.same_video_exclusion = False
-    if args.no_second_stage:
-        config.second_stage = False
-    if args.seed is not None:
-        config.seed = args.seed
     config.validate()
     return config
 

@@ -174,33 +174,37 @@ def load_truth(path):
 _CONFIG_FIELDS = tuple(SolverConfig.__dataclass_fields__)
 
 
+def _encode_config(config):
+    # SolverConfig fields verbatim, with the infinite lambda3 as null
+    doc = {name: getattr(config, name) for name in _CONFIG_FIELDS}
+    if math.isinf(doc["lambda3"]):
+        doc["lambda3"] = None
+    return doc
+
+
+def _decode_config(doc, path):
+    unknown = set(doc) - set(_CONFIG_FIELDS)
+    if unknown:
+        raise InputError(f"unknown config fields in {path}: {sorted(unknown)}")
+    kwargs = dict(doc)
+    if "lambda3" in kwargs and kwargs["lambda3"] is None:
+        kwargs["lambda3"] = math.inf
+    config = SolverConfig(**kwargs)
+    config.validate()
+    return config
+
+
 def save_config(path, config):
     doc = {"format": "unsync3d-config", "version": _VERSION}
-    for name in _CONFIG_FIELDS:
-        value = getattr(config, name)
-        if name == "lambda3" and math.isinf(value):
-            value = None
-        doc[name] = value
+    doc.update(_encode_config(config))
     _dump(path, doc)
 
 
 def load_config(path):
     doc = _load(path, "unsync3d-config")
-    kwargs = {}
-    unknown = set(doc) - set(_CONFIG_FIELDS) - {"format", "version"}
-    if unknown:
-        raise InputError(
-            f"unknown config fields in {path}: {sorted(unknown)}"
-        )
-    for name in _CONFIG_FIELDS:
-        if name in doc:
-            value = doc[name]
-            if name == "lambda3" and value is None:
-                value = math.inf
-            kwargs[name] = value
-    config = SolverConfig(**kwargs)
-    config.validate()
-    return config
+    doc.pop("format")
+    doc.pop("version", None)
+    return _decode_config(doc, path)
 
 
 def save_weights(path, weights):
@@ -246,14 +250,8 @@ def save_result(path, state, config=None):
             "admm_iterations": int(state.admm_iterations),
         },
         "converged": bool(state.converged),
-        "config": None,
+        "config": None if config is None else _encode_config(config),
     }
-    if config is not None:
-        cfg = {}
-        for name in _CONFIG_FIELDS:
-            value = getattr(config, name)
-            cfg[name] = None if name == "lambda3" and math.isinf(value) else value
-        doc["config"] = cfg
     _dump(path, doc)
 
 

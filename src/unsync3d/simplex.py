@@ -29,6 +29,7 @@ __all__ = [
     "support_mask",
     "validate_mask",
     "project_to_simplex",
+    "project_to_masked_simplex",
     "minimize_on_simplex",
     "simplex_code",
     "self_express",
@@ -85,16 +86,29 @@ def validate_mask(mask, min_allowed=1):
         )
 
 
+def project_to_masked_simplex(V, allowed):
+    """Column-wise Euclidean projection onto the masked probability simplex.
+
+    Sort based (Duchi et al. 2008).  Forbidden entries are sunk below any
+    reachable threshold so the sorted prefix never selects them, and they
+    come out exactly 0.
+    """
+    V = np.asarray(V, dtype=float)
+    sunk = np.where(allowed, V, -1e30)
+    U = np.sort(sunk, axis=0)[::-1]
+    css = np.cumsum(U, axis=0) - 1.0
+    ks = np.arange(1, V.shape[0] + 1)[:, None]
+    sizes = (U - css / ks > 0.0).sum(axis=0)
+    theta = css[sizes - 1, np.arange(V.shape[1])] / sizes
+    W = np.clip(V - theta[None, :], 0.0, None)
+    W[~allowed] = 0.0
+    return W
+
+
 def project_to_simplex(v):
-    """Euclidean projection onto the probability simplex (sort based)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.clip(v - theta, 0.0, None)
+    """Euclidean projection of a vector onto the probability simplex."""
+    column = np.asarray(v, dtype=float)[:, None]
+    return project_to_masked_simplex(column, np.ones(column.shape, dtype=bool))[:, 0]
 
 
 def _phi(H, c, w):

@@ -11,7 +11,9 @@ psi2 the mean squared displacement between consecutive frames of the same
 video, and the bracketed soft-ray term active only for finite lambda3.  With
 lambda3 infinite each observed point is pinned to its viewing ray,
 X = C + d r, and the free variables are the depths d (plus fully free 3D
-points where observations are missing).
+points where observations are missing).  The structure update treats both
+cases alike: each frame of a point is an offset plus a basis block, the ray
+(offset C, basis r) for a pinned observation and the identity otherwise.
 
 Both block updates are exact descent steps, so the objective trace is
 non-increasing across X-steps and W-steps.  The W update runs ADMM with a
@@ -38,7 +40,13 @@ from .geometry import (
     structure_to_points,
     validate_frames,
 )
-from .simplex import minimize_on_simplex, self_express, support_mask, validate_mask
+from .simplex import (
+    minimize_on_simplex,
+    project_to_masked_simplex,
+    self_express,
+    support_mask,
+    validate_mask,
+)
 
 __all__ = [
     "SolverConfig",
@@ -82,7 +90,6 @@ class SolverConfig:
     consensus_tol: float = 1e-4
     same_video_exclusion: bool = True
     second_stage: bool = True
-    seed: int = 0
 
     def validate(self):
         for name in ("lambda1", "lambda2"):
@@ -251,86 +258,65 @@ def _solve_regularized(H, rhs, flags, label):
 def minimize_structure(coupling, rays, lambda3=math.inf, flags=None):
     """Exactly minimize sum_p tr(X_p Mc X_p^T) (+ soft-ray term) per point.
 
-    With infinite lambda3, observed points are constrained to their rays
-    (X = C + d r) and missing points are free 3D unknowns; with finite
-    lambda3 every point is free and the ray attachment enters as a
-    penalty with projector I - r r^T.  Either way each point solves one
-    symmetric linear system.
+    Every frame f of a point gets a basis block E_f and an offset o_f with
+    x_f = o_f + E_f z_f.  With infinite lambda3 an observed frame is pinned
+    to its ray (E_f = r_f, o_f = C_f, z_f the depth); every other frame is
+    a free 3D point (E_f = I, o_f = 0).  With own_i the frame of basis
+    column e_i, the quadratic in z has Hessian entries Mc[own_i, own_j]
+    e_i . e_j and right-hand side -e_i . (Mc o)[own_i]; a finite lambda3
+    adds the ray penalty lambda3 (I - r r^T) to the diagonal block of each
+    observed frame and lambda3 (I - r r^T) C_f to the right-hand side.
+    Each point solves one symmetric linear system.
 
-    Returns (structure, depths); ``flags`` collects ridge warnings.
+    Returns (structure, depths) with depths (x_f - C_f) . r_f on observed
+    frames; ``flags`` collects ridge warnings.
     """
     if flags is None:
         flags = []
     Mc = np.asarray(coupling, dtype=float)
     P, F = rays.present.shape
+    hard = math.isinf(lambda3)
     centers = rays.centers
     structure = np.empty((3 * P, F))
     depths = np.full((P, F), np.nan)
+    frame_of = np.repeat(np.arange(F), 3)
+    free_basis = np.tile(np.eye(3), (F, 1, 1))
 
     for p in range(P):
         pres = rays.present[p]
-        if math.isinf(lambda3):
-            Xp, dp = _hard_point(Mc, rays.directions[p], centers, pres, flags, p)
-        else:
-            Xp, dp = _soft_point(
-                Mc, rays.directions[p], centers, pres, lambda3, flags, p
-            )
-        structure[3 * p : 3 * p + 3, :] = Xp
-        depths[p, pres] = dp
+        dirs = rays.directions[p]
+        on_ray = pres if hard else np.zeros(F, dtype=bool)
+        # rows of basis[f] span frame f; an on-ray frame keeps only row 0
+        basis = free_basis.copy()
+        basis[on_ray, 0] = dirs[on_ray]
+        keep = np.ones((F, 3), dtype=bool)
+        keep[on_ray, 1:] = False
+        keep = keep.ravel()
+        E = basis.reshape(3 * F, 3)[keep]
+        own = frame_of[keep]
+        offset = np.where(on_ray[:, None], centers, 0.0)
+
+        # a fully pinned point has own = identity: skip the F x F gather
+        M = Mc if on_ray.all() else Mc[np.ix_(own, own)]
+        H = M * (E @ E.T)
+        rhs = -np.einsum("ia,ia->i", E, (Mc @ offset)[own])
+        if not hard:
+            obs = np.flatnonzero(pres)
+            r = dirs[obs]
+            proj = lambda3 * (np.eye(3) - r[:, :, None] * r[:, None, :])
+            cols = (np.cumsum(keep) - 1).reshape(F, 3)[obs]
+            H[cols[:, :, None], cols[:, None, :]] += proj
+            rhs[cols] += np.einsum("fab,fb->fa", proj, centers[obs])
+        sol = _solve_regularized(H, rhs, flags, f"point-{p}")
+
+        coeff = np.zeros(3 * F)
+        coeff[keep] = sol
+        Xp = offset + np.einsum("fka,fk->fa", basis, coeff.reshape(F, 3))
+        structure[3 * p : 3 * p + 3, :] = Xp.T
+        depths[p, pres] = np.einsum(
+            "fa,fa->f", Xp[pres] - centers[pres], dirs[pres]
+        )
     return structure, depths
-
-
-def _hard_point(Mc, dirs, centers, pres, flags, p):
-    F = pres.size
-    C = centers.T
-    if pres.all():
-        R = dirs.T
-        H = (R.T @ R) * Mc
-        rhs = -np.einsum("af,af->f", R, C @ Mc)
-        d = _solve_regularized(H, rhs, flags, f"hard-point-{p}")
-        return C + R * d, d
-
-    obs = np.flatnonzero(pres)
-    mis = np.flatnonzero(~pres)
-    no, nm = obs.size, mis.size
-    Ro = dirs[obs].T
-    Co = centers[obs]
-    Mc_oo = Mc[np.ix_(obs, obs)]
-    Mc_om = Mc[np.ix_(obs, mis)]
-    Mc_mm = Mc[np.ix_(mis, mis)]
-
-    H = np.empty((no + 3 * nm, no + 3 * nm))
-    H[:no, :no] = (Ro.T @ Ro) * Mc_oo
-    H_dx = (Mc_om[:, :, None] * Ro.T[:, None, :]).reshape(no, 3 * nm)
-    H[:no, no:] = H_dx
-    H[no:, :no] = H_dx.T
-    H[no:, no:] = np.kron(Mc_mm, np.eye(3))
-    rhs = np.empty(no + 3 * nm)
-    rhs[:no] = -np.einsum("ia,ia->i", Ro.T, Mc_oo @ Co)
-    rhs[no:] = -(Mc_om.T @ Co).reshape(-1)
-    sol = _solve_regularized(H, rhs, flags, f"hard-missing-point-{p}")
-
-    d = sol[:no]
-    Xp = np.empty((3, F))
-    Xp[:, obs] = Co.T + Ro * d
-    Xp[:, mis] = sol[no:].reshape(nm, 3).T
-    return Xp, d
-
-
-def _soft_point(Mc, dirs, centers, pres, lambda3, flags, p):
-    F = pres.size
-    A = np.kron(Mc, np.eye(3))
-    rhs = np.zeros(3 * F)
-    for f in np.flatnonzero(pres):
-        r = dirs[f]
-        proj = np.eye(3) - np.outer(r, r)
-        A[3 * f : 3 * f + 3, 3 * f : 3 * f + 3] += lambda3 * proj
-        rhs[3 * f : 3 * f + 3] = lambda3 * (proj @ centers[f])
-    sol = _solve_regularized(A, rhs, flags, f"soft-point-{p}")
-    Xp = sol.reshape(F, 3).T
-    rel = Xp[:, pres] - centers[pres].T
-    d = np.einsum("af,af->f", rel, dirs[pres].T)
-    return Xp, d
 
 
 def x_step(structure, weights, config, rays, frames, flags=None):
@@ -350,31 +336,6 @@ def x_step(structure, weights, config, rays, frames, flags=None):
     return new_structure, depths, flags
 
 
-def _decoupled_weights(G, cols_allowed):
-    F = G.shape[0]
-    W = np.zeros((F, F))
-    for f in range(F):
-        idx = cols_allowed[f]
-        W[idx, f] = minimize_on_simplex(G[np.ix_(idx, idx)], -2.0 * G[idx, f])
-    return W
-
-
-def _masked_simplex_project(V, allowed):
-    # column-wise Euclidean projection onto the masked probability simplex;
-    # forbidden entries are sunk below any reachable threshold so the sorted
-    # prefix logic never selects them
-    F = V.shape[0]
-    sunk = np.where(allowed, V, -1e30)
-    U = np.sort(sunk, axis=0)[::-1]
-    css = np.cumsum(U, axis=0) - 1.0
-    ks = np.arange(1, F + 1)[:, None]
-    sizes = (U - css / ks > 0.0).sum(axis=0)
-    theta = css[sizes - 1, np.arange(V.shape[1])] / sizes
-    W = np.clip(V - theta[None, :], 0.0, None)
-    W[~allowed] = 0.0
-    return W
-
-
 def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None):
     """ADMM update of the weight matrix for fixed structure.
 
@@ -385,8 +346,9 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
         Z = sym(B)/rho + skew(B)/(8 lambda1 / F + rho),   B = Y + rho W,
 
     and step 3 is the dual ascent Y += rho (W - Z).  On the first call
-    (weights None) W and Z start from the decoupled per-column coding and
-    Y = 0; later calls hot-start from the previous triplet.
+    (weights None) W and Z start from the decoupled per-column coding
+    (``self_express``) and Y = 0; later calls hot-start from the previous
+    triplet.
 
     Step 1 runs projected gradient on all columns at once: the proximal
     Hessian (1/FP) G + (rho/2) I is dominated by its rho I part, so the
@@ -414,7 +376,7 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
     lam_max = float(np.linalg.eigvalsh(G)[-1])
 
     if weights is None:
-        W = _decoupled_weights(G, cols_allowed)
+        W = self_express(X, mask)
         Z = W.copy()
         Y = np.zeros((F, F))
     else:
@@ -435,7 +397,7 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
         const = Y - rho * Z - A2
         for _ in range(500):
             grad = A2 @ W + rho * W + const
-            W_new = _masked_simplex_project(W - grad / L, allowed)
+            W_new = project_to_masked_simplex(W - grad / L, allowed)
             delta = np.abs(W_new - W).max()
             W = W_new
             if delta <= 1e-13:

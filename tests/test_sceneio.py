@@ -58,7 +58,7 @@ def test_truth_round_trip(tmp_path, scene):
 
 
 def test_config_round_trip_with_infinite_lambda3(tmp_path):
-    cfg = SolverConfig(lambda1=0.2, lambda2=0.0, lambda3=math.inf, seed=9)
+    cfg = SolverConfig(lambda1=0.2, lambda2=0.0, lambda3=math.inf)
     p = tmp_path / "c.json"
     sceneio.save_config(p, cfg)
     back = sceneio.load_config(p)
@@ -67,6 +67,13 @@ def test_config_round_trip_with_infinite_lambda3(tmp_path):
     soft = SolverConfig(lambda3=100.0, adapt_rho=True, second_stage=False)
     sceneio.save_config(p, soft)
     assert sceneio.load_config(p) == soft
+
+    # a field SolverConfig does not have is rejected, like any unknown key
+    doc = json.loads(p.read_text())
+    doc["seed"] = 9
+    p.write_text(json.dumps(doc))
+    with pytest.raises(InputError):
+        sceneio.load_config(p)
 
 
 def test_weights_round_trip(tmp_path):

@@ -10,6 +10,7 @@ from unsync3d.simplex import (
     SupportMask,
     coding_kkt,
     minimize_on_simplex,
+    project_to_masked_simplex,
     project_to_simplex,
     self_express,
     simplex_code,
@@ -64,6 +65,17 @@ def test_project_to_simplex_is_nearest_point():
         w = project_to_simplex(v)
         d_grid = np.min(np.sum((grid - v) ** 2, axis=1))
         assert np.sum((w - v) ** 2) <= d_grid + 1e-9
+
+    # masked: a 5-vector with two forbidden entries projects like its three
+    # allowed entries, with exact zeros off the mask
+    allowed = np.array([True, False, True, True, False])
+    for _ in range(20):
+        v = rng.normal(scale=2.0, size=5)
+        w = project_to_masked_simplex(v[:, None], allowed[:, None])[:, 0]
+        assert np.all(w[~allowed] == 0.0)
+        d_grid = np.min(np.sum((grid - v[allowed]) ** 2, axis=1))
+        assert np.sum((w[allowed] - v[allowed]) ** 2) <= d_grid + 1e-9
+        assert abs(w.sum() - 1.0) < 1e-12
 
 
 def test_minimize_on_simplex_matches_grid_oracle():

@@ -157,7 +157,12 @@ def offdiag_weights(F, rng):
 
 
 def test_x_step_hard_mode_stays_on_rays_and_is_stationary():
-    scene = make_scene(points=2, samples=18, cameras=3, seed=4)
+    for miss_rate in (0.0, 0.3):
+        check_hard_x_step(miss_rate)
+
+
+def check_hard_x_step(miss_rate):
+    scene = make_scene(points=2, samples=18, cameras=3, seed=4, miss_rate=miss_rate)
     scaled, _ = normalize_scale(scene.frames)
     rays = compute_rays(scaled, scene.observations)
     rng = np.random.default_rng(5)
@@ -184,10 +189,28 @@ def test_x_step_hard_mode_stays_on_rays_and_is_stationary():
         dn = objective(Xm, W, cfg, scaled, rays)[0]
         assert abs(up - dn) / (2 * h) < 1e-5 * (1 + abs(base))
         assert up >= base - 1e-12 and dn >= base - 1e-12
+    # a missing observation is a free 3D point: stationary in all three axes
+    missing = np.argwhere(~rays.present)
+    assert (missing.size > 0) == (miss_rate > 0)
+    for p, f in missing[:3]:
+        for a in range(3):
+            Xp = X.copy()
+            Xp[3 * p + a, f] += h
+            Xm = X.copy()
+            Xm[3 * p + a, f] -= h
+            up = objective(Xp, W, cfg, scaled, rays)[0]
+            dn = objective(Xm, W, cfg, scaled, rays)[0]
+            assert abs(up - dn) / (2 * h) < 1e-5 * (1 + abs(base))
+            assert up >= base - 1e-12 and dn >= base - 1e-12
 
 
 def test_x_step_soft_mode_full_gradient_vanishes():
-    scene = make_scene(points=2, samples=14, cameras=2, seed=6)
+    for miss_rate in (0.0, 0.3):
+        check_soft_x_step(miss_rate)
+
+
+def check_soft_x_step(miss_rate):
+    scene = make_scene(points=2, samples=14, cameras=2, seed=6, miss_rate=miss_rate)
     scaled, _ = normalize_scale(scene.frames)
     rays = compute_rays(scaled, scene.observations)
     rng = np.random.default_rng(7)
