@@ -12,10 +12,14 @@ induces sparsity without any explicit l1 term.
 The workhorse is an active-set solver on the quadratic form
 phi(w) = w^T H w + c^T w with H = D^T D and c = -2 D^T t, so the gradient
 2 H w + c matches the optimality conditions used in the tests.  Masked atoms
-are excluded from the linear algebra entirely (compressed indexing) rather
-than pinned with penalties, which keeps systems small and off-mask zeros
-exact.  A projected-gradient loop is the fallback if the active set fails to
-settle within its iteration budget.
+are excluded from the linear algebra entirely rather than pinned with
+penalties, which keeps systems small and off-mask zeros exact.  The solver
+indexes into one shared Gram matrix: a column passes the list of its allowed
+atoms, and each step reads only the diagonal of those atoms, the support
+block for the KKT system and the support columns for the gradient, so no
+k x k copy is made per column.  A projected-gradient loop is the fallback if
+the active set fails to settle within its iteration budget; only then is the
+column's full block gathered.
 """
 
 from dataclasses import dataclass
@@ -115,12 +119,13 @@ def _phi(H, c, w):
     return float(w @ H @ w + c @ w)
 
 
-def _kkt_solve(H, c, support):
+def _kkt_solve(H, c, index, support):
     # equality-constrained optimum on the current support:
-    # [2 H_AA  1; 1^T  0] [w_A; mu] = [-c_A; 1]
+    # [2 H_AA  1; 1^T  0] [w_A; mu] = [-c_A; 1], H_AA read through index
     k = support.size
+    atoms = index[support]
     kkt = np.empty((k + 1, k + 1))
-    kkt[:k, :k] = 2.0 * H[np.ix_(support, support)]
+    kkt[:k, :k] = 2.0 * H[np.ix_(atoms, atoms)]
     kkt[:k, k] = 1.0
     kkt[k, :k] = 1.0
     kkt[k, k] = 0.0
@@ -158,13 +163,14 @@ def _projected_gradient(H, c, w0, max_iter=2000):
     return best
 
 
-def minimize_on_simplex(H, c, w0=None, max_iter=None):
+def minimize_on_simplex(H, c, w0=None, max_iter=None, index=None):
     """Minimize w^T H w + c^T w over the probability simplex.
 
     Parameters
     ----------
-    H : (k, k) array
-        Symmetric positive semidefinite quadratic form.
+    H : (n, n) array
+        Symmetric positive semidefinite quadratic form; with ``index`` the
+        problem's form is the block ``H[index][:, index]``, read in place.
     c : (k,) array
         Linear term; the gradient is 2 H w + c.
     w0 : (k,) array, optional
@@ -172,6 +178,10 @@ def minimize_on_simplex(H, c, w0=None, max_iter=None):
     max_iter : int, optional
         Active-set budget before the projected-gradient fallback, default
         10 k + 20.
+    index : (k,) int array, optional
+        Rows and columns of ``H`` that make up the problem, default
+        ``arange(k)``.  Indexing a shared Gram matrix gives the same result
+        as passing the gathered block.
 
     Returns
     -------
@@ -187,6 +197,7 @@ def minimize_on_simplex(H, c, w0=None, max_iter=None):
         return np.ones(1)
     if max_iter is None:
         max_iter = 10 * k + 20
+    index = np.arange(k) if index is None else np.asarray(index)
 
     w = None
     if w0 is not None:
@@ -200,13 +211,13 @@ def minimize_on_simplex(H, c, w0=None, max_iter=None):
             w = np.clip(w0, 0.0, None)
             w /= w.sum()
     if w is None or not (w > 0).any():
-        j0 = int(np.argmin(np.diagonal(H) + c))
+        j0 = int(np.argmin(np.diagonal(H)[index] + c))
         w = np.zeros(k)
         w[j0] = 1.0
     support = np.flatnonzero(w > 0.0)
 
     for _ in range(max_iter):
-        wA, _ = _kkt_solve(H, c, support)
+        wA, _ = _kkt_solve(H, c, index, support)
         if not np.isfinite(wA).all():
             break
         neg = wA < -1e-12
@@ -216,7 +227,10 @@ def minimize_on_simplex(H, c, w0=None, max_iter=None):
             w /= w.sum()
             if support.size == k:
                 return w
-            g = 2.0 * (H[:, support] @ w[support]) + c
+            # H is symmetric, so the support's rows, transposed, are its
+            # columns (laid out as a column slice of the gathered block is)
+            cols = H[np.ix_(index[support], index)].T
+            g = 2.0 * (cols @ w[support]) + c
             # the face optimum pins the gradient to one level on the
             # support; atoms below that level improve the objective
             level = float(g[support].mean())
@@ -248,7 +262,7 @@ def minimize_on_simplex(H, c, w0=None, max_iter=None):
             support = support[support != drop]
             if support.size == 0:
                 break
-    return _projected_gradient(H, c, w)
+    return _projected_gradient(H[np.ix_(index, index)], c, w)
 
 
 def simplex_code(target, dictionary, allowed, warm_start=None):
@@ -297,7 +311,8 @@ def self_express(dictionary, mask, warm_start=None):
     """Code every column of the dictionary over the others.
 
     Column f of the result is ``simplex_code`` of column f against the mask's
-    f-th column.  Columns are independent; the Gram matrix is shared.
+    f-th column.  Columns are independent; every column's coder indexes the
+    one shared Gram matrix by its allowed atoms.
 
     Returns the F x F weight matrix.
     """
@@ -314,10 +329,9 @@ def self_express(dictionary, mask, warm_start=None):
     W = np.zeros((F, F))
     for f in range(F):
         idx = mask.column(f)
-        H = G[np.ix_(idx, idx)]
         c = -2.0 * G[idx, f]
         w0 = warm_start[idx, f] if warm_start is not None else None
-        W[idx, f] = minimize_on_simplex(H, c, w0=w0)
+        W[idx, f] = minimize_on_simplex(G, c, w0=w0, index=idx)
     return W
 
 

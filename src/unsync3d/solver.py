@@ -133,17 +133,13 @@ def video_pairs(frames):
 
     Returns an (M, 2) int array; M = sum over videos of (frames - 1).
     """
-    by_video = {}
-    for frame in frames:
-        by_video.setdefault(frame.video_id, []).append(
-            (frame.frame_in_video, frame.global_index)
-        )
-    pairs = []
-    for vid in sorted(by_video):
-        seq = sorted(by_video[vid])
-        for (_, a), (_, b) in zip(seq, seq[1:]):
-            pairs.append((a, b))
-    return np.array(pairs, dtype=int).reshape(-1, 2)
+    keys = np.array(
+        [(f.global_index, f.frame_in_video, f.video_id) for f in frames], dtype=int
+    ).reshape(-1, 3)
+    # by video, then position in the video (global index breaks ties)
+    seq = keys[np.lexsort(keys.T)]
+    same = seq[:-1, 2] == seq[1:, 2]
+    return np.column_stack([seq[:-1, 0][same], seq[1:, 0][same]])
 
 
 def smoothness_operator(frames):
@@ -217,20 +213,34 @@ def objective(structure, weights, config, frames, rays=None):
     return total, terms
 
 
+def _smoothness_laplacian(pairs, F):
+    # T T^T of the smoothness operator, summed pair by pair in O(M): +1 on
+    # both diagonal entries and -1 on both off-diagonal entries of a pair
+    L = np.zeros((F, F))
+    a, b = pairs[:, 0], pairs[:, 1]
+    np.add.at(L, (a, a), 1.0)
+    np.add.at(L, (b, b), 1.0)
+    np.add.at(L, (a, b), -1.0)
+    np.add.at(L, (b, a), -1.0)
+    return L
+
+
 def coupling_matrix(weights, config, frames, point_count):
     """F x F coupling Mc so the structure cost is sum_p tr(X_p Mc X_p^T).
 
     Mc = (1/FP) (I - W)(I - W)^T + (lambda2 / M) T T^T, with the smoothness
-    part dropped when lambda2 = 0 or no video has consecutive frames.
+    part dropped when lambda2 = 0 or no video has consecutive frames.  T T^T
+    is the video pairs' graph Laplacian, built from the pairs directly.
     """
     W = np.asarray(weights, dtype=float)
     F = W.shape[0]
     Q = np.eye(F) - W
     Mc = (Q @ Q.T) / (F * point_count)
     if config.lambda2 > 0:
-        T = smoothness_operator(frames)
-        if T.shape[1] > 0:
-            Mc = Mc + (config.lambda2 / T.shape[1]) * (T @ T.T)
+        pairs = video_pairs(frames)
+        if pairs.shape[0] > 0:
+            L = _smoothness_laplacian(pairs, F)
+            Mc = Mc + (config.lambda2 / pairs.shape[0]) * L
     return Mc
 
 
@@ -353,7 +363,11 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
     Step 1 runs projected gradient on all columns at once: the proximal
     Hessian (1/FP) G + (rho/2) I is dominated by its rho I part, so the
     iteration contracts fast, and any column whose KKT gap stays above
-    tolerance afterwards is polished by the exact active-set coder.
+    tolerance afterwards is polished by the exact active-set coder.  G = X^T X
+    has rank at most 3P, so when 3P is small next to F each gradient step
+    takes the data term in factored form, (2/FP) X^T (X W), at O(P F^2)
+    instead of the O(F^3) G W, and the step length uses G's largest
+    eigenvalue, read from the smaller of X X^T (3P x 3P) and G.
 
     Returns (weights, auxiliary, dual, info).  The returned weights are the
     best feasible iterate by the coupled objective (never worse than the
@@ -371,9 +385,15 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
     rho = config.rho
     alpha = config.lambda1 / F
     allowed = mask.allowed
-    cols_allowed = [mask.column(f) for f in range(F)]
     A2 = 2.0 * inv_fp * G
-    lam_max = float(np.linalg.eigvalsh(G)[-1])
+    lam_max = float(np.linalg.eigvalsh(X @ X.T if X.shape[0] < F else G)[-1])
+    # X^T (X W) costs 6 P F^2 flops against F^3 for G W; measured on one
+    # core it wins once 3P is under about F / 4 (from F = 96 up; below that
+    # both take a few microseconds)
+    factored = 12 * P < F
+
+    def data_gradient(Wc):
+        return (2.0 * inv_fp) * (X.T @ (X @ Wc)) if factored else A2 @ Wc
 
     if weights is None:
         W = self_express(X, mask)
@@ -396,22 +416,24 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
         L = 2.0 * inv_fp * lam_max + rho
         const = Y - rho * Z - A2
         for _ in range(500):
-            grad = A2 @ W + rho * W + const
+            grad = data_gradient(W) + rho * W + const
             W_new = project_to_masked_simplex(W - grad / L, allowed)
             delta = np.abs(W_new - W).max()
             W = W_new
             if delta <= 1e-13:
                 break
-        grad = A2 @ W + rho * W + const
+        grad = data_gradient(W) + rho * W + const
         mu = np.where(allowed, grad, np.inf).min(axis=0)
         viol = np.where(W > 1e-12, grad - mu[None, :], 0.0).max(axis=0)
         tol = 1e-9 * (1.0 + np.abs(np.where(allowed, grad, 0.0)).max(axis=0))
-        for f in np.flatnonzero(viol > tol):
-            idx = cols_allowed[f]
-            Hf = inv_fp * G[np.ix_(idx, idx)] + (rho / 2.0) * np.eye(idx.size)
+        polish = np.flatnonzero(viol > tol)
+        if polish.size:
+            Hp = inv_fp * G + (rho / 2.0) * np.eye(F)
+        for f in polish:
+            idx = mask.column(f)
             cf = -A2[idx, f] + Y[idx, f] - rho * Z[idx, f]
             col = np.zeros(F)
-            col[idx] = minimize_on_simplex(Hf, cf, w0=W[idx, f])
+            col[idx] = minimize_on_simplex(Hp, cf, w0=W[idx, f], index=idx)
             W[:, f] = col
         B = Y + rho * W
         Z_new = 0.5 * ((B + B.T) / rho + (B - B.T) / (8.0 * alpha + rho))
@@ -457,19 +479,38 @@ def pair_distance_matrix(rays, video_ids):
     distance between the two viewing rays, minimized in closed form over both
     depths.  Same-video pairs, pairs with no shared point, near-parallel ray
     pairs and pairs whose minimizing depth is negative are all infinite.
+
+    Each row f is solved for all its later partners j at once, by the
+    closed form of ``_pair_depths`` over the (point, partner) grid.
     """
     ids = np.asarray(video_ids)
     present = rays.present
+    dirs = rays.directions
     F = present.shape[1]
     D = np.full((F, F), np.inf)
-    for f in range(F):
-        for j in range(f + 1, F):
-            if ids[f] == ids[j]:
-                continue
-            cost = _pair_cost(rays, f, j)
-            if cost is not None:
-                D[f, j] = cost
-                D[j, f] = cost
+    for f in range(F - 1):
+        js = f + 1 + np.flatnonzero(ids[f + 1 :] != ids[f])
+        if js.size == 0:
+            continue
+        shared = present[:, f, None] & present[:, js]
+        a = dirs[:, f]
+        b = dirs[:, js]
+        u = rays.centers[f] - rays.centers[js]
+        c = np.einsum("pa,pja->pj", a, b)
+        au = a @ u.T
+        bu = np.einsum("pja,ja->pj", b, u)
+        # absent points carry NaN directions; shared masks them out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            denom = 1.0 - c**2
+            tf = (-au + c * bu) / denom
+            tj = (bu - c * au) / denom
+            resid = u + tf[:, :, None] * a[:, None, :] - tj[:, :, None] * b
+            sq = np.where(shared, np.einsum("pja,pja->pj", resid, resid), 0.0)
+            cost = sq.sum(axis=0) / shared.sum(axis=0)
+            bad = shared & ((denom < 1e-12) | (tf < -1e-12) | (tj < -1e-12))
+        ok = shared.any(axis=0) & ~bad.any(axis=0)
+        D[f, js[ok]] = cost[ok]
+        D[js[ok], f] = cost[ok]
     return D
 
 
@@ -494,18 +535,6 @@ def _pair_depths(rays, f, j):
     if (tf < -1e-12).any() or (tj < -1e-12).any():
         return None
     return np.flatnonzero(shared), tf, tj
-
-
-def _pair_cost(rays, f, j):
-    sol = _pair_depths(rays, f, j)
-    if sol is None:
-        return None
-    rows, tf, tj = sol
-    a = rays.directions[rows, f]
-    b = rays.directions[rows, j]
-    u = rays.centers[f] - rays.centers[j]
-    resid = u[None, :] + tf[:, None] * a - tj[:, None] * b
-    return float(np.einsum("na,na->n", resid, resid).mean())
 
 
 def initialize_depths(rays, frames):

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from unsync3d import simplex
 from unsync3d.errors import InfeasibleError, InputError
 from unsync3d.simplex import (
     SupportMask,
@@ -168,6 +169,38 @@ def test_minimize_on_simplex_warm_start_agrees_with_cold():
         o1 = float(cold @ H @ cold + c @ cold)
         o2 = float(warm @ H @ warm + c @ warm)
         assert abs(o1 - o2) < 1e-8 * (1 + abs(o1))
+
+
+def test_minimize_on_simplex_indexed_gram_matches_gathered_block(monkeypatch):
+    # reading a shared rank-3 Gram through an index must give the bytes of
+    # coding against the gathered block, also on the fallback path
+    fallbacks = []
+    original = simplex._projected_gradient
+
+    def counting(*args, **kwargs):
+        fallbacks.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "_projected_gradient", counting)
+    rng = np.random.default_rng(21)
+    for trial in range(16):
+        n = int(rng.integers(40, 90))
+        D = rng.normal(size=(3, n))
+        G = D.T @ D
+        k = int(rng.integers(30, n))
+        idx = rng.choice(n, size=k, replace=False)
+        if trial % 2:
+            idx = np.sort(idx)
+        c = -2.0 * (D[:, idx].T @ rng.normal(size=3))
+        block = G[np.ix_(idx, idx)]
+        for w0 in (None, rng.dirichlet(np.ones(k))):
+            for max_iter in (None, 1):
+                indexed = minimize_on_simplex(
+                    G, c, w0=w0, max_iter=max_iter, index=idx
+                )
+                gathered = minimize_on_simplex(block, c, w0=w0, max_iter=max_iter)
+                assert indexed.tobytes() == gathered.tobytes()
+    assert fallbacks
 
 
 def test_support_mask_diagonal_and_exclusion():

@@ -6,16 +6,27 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from unsync3d import solver
 from unsync3d.errors import InfeasibleError, InputError
-from unsync3d.geometry import ObservationSet, compute_rays, structure_to_points
-from unsync3d.simplex import support_mask
+from unsync3d.geometry import (
+    ObservationSet,
+    RayField,
+    assemble_structure,
+    compute_rays,
+    structure_to_points,
+)
+from unsync3d.simplex import self_express, support_mask
 from unsync3d.solver import (
     SolverConfig,
     _fill_missing,
+    _pair_depths,
+    _smoothness_laplacian,
     admm_w_step,
+    coupling_matrix,
     initialize_depths,
     normalize_scale,
     objective,
+    pair_distance_matrix,
     psi1,
     psi2,
     smoothness_operator,
@@ -31,6 +42,16 @@ def make_scene(points=3, samples=24, cameras=3, seed=0, **corr):
     motion = procedural_motion(points, samples, seed=seed)
     rig = RigSpec(camera_count=cameras)
     return generate(motion, rig, CorruptionSpec(seed=seed, **corr))
+
+
+def bootstrap_structure(scene):
+    """Bootstrapped, gap-filled structure and the support mask of a scene."""
+    scaled, _ = normalize_scale(scene.frames)
+    rays = compute_rays(scaled, scene.observations)
+    depths, _ = initialize_depths(rays, scaled)
+    X = _fill_missing(assemble_structure(depths, rays), rays.present, scaled)
+    ids = np.array([f.video_id for f in scaled])
+    return X, support_mask(ids, exclude_same_video=True)
 
 
 def test_config_defaults_and_validation():
@@ -77,6 +98,22 @@ def test_smoothness_operator_columns():
     X = np.random.default_rng(0).normal(size=(6, len(scene.frames)))
     diffs = X[:, pairs[:, 0]] - X[:, pairs[:, 1]]
     assert np.allclose(X @ T, diffs)
+
+
+def test_smoothness_laplacian_is_operator_product():
+    scene = make_scene(samples=10, cameras=3)
+    frames = scene.frames
+    F = len(frames)
+    T = smoothness_operator(frames)
+    pairs = video_pairs(frames)
+    assert np.array_equal(video_pairs(frames[::-1]), pairs)
+    assert np.array_equal(_smoothness_laplacian(pairs, F), T @ T.T)
+    # the coupling matrix carries it bit for bit
+    W = np.random.default_rng(1).dirichlet(np.ones(F), size=F).T
+    cfg = SolverConfig(lambda2=0.3)
+    Q = np.eye(F) - W
+    expected = (Q @ Q.T) / (F * 3) + (0.3 / pairs.shape[0]) * (T @ T.T)
+    assert np.array_equal(coupling_matrix(W, cfg, frames, 3), expected)
 
 
 def test_psi1_plain_loop_oracle():
@@ -253,18 +290,10 @@ def test_x_step_never_increases_objective():
 
 def test_admm_w_step_feasible_and_descends():
     scene = make_scene(points=3, samples=20, cameras=4, seed=11)
-    scaled, _ = normalize_scale(scene.frames)
-    rays = compute_rays(scaled, scene.observations)
-    depths, _ = initialize_depths(rays, scaled)
-    from unsync3d.geometry import assemble_structure
-
-    X = assemble_structure(depths, rays)
-    X = _fill_missing(X, rays.present, scaled)
-    ids = np.array([f.video_id for f in scaled])
-    mask = support_mask(ids, exclude_same_video=True)
+    X, mask = bootstrap_structure(scene)
     cfg = SolverConfig()
     W, Z, Y, info = admm_w_step(X, mask, cfg)
-    F = len(scaled)
+    F = X.shape[1]
     assert W.shape == (F, F)
     assert np.allclose(W.sum(axis=0), 1.0, atol=1e-8)
     assert W.min() >= -1e-12
@@ -281,18 +310,40 @@ def test_admm_w_step_feasible_and_descends():
     assert coupled(W2) <= coupled(W) + 1e-9 * (1 + coupled(W))
 
 
+def test_admm_w_step_polish_keeps_feasibility_and_descent(monkeypatch):
+    # a small rho weakens the proximal term, so projected gradient leaves
+    # KKT gaps open and the active-set polish has to close them
+    calls = []
+    original = solver.minimize_on_simplex
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "minimize_on_simplex", counting)
+    scene = make_scene(points=3, samples=20, cameras=4, seed=11)
+    X, mask = bootstrap_structure(scene)
+    F = X.shape[1]
+    cfg = SolverConfig(rho=1e-3)
+
+    def coupled(Wc):
+        return np.sum((X - X @ Wc) ** 2) / (F * 3) + cfg.lambda1 * psi1(Wc)
+
+    W, Z, Y, info = admm_w_step(X, mask, cfg)
+    assert calls
+    assert info["converged"]
+    assert np.allclose(W.sum(axis=0), 1.0, atol=1e-8)
+    assert W.min() >= 0.0
+    assert np.abs(W[~mask.allowed]).max() == 0.0
+    start = coupled(self_express(X, mask))
+    assert coupled(W) <= start + 1e-9 * (1 + start)
+    W2 = admm_w_step(X, mask, cfg, W, Z, Y)[0]
+    assert coupled(W2) <= coupled(W) + 1e-9 * (1 + coupled(W))
+
+
 def test_admm_w_step_lambda1_zero_matches_decoupled_coding():
     scene = make_scene(points=3, samples=16, cameras=4, seed=12)
-    scaled, _ = normalize_scale(scene.frames)
-    rays = compute_rays(scaled, scene.observations)
-    depths, _ = initialize_depths(rays, scaled)
-    from unsync3d.geometry import assemble_structure
-    from unsync3d.simplex import self_express
-
-    X = assemble_structure(depths, rays)
-    X = _fill_missing(X, rays.present, scaled)
-    ids = np.array([f.video_id for f in scaled])
-    mask = support_mask(ids, exclude_same_video=True)
+    X, mask = bootstrap_structure(scene)
     cfg = SolverConfig(lambda1=0.0)
     W, Z, Y, info = admm_w_step(X, mask, cfg)
     W_ref = self_express(X, mask)
@@ -309,8 +360,6 @@ def test_initialize_depths_recovers_noise_free_geometry():
     assert flags == []
     assert np.isnan(depths[~rays.present]).all()
     # triangulated points land near the truth structure
-    from unsync3d.geometry import assemble_structure
-
     X = assemble_structure(depths, rays)
     pts = structure_to_points(X, 4) / factor
     ref = structure_to_points(scene.truth, 4)
@@ -318,6 +367,76 @@ def test_initialize_depths_recovers_noise_free_geometry():
     # motion spans hundreds of units; the pairing bootstrap should be
     # within a few percent of that scale for most observations
     assert np.median(errs) < 30.0
+
+
+def reference_pair_distances(rays, ids):
+    """Pair-by-pair loop over _pair_depths, the brute-force reference."""
+    F = rays.present.shape[1]
+    D = np.full((F, F), np.inf)
+    for f in range(F):
+        for j in range(f + 1, F):
+            if ids[f] == ids[j]:
+                continue
+            sol = _pair_depths(rays, f, j)
+            if sol is None:
+                continue
+            rows, tf, tj = sol
+            u = rays.centers[f] - rays.centers[j]
+            resid = (
+                u
+                + tf[:, None] * rays.directions[rows, f]
+                - tj[:, None] * rays.directions[rows, j]
+            )
+            D[f, j] = D[j, f] = np.mean(np.sum(resid**2, axis=1))
+    return D
+
+
+def crafted_rays():
+    """Six frames in three videos, each unusable pair made so on purpose.
+
+    The points move between frames, so usable pairs have a positive cost.
+    (0, 1) share a video; (2, 4) share no point; frame 3 sees point 0 along
+    frame 0's ray, so (0, 3) is parallel there; frame 5 sees point 1 behind
+    its camera, so its pairs on that point have a negative depth.
+    """
+    rng = np.random.default_rng(31)
+    points = rng.normal(scale=0.5, size=(3, 1, 3)) + rng.normal(
+        scale=0.05, size=(3, 6, 3)
+    )
+    centers = np.array(
+        [[4.0, 0, 0], [0, 4.0, 0], [-4.0, 0, 0], [1.0, 1, 1], [0, -4.0, 0], [0, 0, 4.0]]
+    )
+    ids = np.array([0, 0, 1, 1, 2, 2])
+    rel = points - centers[None, :, :]
+    directions = rel / np.linalg.norm(rel, axis=2, keepdims=True)
+    directions[0, 3] = directions[0, 0]
+    directions[1, 5] *= -1.0
+    present = np.ones((3, 6), dtype=bool)
+    present[1:, 2] = False
+    present[0, 4] = False
+    directions[~present] = np.nan
+    return RayField(directions=directions, centers=centers, present=present), ids
+
+
+def test_pair_distance_matrix_matches_pairwise_reference():
+    crafted = crafted_rays()
+    for f, j in [(2, 4), (0, 3), (0, 5)]:
+        assert _pair_depths(crafted[0], f, j) is None
+    scene = make_scene(points=4, samples=20, cameras=4, seed=13, miss_rate=0.3)
+    scaled, _ = normalize_scale(scene.frames)
+    ids = np.array([f.video_id for f in scaled])
+    for rays, ids in [crafted, (compute_rays(scaled, scene.observations), ids)]:
+        with np.errstate(all="raise"):
+            D = pair_distance_matrix(rays, ids)
+        ref = reference_pair_distances(rays, ids)
+        assert np.array_equal(np.isinf(D), np.isinf(ref))
+        finite = np.isfinite(ref)
+        assert finite.any()
+        assert np.allclose(D[finite], ref[finite], rtol=1e-12, atol=0.0)
+        usable = finite.any(axis=1)
+        assert np.array_equal(
+            np.argmin(D[usable], axis=1), np.argmin(ref[usable], axis=1)
+        )
 
 
 def test_normalize_scale_unit_mean_distance_and_errors():
