@@ -10,7 +10,8 @@ Formats (all carry ``format`` and ``version`` fields):
 
 - scene:    cameras (rotation row-major, center, intrinsics row-major,
             video_id, frame_in_video; listed in global-index order) and
-            observations as a P x F array of [x, y] or null.
+            observations as a P x F array of [x, y] (two finite numbers)
+            or null.
 - truth:    points as P x F x [x, y, z], time_rank (capture-time rank per
             global frame index), hz, and the per-time-sample camera
             assignment.
@@ -105,6 +106,16 @@ def save_scene(path, frames, obs):
     )
 
 
+_NUMBER = (int, float)
+
+
+def _observation_error(p, f, entry):
+    return InputError(
+        f"observation of point {p} in frame {f} must be null or two finite "
+        f"numbers, got {entry!r}"
+    )
+
+
 def load_scene(path):
     doc = _load(path, "unsync3d-scene")
     try:
@@ -121,16 +132,35 @@ def load_scene(path):
         ]
         raw = doc["observations"]
         P, F = len(raw), len(frames)
-        measures = np.full((P, F, 2), np.nan)
+        present, values = [], []
         for p, row in enumerate(raw):
             if len(row) != F:
                 raise InputError(
                     f"observation row {p} has {len(row)} frames, expected {F}"
                 )
             for f, entry in enumerate(row):
-                if entry is not None:
-                    measures[p, f] = entry
-    except (KeyError, TypeError, ValueError) as exc:
+                if entry is None:
+                    continue
+                # exactly two numbers: a shorter list would broadcast, and a
+                # NaN would pass for a missing entry, which is null
+                if (
+                    type(entry) is not list
+                    or len(entry) != 2
+                    or type(entry[0]) not in _NUMBER
+                    or type(entry[1]) not in _NUMBER
+                ):
+                    raise _observation_error(p, f, entry)
+                present.append(p * F + f)
+                values.append(entry)
+        values = np.array(values, dtype=float).reshape(-1, 2)
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            p, f = divmod(present[bad[0]], F)
+            raise _observation_error(p, f, raw[p][f])
+        measures = np.full((P * F, 2), np.nan)
+        measures[present] = values
+        measures = measures.reshape(P, F, 2)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed scene file {path}: {exc}") from exc
     return frames, ObservationSet(measures=measures)
 

@@ -664,6 +664,8 @@ def solve(obs, frames, config=None):
         )
     if F < 3:
         raise InputError(f"need at least 3 frames, got {F}")
+    if obs.point_count == 0:
+        raise InputError("scene has no points")
     unobserved = np.flatnonzero(~obs.present.any(axis=1))
     if unobserved.size:
         raise InputError(f"points {unobserved.tolist()[:8]} have no observations")

@@ -237,3 +237,36 @@ def test_solve_rejects_bad_lambda3(tmp_path, capsys):
         "--lambda3", "soft",
     )
     assert code == 3
+
+
+def _solve_edited_scene(tmp_path, capsys, edit):
+    scene, _ = simulate_small(tmp_path, capsys, seed=13)
+    doc = json.loads(scene.read_text())
+    edit(doc)
+    scene.write_text(json.dumps(doc))  # NaN and Infinity written bare
+    code, _, err = run(
+        capsys, "solve", "--scene", str(scene), "--out", str(tmp_path / "r.json"),
+    )
+    return code, json.loads(err.strip().split("\n")[-1])
+
+
+def test_solve_rejects_malformed_observation_entries(tmp_path, capsys):
+    for entry in ([1.0], [1.0, 2.0, 3.0], [float("nan"), 1.0], [float("inf"), 1.0]):
+
+        def edit(doc):
+            doc["observations"][1][2] = entry
+
+        code, msg = _solve_edited_scene(tmp_path, capsys, edit)
+        assert code == 3, entry
+        assert msg["category"] == "input"
+        assert "point 1 in frame 2" in msg["message"]
+
+
+def test_solve_rejects_scene_without_points(tmp_path, capsys):
+    def edit(doc):
+        doc["observations"] = []
+
+    code, msg = _solve_edited_scene(tmp_path, capsys, edit)
+    assert code == 3
+    assert msg["category"] == "input"
+    assert "no points" in msg["message"]

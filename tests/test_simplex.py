@@ -286,6 +286,99 @@ def test_self_express_warm_start_changes_nothing():
     assert abs(r1 - r2) < 1e-10 * (1 + r1)
 
 
+def _code_each_column(X, mask, warm=None):
+    # the per-column coder on the shared Gram, the batch's byte reference
+    G = X.T @ X
+    F = X.shape[1]
+    W = np.zeros((F, F))
+    for f in range(F):
+        idx = mask.column(f)
+        w0 = None if warm is None else warm[idx, f]
+        W[idx, f] = minimize_on_simplex(G, -2.0 * G[idx, f], w0=w0, index=idx)
+    return W
+
+
+def _noisy_curve(rng, F):
+    s = np.linspace(0.0, 2.0, F)
+    X = np.stack([np.cos(s), np.sin(s), s**2, np.cos(3 * s)]) * 40.0
+    return X + rng.normal(scale=0.5, size=X.shape)
+
+
+def test_self_express_warm_batch_matches_per_column_coder():
+    rng = np.random.default_rng(21)
+    F = 36
+    for ids in (np.arange(F) % 3, np.repeat([0, 1, 2], [5, 11, 20])):
+        mask = support_mask(ids, exclude_same_video=True)
+        X = _noisy_curve(rng, F)
+        X[:, 9] = X[:, 4]  # duplicate atoms
+        W = _code_each_column(X, mask)
+        # vertex warm starts, support size 1
+        vertex = np.zeros((F, F))
+        for f in range(F):
+            vertex[rng.choice(mask.column(f)), f] = 1.0
+        # a duplicate pair in one support makes its group's stack singular
+        dup = W.copy()
+        for f in range(F):
+            if mask.allowed[[4, 9], f].all():
+                dup[:, f] = 0.0
+                dup[[4, 9], f] = 0.5
+        # invalid columns start cold: negative, off the mask, sum != 1, NaN
+        bad = W.copy()
+        bad[mask.column(0)[:2], 0] = [1.5, -0.5]
+        bad[:, 1] = 0.0
+        bad[1, 1] = 0.5
+        bad[mask.column(1)[0], 1] = 0.5
+        bad[:, 2] *= 1.1
+        bad[mask.column(3)[0], 3] = np.nan
+        cases = [
+            ("converged", X, W),
+            # W on a perturbed dictionary, so supports must move
+            ("perturbed", X + rng.normal(scale=2.0, size=X.shape), W),
+            ("vertex", X, vertex),
+            ("duplicate", X, dup),
+            ("invalid", X, bad),
+        ]
+        for name, D, warm in cases:
+            ref = _code_each_column(D, mask, warm)
+            assert np.array_equal(self_express(D, mask, warm_start=warm), ref), name
+
+
+def test_self_express_warm_recode_skips_the_active_set(monkeypatch):
+    rng = np.random.default_rng(22)
+    F = 60
+    X = _noisy_curve(rng, F)
+    mask = support_mask(np.arange(F) % 4, exclude_same_video=True)
+    W = self_express(X, mask)
+    calls = []
+    coder = simplex.minimize_on_simplex
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return coder(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "minimize_on_simplex", counted)
+    again = self_express(X, mask, warm_start=W)
+    assert len(calls) <= F // 10
+    monkeypatch.setattr(simplex, "minimize_on_simplex", coder)
+    assert np.array_equal(again, _code_each_column(X, mask, W))
+
+
+def test_self_express_warm_start_validation():
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(6, 8))
+    mask = support_mask(np.arange(8) % 2, exclude_same_video=True)
+    cold = self_express(X, mask)
+    for shape in ((8, 7), (8,), (9, 9)):
+        with pytest.raises(InputError):
+            self_express(X, mask, warm_start=np.zeros(shape))
+    # a non-finite or infeasible warm column falls back to a cold start
+    warm = cold.copy()
+    warm[mask.column(2)[0], 2] = np.inf
+    warm[:, 5] = 0.0
+    out = self_express(X, mask, warm_start=warm)
+    assert np.array_equal(out[:, [2, 5]], cold[:, [2, 5]])
+
+
 def test_self_express_smooth_curve_picks_temporal_neighbors():
     # points on a smooth 3D curve: column f should lean on f-1 and f+1
     s = np.linspace(0.0, 2.0, 30)
