@@ -25,7 +25,7 @@ import numpy as np
 from . import sceneio
 from .analysis import analyze_scene, filter_weights
 from .errors import InputError, UnsyncError
-from .evaluate import emit_tables, evaluate
+from .evaluate import _check_order, emit_tables, evaluate
 from .geometry import compute_rays, frame_video_ids, structure_to_points
 from .simplex import self_express, support_mask
 from .solver import SolverConfig, minimize_structure, solve
@@ -127,7 +127,6 @@ def _build_parser():
         help="shortcut for --lambda3 100 (noisy observations)",
     )
     sol.add_argument("--rho", type=float, default=None)
-    sol.add_argument("--adapt-rho", action="store_true")
     sol.add_argument("--outer-max", type=int, default=None)
     sol.add_argument("--outer-rel-tol", type=float, default=None)
     sol.add_argument("--admm-abs-tol", type=float, default=None)
@@ -259,8 +258,6 @@ def _config_from_args(args):
         value = getattr(args, name)
         if value is not None:
             setattr(config, name, value)
-    if args.adapt_rho:
-        config.adapt_rho = True
     if args.allow_same_video:
         config.same_video_exclusion = False
     if args.no_second_stage:
@@ -344,10 +341,11 @@ def _cmd_baseline(args):
     except ValueError as exc:
         raise InputError(f"bad --taps value {args.taps!r}") from exc
     F = len(frames)
+    order = _check_order(order, F)
     bank = filter_weights(taps, F)
     # apply the banded filter in capture order: row f of the global operator
     # is the time-domain row at f's rank
-    G = bank.g_matrix[np.asarray(order, dtype=int), :]
+    G = bank.g_matrix[order, :]
     rays = compute_rays(frames, obs)
     flags = []
     structure, depths = minimize_structure(G @ G.T, rays, flags=flags)
@@ -358,7 +356,7 @@ def _cmd_baseline(args):
     weights = np.zeros((F, F))
     if bank.w_matrix is not None:
         frame_of_rank = np.empty(F, dtype=int)
-        frame_of_rank[np.asarray(order, dtype=int)] = np.arange(F)
+        frame_of_rank[order] = np.arange(F)
         weights[np.ix_(frame_of_rank, frame_of_rank)] = bank.w_matrix
 
     from .solver import SolveState

@@ -9,25 +9,19 @@ least the diagonal (a shape never represents itself) and optionally all atoms
 from the same video.  The constraint set is a masked probability simplex; it
 induces sparsity without any explicit l1 term.
 
-The workhorse is an active-set solver on the quadratic form
-phi(w) = w^T H w + c^T w with H = D^T D and c = -2 D^T t, so the gradient
-2 H w + c matches the optimality conditions used in the tests.  Masked atoms
-are excluded from the linear algebra entirely rather than pinned with
-penalties, which keeps systems small and off-mask zeros exact.  The solver
-indexes into one shared Gram matrix: a column passes the list of its allowed
-atoms, and each step reads only the diagonal of those atoms, the support
-block for the KKT system and the support columns for the gradient, so no
-k x k copy is made per column.  A projected-gradient loop is the fallback if
-the active set fails to settle within its iteration budget; only then is the
-column's full block gathered.
-
-``self_express`` with a warm start takes the active set's first step for all
-warm-started columns at once: between warm-up passes most columns keep their
-support, and that step (one KKT solve on the warm support, then the gradient
-gap test) already accepts them.  Columns are grouped by support size, and each
-group's KKT systems are solved as one stack.  Every column the batch cannot
-settle goes through ``minimize_on_simplex``, which stays the exact finisher,
-so the result has the same bytes as coding every column on its own.
+Every such QP in the package goes through one engine, ``minimize_on_simplex``:
+an active-set solver on the quadratic form phi(w) = w^T H w + c^T w (for
+coding, H = D^T D and c = -2 D^T t), so the gradient 2 H w + c matches the
+optimality conditions used in the tests.  It codes many columns against one
+shared H at once.  Each round groups the unfinished columns by support size
+and solves their KKT systems as one stack (least squares for a singular
+one), then takes every column's accept / add-atom / drop-blocker decision as
+an array operation.  Masked atoms never enter the linear algebra, which
+keeps off-mask zeros exact, and each column only ever reduces along its own
+row, so its result has the same bytes however many columns share the call.
+A projected-gradient loop is the fallback for a column that exhausts its
+iteration budget or cannot move.  ``self_express`` (the warm-up and the
+first W-step) and the polish in ``solver.admm_w_step`` are single calls.
 """
 
 from dataclasses import dataclass
@@ -127,30 +121,6 @@ def _phi(H, c, w):
     return float(w @ H @ w + c @ w)
 
 
-def _kkt_solve(H, c, index, support):
-    # equality-constrained optimum on the current support:
-    # [2 H_AA  1; 1^T  0] [w_A; mu] = [-c_A; 1], H_AA read through index
-    k = support.size
-    atoms = index[support]
-    kkt = np.empty((k + 1, k + 1))
-    kkt[:k, :k] = 2.0 * H[np.ix_(atoms, atoms)]
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    kkt[k, k] = 0.0
-    rhs = np.empty(k + 1)
-    rhs[:k] = -c[support]
-    rhs[k] = 1.0
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-        resid = np.abs(kkt @ sol - rhs).max()
-        if not np.isfinite(sol).all() or resid > 1e-8 * (1.0 + np.abs(rhs).max()):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        # singular face (duplicate atoms); least-norm splits weight evenly
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    return sol[:k], sol[k]
-
-
 def _projected_gradient(H, c, w0, max_iter=2000):
     # guaranteed-progress fallback; fixed step 1/L with L the curvature bound
     evals = np.linalg.eigvalsh(0.5 * (H + H.T))
@@ -171,106 +141,199 @@ def _projected_gradient(H, c, w0, max_iter=2000):
     return best
 
 
-def minimize_on_simplex(H, c, w0=None, max_iter=None, index=None):
-    """Minimize w^T H w + c^T w over the probability simplex.
+def minimize_on_simplex(H, c, w0=None, max_iter=None, allowed=None):
+    """Minimize w^T H w + c^T w over the (masked) probability simplex.
 
     Parameters
     ----------
     H : (n, n) array
-        Symmetric positive semidefinite quadratic form; with ``index`` the
-        problem's form is the block ``H[index][:, index]``, read in place.
-    c : (k,) array
-        Linear term; the gradient is 2 H w + c.
-    w0 : (k,) array, optional
-        Feasible warm start; ignored when infeasible.
+        Symmetric positive semidefinite quadratic form, shared by every
+        problem.
+    c : (n,) or (n, m) array
+        Linear term; the gradient is 2 H w + c.  A vector is one problem
+        over all n atoms; a matrix is m problems, column f with linear term
+        ``c[:, f]``.
+    w0 : array shaped like ``c``, optional
+        Warm start.  A column that is not finite, nonnegative (to -1e-12)
+        and summing to 1 (to 1e-6) over its allowed atoms starts cold, at
+        its best vertex; entries off the mask are ignored.
     max_iter : int, optional
-        Active-set budget before the projected-gradient fallback, default
-        10 k + 20.
-    index : (k,) int array, optional
-        Rows and columns of ``H`` that make up the problem, default
-        ``arange(k)``.  Indexing a shared Gram matrix gives the same result
-        as passing the gathered block.
+        Active-set steps per problem before the projected-gradient
+        fallback, default 10 k + 20 for a problem with k allowed atoms.
+    allowed : (n, m) boolean array, optional
+        Atoms column f may use, ``allowed[:, f]``; default all.
 
     Returns
     -------
-    (k,) array
-        Feasible minimizer with exact zeros off its active set.  With
+    array shaped like ``c``
+        Feasible minimizers with exact zeros off their active sets.  With
         multiple optima (duplicate atoms) ties break toward the smallest
-        atom index.
+        atom index.  A column's result has the same bytes whichever columns
+        are coded with it.
+
+    Raises InfeasibleError if a column has no allowed atom.
     """
     H = np.asarray(H, dtype=float)
     c = np.asarray(c, dtype=float)
-    k = c.size
-    if k == 1:
-        return np.ones(1)
-    if max_iter is None:
-        max_iter = 10 * k + 20
-    index = np.arange(k) if index is None else np.asarray(index)
+    vector = c.ndim == 1
+    if vector:
+        c = c[:, None]
+        w0 = None if w0 is None else np.asarray(w0, dtype=float)[..., None]
+    # problems are rows from here on, and every float reduction runs along
+    # one contiguous row, so a row's bytes do not depend on the other rows
+    C = c.T
+    m, n = C.shape
+    if allowed is None:
+        A = np.ones((m, n), dtype=bool)
+    else:
+        A = np.asarray(allowed, dtype=bool).T
+    counts = A.sum(axis=1)
+    if (counts == 0).any():
+        raise InfeasibleError("a coding problem has no allowed atom")
+    budget = 10 * counts + 20 if max_iter is None else np.full(m, max_iter)
 
-    w = None
-    if w0 is not None:
-        w0 = np.asarray(w0, dtype=float)
-        if (
-            w0.shape == (k,)
-            and np.isfinite(w0).all()
-            and w0.min() >= -1e-12
-            and abs(w0.sum() - 1.0) <= 1e-6
-        ):
-            w = np.clip(w0, 0.0, None)
-            w /= w.sum()
-    if w is None or not (w > 0).any():
-        j0 = int(np.argmin(np.diagonal(H)[index] + c))
-        w = np.zeros(k)
-        w[j0] = 1.0
-    support = np.flatnonzero(w > 0.0)
+    if w0 is not None and np.shape(w0) == c.shape:
+        W = np.where(A, np.asarray(w0, dtype=float).T, 0.0)
+        finite = np.isfinite(W).all(axis=1)
+        W[~finite] = 0.0
+        cold = ~(
+            finite
+            & (W.min(axis=1) >= -1e-12)
+            & (np.abs(W.sum(axis=1) - 1.0) <= 1e-6)
+        )
+        W[cold] = 0.0
+        np.clip(W, 0.0, None, out=W)
+        # a sequential sum, unlike numpy's pairwise one, does not depend on
+        # where a row's zeros sit, so a gathered block gives the same bytes
+        total = np.cumsum(W, axis=1)[:, -1]
+        total[cold] = 1.0
+        W /= total[:, None]
+    else:
+        W = np.zeros((m, n))
+        cold = np.ones(m, dtype=bool)
+    if cold.any():
+        score = np.where(A[cold], np.diagonal(H) + C[cold], np.inf)
+        W[np.flatnonzero(cold), np.argmin(score, axis=1)] = 1.0
+    done = counts == 1
+    W[done] = A[done]
+    support = W > 0.0
+    stuck = np.zeros(m, dtype=bool)
+    steps = np.zeros(m, dtype=int)
 
-    for _ in range(max_iter):
-        wA, _ = _kkt_solve(H, c, index, support)
-        if not np.isfinite(wA).all():
+    while True:
+        stuck |= ~done & (steps >= budget)
+        rows = np.flatnonzero(~done & ~stuck)
+        if rows.size == 0:
             break
-        neg = wA < -1e-12
-        if not neg.any():
-            w = np.zeros(k)
-            w[support] = np.clip(wA, 0.0, None)
-            w /= w.sum()
-            if support.size == k:
-                return w
-            # H is symmetric, so the support's rows, transposed, are its
-            # columns (laid out as a column slice of the gathered block is)
-            cols = H[np.ix_(index[support], index)].T
-            g = 2.0 * (cols @ w[support]) + c
-            # the face optimum pins the gradient to one level on the
-            # support; atoms below that level improve the objective
-            level = float(g[support].mean())
-            gap = g - level
-            gap[support] = np.inf
-            j_in = int(np.argmin(gap))
-            tol = 1e-10 * (1.0 + np.abs(g).max())
-            if gap[j_in] >= -tol:
-                return w
-            support = np.sort(np.append(support, j_in))
-        else:
-            # partial step toward the face optimum, drop the first blocker
-            cur = w[support]
-            d = wA - cur
-            shrink = d < -1e-15
-            if not shrink.any():
-                break
-            ratios = cur[shrink] / -d[shrink]
-            alpha = min(1.0, max(0.0, ratios.min()))
-            blockers = support[shrink][ratios <= ratios.min() + 1e-15]
-            drop = blockers.min()
-            w = np.zeros(k)
-            w[support] = np.clip(cur + alpha * d, 0.0, None)
-            w[drop] = 0.0
-            total = w.sum()
-            if total <= 0.0:
-                break
-            w /= total
-            support = support[support != drop]
-            if support.size == 0:
-                break
-    return _projected_gradient(H[np.ix_(index, index)], c, w)
+        sizes = support[rows].sum(axis=1)
+        for s in np.unique(sizes):
+            group = rows[sizes == s]
+            atoms = np.nonzero(support[group])[1].reshape(group.size, s)
+            face = _face_optima(H, atoms, C[group[:, None], atoms])
+            bad = ~np.isfinite(face).all(axis=1)
+            stuck[group[bad]] = True
+            neg = ~bad & (face < -1e-12).any(axis=1)
+            ok = ~bad & ~neg
+            if ok.any():
+                _take_face(H, C, A, W, support, done, group[ok], atoms[ok], face[ok])
+            if neg.any():
+                _drop_blocker(W, support, stuck, group[neg], atoms[neg], face[neg])
+        steps[rows] += 1
+
+    for f in np.flatnonzero(stuck):
+        idx = np.flatnonzero(A[f])
+        W[f, idx] = _projected_gradient(H[np.ix_(idx, idx)], C[f, idx], W[f, idx])
+    return W[0] if vector else np.ascontiguousarray(W.T)
+
+
+def _face_optima(H, atoms, c_face):
+    # equality-constrained optimum on each row's support, as one stack:
+    # [2 H_AA  1; 1^T  0] [w_A; mu] = [-c_A; 1]
+    g, s = atoms.shape
+    kkt = np.zeros((g, s + 1, s + 1))
+    kkt[:, :s, :s] = 2.0 * H[atoms[:, :, None], atoms[:, None, :]]
+    kkt[:, :s, s] = 1.0
+    kkt[:, s, :s] = 1.0
+    rhs = np.empty((g, s + 1, 1))
+    rhs[:, :s, 0] = -c_face
+    rhs[:, s, 0] = 1.0
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        # one singular system fails the whole stack; solve the rest alone
+        sol = np.full(rhs.shape, np.nan)
+        for i in range(g):
+            try:
+                sol[i] = np.linalg.solve(kkt[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+    with np.errstate(invalid="ignore", over="ignore"):
+        resid = np.abs(kkt @ sol - rhs).max(axis=(1, 2))
+        solved = np.isfinite(sol).all(axis=(1, 2)) & (
+            resid <= 1e-8 * (1.0 + np.abs(rhs).max(axis=(1, 2)))
+        )
+    # singular face (duplicate atoms); least-norm splits weight evenly
+    for i in np.flatnonzero(~solved):
+        sol[i] = np.linalg.lstsq(kkt[i], rhs[i], rcond=None)[0]
+    return sol[:, :s, 0]
+
+
+def _take_face(H, C, A, W, support, done, rows, atoms, face):
+    # a feasible face optimum becomes the iterate; the row is done when no
+    # allowed atom off the support (if any) has a gradient below the
+    # support's level, else the lowest such atom joins the support
+    s = atoms.shape[1]
+    w = np.clip(face, 0.0, None)
+    w /= w.sum(axis=1)[:, None]
+    W[rows[:, None], atoms] = w
+    # gradient 2 H w + c, one support atom at a time (H is symmetric, so
+    # its rows serve as its columns); updated in place, as the rows of a
+    # warm pass span the whole F x F block
+    g = H[atoms[:, 0]]
+    g *= w[:, :1]
+    for t in range(1, s):
+        g += H[atoms[:, t]] * w[:, t, None]
+    g *= 2.0
+    g += C[rows]
+    off = ~A[rows]
+    at = np.arange(rows.size)
+    # the face optimum pins the gradient to one level on the support
+    level = g[at[:, None], atoms].mean(axis=1)
+    gap = g - level[:, None]
+    gap[off] = np.inf
+    gap[at[:, None], atoms] = np.inf
+    j_in = np.argmin(gap, axis=1)
+    np.abs(g, out=g)
+    g[off] = 0.0
+    tol = 1e-10 * (1.0 + g.max(axis=1))
+    closed = gap[at, j_in] >= -tol
+    done[rows[closed]] = True
+    support[rows[~closed], j_in[~closed]] = True
+
+
+def _drop_blocker(W, support, stuck, rows, atoms, face):
+    # an infeasible face optimum: step toward it until the first weight
+    # reaches zero and drop that atom, the smallest index among ties
+    cur = W[rows[:, None], atoms]
+    d = face - cur
+    shrink = d < -1e-15
+    moves = shrink.any(axis=1)
+    stuck[rows[~moves]] = True
+    rows, atoms, cur, d, shrink = (
+        a[moves] for a in (rows, atoms, cur, d, shrink)
+    )
+    ratios = np.divide(cur, -d, out=np.full(d.shape, np.inf), where=shrink)
+    low = ratios.min(axis=1)
+    drop = np.argmax(shrink & (ratios <= low[:, None] + 1e-15), axis=1)
+    new = np.clip(cur + np.clip(low, 0.0, 1.0)[:, None] * d, 0.0, None)
+    at = np.arange(rows.size)
+    new[at, drop] = 0.0
+    total = new.sum(axis=1)
+    empty = total <= 0.0
+    stuck[rows[empty]] = True
+    new[~empty] /= total[~empty, None]
+    W[rows[:, None], atoms] = new
+    support[rows[~empty], atoms[at, drop][~empty]] = False
 
 
 def simplex_code(target, dictionary, allowed, warm_start=None):
@@ -315,109 +378,16 @@ def simplex_code(target, dictionary, allowed, warm_start=None):
     return w
 
 
-def _warm_first_step(G, allowed, warm, W):
-    """Code, in one batch, the warm columns that the active set's first step settles.
-
-    Mirrors the first iteration of ``minimize_on_simplex`` started from each
-    column's warm weights: the validity test, the KKT solve on the warm
-    support, the residual and negativity tests, the gradient gap test and
-    the normalisation.  Columns are grouped by support size s, and each
-    group's KKT systems are solved as one stack, which gives the coder's
-    bytes.  The batch's sum, residual and gradient may differ from the
-    coder's in the last bits, so those tests use half the coder's tolerance
-    and never accept a column the coder would reject.  The written weights
-    are normalised by a sum over the column's allowed slots in the coder's
-    order, so they have the coder's bytes.  Accepted columns are written to
-    W; returns the boolean mask of written columns.
-    """
-    F = G.shape[0]
-    counts = allowed.sum(axis=0)
-    inside = np.where(allowed, warm, 0.0)
-    with np.errstate(invalid="ignore"):
-        valid = (
-            np.isfinite(inside).all(axis=0)
-            & (inside.min(axis=0) >= -1e-12)
-            & (np.abs(inside.sum(axis=0) - 1.0) <= 0.5e-6)
-        )
-    on = allowed & (inside > 0.0)
-    sizes = on.sum(axis=0)
-    done = np.zeros(F, dtype=bool)
-    if not valid.any():
-        return done
-    # accepted columns, their support atoms and clipped face weights, padded
-    # to the largest support by repeating the first entry
-    width = sizes[valid].max()
-    found = []
-    for s in np.unique(sizes[valid]):
-        cols = np.flatnonzero(valid & (sizes == s))
-        atoms = np.nonzero(on[:, cols].T)[1].reshape(cols.size, s)
-        cols, atoms, face = _face_step(G, allowed, cols, atoms)
-        pad = np.where(np.arange(width) < s, np.arange(width), 0)
-        found.append((cols, atoms[:, pad], face[:, pad]))
-    cols, atoms, face = (np.concatenate(parts) for parts in zip(*found))
-    slots = np.cumsum(allowed, axis=0)[atoms, cols[:, None]] - 1
-    for k in np.unique(counts[cols]):
-        rows = np.flatnonzero(counts[cols] == k)
-        dense = np.zeros((rows.size, k))
-        dense[np.arange(rows.size)[:, None], slots[rows]] = face[rows]
-        W[atoms[rows], cols[rows, None]] = face[rows] / dense.sum(axis=1)[:, None]
-    done[cols] = True
-    return done
-
-
-def _face_step(G, allowed, cols, atoms):
-    # cols (n,) columns whose warm supports atoms (n, s) share one size;
-    # returns the columns the first step accepts, their atoms and their
-    # clipped face weights (not yet normalised)
-    n, s = atoms.shape
-    kkt = np.empty((n, s + 1, s + 1))
-    kkt[:, :s, :s] = 2.0 * G[atoms[:, :, None], atoms[:, None, :]]
-    kkt[:, :s, s] = 1.0
-    kkt[:, s, :s] = 1.0
-    kkt[:, s, s] = 0.0
-    rhs = np.empty((n, s + 1, 1))
-    rhs[:, :s, 0] = 2.0 * G[atoms, cols[:, None]]  # -c on the support
-    rhs[:, s, 0] = 1.0
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        return cols[:0], atoms[:0], np.empty((0, s))
-    with np.errstate(invalid="ignore", over="ignore"):
-        resid = np.abs(kkt @ sol - rhs).max(axis=(1, 2))
-        ok = np.isfinite(sol).all(axis=(1, 2)) & (
-            resid <= 0.5e-8 * (1.0 + np.abs(rhs).max(axis=(1, 2)))
-        )
-    wA = sol[ok, :s, 0]
-    face = np.clip(wA, 0.0, None)
-    keep = ~(wA < -1e-12).any(axis=1) & (face.sum(axis=1) > 0.0)
-    cols, atoms, face = cols[ok][keep], atoms[ok][keep], face[keep]
-    # gradient 2 H w + c over all atoms, one support atom at a time (G is
-    # symmetric, so its rows serve as its columns)
-    w = face / face.sum(axis=1)[:, None]
-    g = -2.0 * G[cols]
-    for t in range(s):
-        g += (2.0 * w[:, t, None]) * G[atoms[:, t]]
-    rows = np.arange(cols.size)[:, None]
-    own = allowed[:, cols].T
-    gap = np.where(own, g - g[rows, atoms].mean(axis=1)[:, None], np.inf)
-    gap[rows, atoms] = np.inf
-    tol = 1e-10 * (1.0 + np.where(own, np.abs(g), 0.0).max(axis=1))
-    ok = gap.min(axis=1) >= -0.5 * tol
-    return cols[ok], atoms[ok], face[ok]
-
-
 def self_express(dictionary, mask, warm_start=None):
     """Code every column of the dictionary over the others.
 
     Column f of the result is ``simplex_code`` of column f against the mask's
-    f-th column.  Columns are independent; every column's coder indexes the
-    one shared Gram matrix by its allowed atoms.  With ``warm_start`` (the
-    F x F weights of an earlier pass) the active set's first step is taken
-    for all warm columns at once, and columns it settles are written
-    directly; the rest, cold columns and invalid warm columns (negative,
-    non-finite, not summing to 1 over the allowed atoms) included, go
-    through ``minimize_on_simplex``, the exact finisher.  The result has
-    the same bytes either way.
+    f-th column.  All F columns are coded by one ``minimize_on_simplex`` call
+    on the shared Gram matrix G = D^T D, with linear terms -2 G and the
+    mask as the allowed atoms.  ``warm_start`` (the F x F weights of an
+    earlier pass) seeds each column's active set; an invalid warm column
+    (negative, non-finite, not summing to 1 over the allowed atoms) starts
+    cold.
 
     Returns the F x F weight matrix.
     """
@@ -430,22 +400,14 @@ def self_express(dictionary, mask, warm_start=None):
         )
     if not np.isfinite(dictionary).all():
         raise InputError("non-finite dictionary")
-    G = dictionary.T @ dictionary
-    W = np.zeros((F, F))
-    done = np.zeros(F, dtype=bool)
     if warm_start is not None:
         warm_start = np.asarray(warm_start, dtype=float)
         if warm_start.shape != (F, F):
             raise InputError(
                 f"warm start shape {warm_start.shape} does not match F={F}"
             )
-        done = _warm_first_step(G, mask.allowed, warm_start, W)
-    for f in np.flatnonzero(~done):
-        idx = mask.column(f)
-        c = -2.0 * G[idx, f]
-        w0 = warm_start[idx, f] if warm_start is not None else None
-        W[idx, f] = minimize_on_simplex(G, c, w0=w0, index=idx)
-    return W
+    G = dictionary.T @ dictionary
+    return minimize_on_simplex(G, -2.0 * G, w0=warm_start, allowed=mask.allowed)
 
 
 def sparsity_profile(weights, eps):

@@ -81,7 +81,6 @@ class SolverConfig:
     lambda2: float = 0.1
     lambda3: float = math.inf
     rho: float = 1.0
-    adapt_rho: bool = False
     outer_max: int = 100
     outer_rel_tol: float = 1e-6
     admm_abs_tol: float = 1e-5
@@ -362,12 +361,15 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
 
     Step 1 runs projected gradient on all columns at once: the proximal
     Hessian (1/FP) G + (rho/2) I is dominated by its rho I part, so the
-    iteration contracts fast, and any column whose KKT gap stays above
-    tolerance afterwards is polished by the exact active-set coder.  G = X^T X
-    has rank at most 3P, so when 3P is small next to F each gradient step
-    takes the data term in factored form, (2/FP) X^T (X W), at O(P F^2)
-    instead of the O(F^3) G W, and the step length uses G's largest
-    eigenvalue, read from the smaller of X X^T (3P x 3P) and G.
+    iteration contracts fast.  The columns whose KKT gap stays above
+    tolerance afterwards are polished together, warm started from the
+    iterate, by one ``minimize_on_simplex`` call on that Hessian (the exact
+    active set; as the inner solver for every column it is much slower,
+    since the iterate's supports are dense).  G = X^T X has rank at most
+    3P, so when 3P is small next to F each gradient step takes the data
+    term in factored form, (2/FP) X^T (X W), at O(P F^2) instead of the
+    O(F^3) G W, and the step length uses G's largest eigenvalue, read from
+    the smaller of X X^T (3P x 3P) and G.
 
     Returns (weights, auxiliary, dual, info).  The returned weights are the
     best feasible iterate by the coupled objective (never worse than the
@@ -411,9 +413,9 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
     best_val = coupled(W)
     converged = False
     iterations = 0
+    L = 2.0 * inv_fp * lam_max + rho
     for _ in range(config.admm_max_iter):
         iterations += 1
-        L = 2.0 * inv_fp * lam_max + rho
         const = Y - rho * Z - A2
         for _ in range(500):
             grad = data_gradient(W) + rho * W + const
@@ -428,13 +430,12 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
         tol = 1e-9 * (1.0 + np.abs(np.where(allowed, grad, 0.0)).max(axis=0))
         polish = np.flatnonzero(viol > tol)
         if polish.size:
-            Hp = inv_fp * G + (rho / 2.0) * np.eye(F)
-        for f in polish:
-            idx = mask.column(f)
-            cf = -A2[idx, f] + Y[idx, f] - rho * Z[idx, f]
-            col = np.zeros(F)
-            col[idx] = minimize_on_simplex(Hp, cf, w0=W[idx, f], index=idx)
-            W[:, f] = col
+            W[:, polish] = minimize_on_simplex(
+                inv_fp * G + (rho / 2.0) * np.eye(F),
+                -A2[:, polish] + Y[:, polish] - rho * Z[:, polish],
+                w0=W[:, polish],
+                allowed=allowed[:, polish],
+            )
         B = Y + rho * W
         Z_new = 0.5 * ((B + B.T) / rho + (B - B.T) / (8.0 * alpha + rho))
         Y += rho * (W - Z_new)
@@ -458,11 +459,6 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
         ):
             converged = True
             break
-        if config.adapt_rho:
-            if r_pri > 10.0 * s_dual:
-                rho *= 2.0
-            elif s_dual > 10.0 * r_pri:
-                rho /= 2.0
     info = {"iterations": iterations, "converged": converged}
     if not converged:
         warnings.warn(

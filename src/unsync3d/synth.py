@@ -75,6 +75,8 @@ class RigSpec:
     def validate(self):
         if self.camera_count < 1:
             raise InputError("camera_count must be at least 1")
+        if not (math.isfinite(self.distance_factor) and self.distance_factor > 0):
+            raise InputError("distance_factor must be finite and positive")
         if self.focal <= 0:
             raise InputError("focal must be positive")
         if self.mode not in ("static", "handheld", "random"):

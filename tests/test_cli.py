@@ -206,6 +206,40 @@ def test_baseline_filter_solve(tmp_path, capsys):
     assert "[1.0, -1.0]" in out
 
 
+def test_baseline_rejects_truth_of_another_scene(tmp_path, capsys):
+    scenes = {}
+    for samples in (12, 20):
+        d = tmp_path / str(samples)
+        d.mkdir()
+        scenes[samples] = (d / "scene.json", d / "truth.json")
+        code, _, err = run(
+            capsys, "simulate", "--seed", "5", "--points", "3", "--samples",
+            str(samples), "--cameras", "3", "--scene-out",
+            str(scenes[samples][0]), "--truth-out", str(scenes[samples][1]),
+        )
+        assert code == 0, err
+    for a, b in ((12, 20), (20, 12)):
+        code, _, err = run(
+            capsys, "baseline", "--scene", str(scenes[a][0]), "--truth",
+            str(scenes[b][1]), "--out", str(tmp_path / "base.json"),
+        )
+        assert code == 3, err
+        assert "permutation" in err
+    assert not (tmp_path / "base.json").exists()
+
+
+def test_simulate_rejects_nonpositive_distance_factor(tmp_path, capsys):
+    for factor in ("0", "-2", "nan"):
+        code, _, err = run(
+            capsys, "simulate", "--seed", "5", "--points", "3", "--samples",
+            "12", "--cameras", "3", f"--distance-factor={factor}", "--scene-out",
+            str(tmp_path / "scene.json"), "--truth-out", str(tmp_path / "truth.json"),
+        )
+        assert code == 3, err
+        assert "distance_factor" in err
+    assert not (tmp_path / "scene.json").exists()
+
+
 def test_report_merges_eval_outputs(tmp_path, capsys):
     scene, truth = simulate_small(tmp_path, capsys, seed=11)
     result = tmp_path / "r.json"

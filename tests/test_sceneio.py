@@ -64,16 +64,19 @@ def test_config_round_trip_with_infinite_lambda3(tmp_path):
     back = sceneio.load_config(p)
     assert back == cfg
 
-    soft = SolverConfig(lambda3=100.0, adapt_rho=True, second_stage=False)
+    soft = SolverConfig(lambda3=100.0, rho=2.0, second_stage=False)
     sceneio.save_config(p, soft)
     assert sceneio.load_config(p) == soft
 
-    # a field SolverConfig does not have is rejected, like any unknown key
-    doc = json.loads(p.read_text())
-    doc["seed"] = 9
-    p.write_text(json.dumps(doc))
-    with pytest.raises(InputError):
-        sceneio.load_config(p)
+    # a field SolverConfig does not have (removed options included) is
+    # rejected, like any unknown key
+    for key, value in (("seed", 9), ("adapt_rho", True)):
+        sceneio.save_config(p, soft)
+        doc = json.loads(p.read_text())
+        doc[key] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(InputError):
+            sceneio.load_config(p)
 
 
 def test_weights_round_trip(tmp_path):

@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from unsync3d import simplex
 from unsync3d.errors import InfeasibleError, InputError
@@ -171,36 +174,100 @@ def test_minimize_on_simplex_warm_start_agrees_with_cold():
         assert abs(o1 - o2) < 1e-8 * (1 + abs(o1))
 
 
-def test_minimize_on_simplex_indexed_gram_matches_gathered_block(monkeypatch):
-    # reading a shared rank-3 Gram through an index must give the bytes of
-    # coding against the gathered block, also on the fallback path
-    fallbacks = []
+def _count_fallbacks(monkeypatch):
+    # one entry per call of the projected-gradient fallback
+    calls = []
     original = simplex._projected_gradient
 
     def counting(*args, **kwargs):
-        fallbacks.append(1)
+        calls.append(1)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(simplex, "_projected_gradient", counting)
+    return calls
+
+
+def test_minimize_on_simplex_indexed_gram_matches_gathered_block(monkeypatch):
+    # coding through allowed= on a shared rank-3 Gram must give the bytes of
+    # coding against the gathered block of the allowed atoms (in sorted
+    # order), also on the fallback path; entries off the mask are ignored
+    fallbacks = _count_fallbacks(monkeypatch)
     rng = np.random.default_rng(21)
-    for trial in range(16):
+    for _ in range(16):
         n = int(rng.integers(40, 90))
         D = rng.normal(size=(3, n))
         G = D.T @ D
         k = int(rng.integers(30, n))
-        idx = rng.choice(n, size=k, replace=False)
-        if trial % 2:
-            idx = np.sort(idx)
-        c = -2.0 * (D[:, idx].T @ rng.normal(size=3))
+        idx = np.sort(rng.choice(n, size=k, replace=False))
+        allowed = np.zeros((n, 1), dtype=bool)
+        allowed[idx] = True
+        c = rng.normal(size=(n, 1))  # off-mask entries are noise
+        c[idx, 0] = -2.0 * (D[:, idx].T @ rng.normal(size=3))
         block = G[np.ix_(idx, idx)]
         for w0 in (None, rng.dirichlet(np.ones(k))):
+            full = None
+            if w0 is not None:
+                full = np.full((n, 1), np.nan)
+                full[idx, 0] = w0
             for max_iter in (None, 1):
-                indexed = minimize_on_simplex(
-                    G, c, w0=w0, max_iter=max_iter, index=idx
+                shared = minimize_on_simplex(
+                    G, c, w0=full, max_iter=max_iter, allowed=allowed
                 )
-                gathered = minimize_on_simplex(block, c, w0=w0, max_iter=max_iter)
-                assert indexed.tobytes() == gathered.tobytes()
+                gathered = minimize_on_simplex(
+                    block, c[idx, 0], w0=w0, max_iter=max_iter
+                )
+                assert shared[idx, 0].tobytes() == gathered.tobytes()
+                assert not shared[~allowed[:, 0], 0].any()
     assert fallbacks
+
+
+@st.composite
+def coding_problems(draw):
+    """Random PSD Gram D^T D, targets, masks and (often invalid) warm starts."""
+    n = draw(st.integers(2, 9))
+    m = draw(st.integers(1, 6))
+    r = draw(st.integers(1, 4))
+    values = st.floats(-10.0, 10.0, allow_subnormal=False)
+    D = draw(hnp.arrays(float, (r, n), elements=values))
+    T = draw(hnp.arrays(float, (r, m), elements=values))
+    allowed = draw(hnp.arrays(bool, (n, m)))
+    keep = draw(hnp.arrays(int, m, elements=st.integers(0, n - 1)))
+    allowed[keep, np.arange(m)] = True
+    warm = draw(
+        st.none()
+        | hnp.arrays(
+            float, (n, m), elements=st.floats(-0.1, 1.0, allow_subnormal=False)
+        )
+    )
+    if warm is not None:
+        # columns with a positive mass on the mask become valid starts, unless
+        # they carry a negative entry
+        mass = np.where(allowed, warm, 0.0).sum(axis=0)
+        warm[:, mass > 0] /= mass[mass > 0]
+    return D, T, allowed, warm
+
+
+@settings(max_examples=150, deadline=None)
+@given(coding_problems())
+def test_minimize_on_simplex_properties(problem):
+    D, T, allowed, warm = problem
+    H = D.T @ D
+    c = -2.0 * (D.T @ T)
+    W = minimize_on_simplex(H, c, w0=warm, allowed=allowed)
+    assert W.shape == allowed.shape
+    assert W.min() >= 0.0
+    assert not W[~allowed].any()
+    assert np.abs(W.sum(axis=0) - 1.0).max() <= 1e-9
+    for f in range(T.shape[1]):
+        _, _, worst = coding_kkt(T[:, f], D, W[:, f], allowed[:, f])
+        assert worst >= -1e-6
+        alone = minimize_on_simplex(
+            H,
+            c[:, [f]],
+            w0=None if warm is None else warm[:, [f]],
+            allowed=allowed[:, [f]],
+        )
+        assert alone[:, 0].tobytes() == W[:, f].tobytes()
 
 
 def test_support_mask_diagonal_and_exclusion():
@@ -287,14 +354,17 @@ def test_self_express_warm_start_changes_nothing():
 
 
 def _code_each_column(X, mask, warm=None):
-    # the per-column coder on the shared Gram, the batch's byte reference
+    # every column coded alone, the batch's byte reference
     G = X.T @ X
     F = X.shape[1]
     W = np.zeros((F, F))
     for f in range(F):
-        idx = mask.column(f)
-        w0 = None if warm is None else warm[idx, f]
-        W[idx, f] = minimize_on_simplex(G, -2.0 * G[idx, f], w0=w0, index=idx)
+        W[:, [f]] = minimize_on_simplex(
+            G,
+            -2.0 * G[:, [f]],
+            w0=None if warm is None else warm[:, [f]],
+            allowed=mask.allowed[:, [f]],
+        )
     return W
 
 
@@ -316,7 +386,8 @@ def test_self_express_warm_batch_matches_per_column_coder():
         vertex = np.zeros((F, F))
         for f in range(F):
             vertex[rng.choice(mask.column(f)), f] = 1.0
-        # a duplicate pair in one support makes its group's stack singular
+        # a duplicate pair in one support makes its stack of KKT systems
+        # singular
         dup = W.copy()
         for f in range(F):
             if mask.allowed[[4, 9], f].all():
@@ -344,23 +415,19 @@ def test_self_express_warm_batch_matches_per_column_coder():
 
 
 def test_self_express_warm_recode_skips_the_active_set(monkeypatch):
+    # a converged W re-codes in the active set's first step: one step per
+    # column is enough, and no column falls back to projected gradient
     rng = np.random.default_rng(22)
     F = 60
     X = _noisy_curve(rng, F)
     mask = support_mask(np.arange(F) % 4, exclude_same_video=True)
     W = self_express(X, mask)
-    calls = []
-    coder = simplex.minimize_on_simplex
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return coder(*args, **kwargs)
-
-    monkeypatch.setattr(simplex, "minimize_on_simplex", counted)
-    again = self_express(X, mask, warm_start=W)
-    assert len(calls) <= F // 10
-    monkeypatch.setattr(simplex, "minimize_on_simplex", coder)
-    assert np.array_equal(again, _code_each_column(X, mask, W))
+    fallbacks = _count_fallbacks(monkeypatch)
+    G = X.T @ X
+    again = minimize_on_simplex(G, -2.0 * G, w0=W, max_iter=1, allowed=mask.allowed)
+    assert not fallbacks
+    assert np.array_equal(again, self_express(X, mask, warm_start=W))
+    assert np.abs(again - W).max() < 1e-12
 
 
 def test_self_express_warm_start_validation():

@@ -1,5 +1,7 @@
 """Synthetic scene generation: motion, rig, corruption, and sweeps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,10 @@ def test_spec_validation():
         RigSpec(camera_count=0).validate()
     with pytest.raises(InputError):
         RigSpec(focal=-1.0).validate()
+    # cameras on the centroid (or nowhere) have no viewing direction
+    for factor in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InputError):
+            RigSpec(distance_factor=factor).validate()
     with pytest.raises(InputError):
         RigSpec(mode="tripod").validate()
     with pytest.raises(InputError):
