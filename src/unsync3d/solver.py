@@ -18,16 +18,17 @@ cases alike: each frame of a point is an offset plus a basis block, the ray
 Both block updates are exact descent steps, so the objective trace is
 non-increasing across X-steps and W-steps.  The W update runs ADMM with a
 closed-form auxiliary step; the X update solves small per-point linear
-systems.  The full solve warms up with a decoupled coding/refit loop that
-pulls the depth initialization into the self-expressive basin, then runs
-the coupled alternation; a second stage repeats it with lambda2 = 0, warm
-started, so the smoothness prior guides early iterations without biasing
-the final structure.
+systems.  One loop alternates them in every phase of a solve: a decoupled
+warm-up (exact coding, then X refits) pulls the depth initialization into
+the self-expressive basin; a coupled stage, then one with lambda2 = 0, let
+the smoothness prior guide early passes without biasing the result.
 """
 
 import math
+import numbers
+import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -91,6 +92,21 @@ class SolverConfig:
     second_stage: bool = True
 
     def validate(self):
+        # field types first (Python counts a bool as an int, so numeric
+        # fields refuse bools), then finiteness within the float range: only
+        # lambda3 may be inf, the hard ray constraint
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            kind = {float: numbers.Real, int: numbers.Integral}.get(spec.type, bool)
+            is_bool = isinstance(value, bool)
+            if is_bool != (spec.type is bool) or not isinstance(value, kind):
+                raise InputError(
+                    f"{spec.name} must be a {spec.type.__name__}, got {value!r}"
+                )
+            # NaN, +-inf and ints past the float range all fail this test
+            bad = kind is numbers.Real and not abs(value) <= sys.float_info.max
+            if bad and not (spec.name == "lambda3" and value == math.inf):
+                raise InputError(f"{spec.name} must be finite, got {value!r}")
         for name in ("lambda1", "lambda2"):
             if getattr(self, name) < 0:
                 raise InputError(f"{name} must be nonnegative")
@@ -112,18 +128,19 @@ class SolverConfig:
 
 @dataclass
 class SolveState:
-    """Result of a solver run (or an intermediate snapshot)."""
+    """Result of a solver run, and the state its alternation loop works on."""
 
     structure: np.ndarray
     depths: np.ndarray
-    weights: np.ndarray
-    dual: np.ndarray
-    auxiliary: np.ndarray
+    weights: np.ndarray = None
+    dual: np.ndarray = None
+    auxiliary: np.ndarray = None
     objective_trace: list = field(default_factory=list)
     flags: list = field(default_factory=list)
     scale_factor: float = 1.0
     outer_iterations: int = 0
     admm_iterations: int = 0
+    admm_cap_hits: int = 0
     converged: bool = False
 
 
@@ -459,13 +476,7 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
         ):
             converged = True
             break
-    info = {"iterations": iterations, "converged": converged}
-    if not converged:
-        warnings.warn(
-            f"ADMM hit the {config.admm_max_iter}-iteration cap; "
-            "returning best iterate"
-        )
-    return best_W, Z, Y, info
+    return best_W, Z, Y, {"iterations": iterations, "converged": converged}
 
 
 def pair_distance_matrix(rays, video_ids):
@@ -634,20 +645,77 @@ def _fill_missing(structure, present, frames):
     return X
 
 
+def _code_step(state, cfg, mask):
+    # warm-up W-step: the exact coder, warm started from the last code
+    state.weights = self_express(state.structure, mask, warm_start=state.weights)
+
+
+def _admm_step(state, cfg, mask):
+    # coupled W-step: cold until there is an auxiliary, then hot started
+    W = None if state.auxiliary is None else state.weights
+    state.weights, state.auxiliary, state.dual, info = admm_w_step(
+        state.structure, mask, cfg, W, state.auxiliary, state.dual
+    )
+    state.admm_iterations += info["iterations"]
+    state.admm_cap_hits += not info["converged"]
+
+
+def _alternate(state, cfg, problem, w_step, stop_term=None, code_first=False):
+    """Alternate exact X-steps with ``w_step`` on ``state``; (passes, settled).
+
+    A pass runs ``w_step`` before the X-step when ``code_first``, else after
+    it.  The loop settles once |prev - cur| <= outer_rel_tol |cur| between
+    passes for the objective term ``stop_term``, or for the total if None
+    (then traced at entry and after every half-step), else stops at
+    ``outer_max`` passes.
+    """
+    rays, frames, mask = problem
+
+    def measure():
+        total, terms = objective(state.structure, state.weights, cfg, frames, rays)
+        if stop_term:
+            return terms[stop_term]
+        state.objective_trace.append(total)
+        return total
+
+    prev = math.inf if code_first else measure()
+    for passes in range(1, cfg.outer_max + 1):
+        if code_first:
+            w_step(state, cfg, mask)
+        state.structure, state.depths, state.flags = x_step(
+            state.structure, state.weights, cfg, rays, frames, state.flags
+        )
+        if not code_first:
+            measure()
+            w_step(state, cfg, mask)
+        cur = measure()
+        if abs(prev - cur) <= cfg.outer_rel_tol * abs(cur):
+            return passes, True
+        prev = cur
+    return cfg.outer_max, False
+
+
+def _coupled_stage(state, index, cfg, problem):
+    # X-step, then ADMM W-step; the last stage decides ``converged``
+    passes, state.converged = _alternate(state, cfg, problem, _admm_step)
+    state.outer_iterations += passes
+    if not state.converged:
+        state.flags.append(f"stage{index}-outer-cap")
+
+
 def solve(obs, frames, config=None):
     """Reconstruct structure and weights from unsynchronized observations.
 
-    Runs depth initialization, a decoupled warm-up that alternates exact
-    coding with penalty-free X refits, then a bootstrap W-step followed by
-    the coupled loop of exact X-steps and ADMM W-steps, stopping when the
-    relative objective change per outer iteration falls below
-    ``outer_rel_tol``.  With ``second_stage`` the coupled alternation
-    repeats with lambda2 = 0, warm started, and the carried objective trace
-    stays non-increasing across the switch.  The warm-up runs before the
-    trace starts; the trace covers only the coupled phase.
-
-    Outputs are mapped back to input units; ``scale_factor`` records the
-    normalization multiplier that was applied to camera centers.
+    After depth initialization one alternation loop runs every phase on one
+    ``SolveState``: the decoupled warm-up (exact coding, then a penalty-free
+    X refit, stopping on the self-expression term), a cold bootstrap W-step,
+    then the coupled stage (exact X-step, then ADMM W-step, stopping on the
+    traced objective).  Each loop stops once its stop quantity changes by at
+    most ``outer_rel_tol`` (relative) in a pass, or at ``outer_max`` passes.
+    With ``second_stage`` the coupled stage repeats with lambda2 = 0, warm
+    started; the trace stays non-increasing across the switch.  ``flags``
+    records ``warmup-N``, ``stageK-outer-cap`` and ``admm-cap-hit-Nx``.
+    Outputs are in input units; ``scale_factor`` scaled the camera centers.
     """
     if config is None:
         config = SolverConfig()
@@ -679,78 +747,24 @@ def solve(obs, frames, config=None):
     depths, flags = initialize_depths(rays, scaled_frames)
     structure = assemble_structure(depths, rays)
     structure = _fill_missing(structure, rays.present, scaled_frames)
+    state = SolveState(structure, depths, flags=flags, scale_factor=factor)
+    problem = (rays, scaled_frames, mask)
 
-    # Decoupled warm-up: alternate the exact per-column coder with
-    # penalty-free X refits before any coupled iteration.  The depth
-    # initialization carries enough error to spread the coded weights, and
-    # the coupled alternation preserves that spread as a fixed point; the
-    # decoupled pair instead contracts both blocks toward the
-    # self-expressive solution at a few milliseconds per pass.
-    warm_cfg = replace(config, lambda2=0.0)
-    W = None
-    warm_iters = 0
-    prev = math.inf
-    for _ in range(config.outer_max):
-        W = self_express(structure, mask, warm_start=W)
-        structure, depths, flags = x_step(
-            structure, W, warm_cfg, rays, scaled_frames, flags
-        )
-        cur = objective(structure, W, warm_cfg, scaled_frames, rays)[1][
-            "self_expression"
-        ]
-        warm_iters += 1
-        if abs(prev - cur) <= config.outer_rel_tol * abs(cur):
-            break
-        prev = cur
-    flags.append(f"warmup-{warm_iters}")
-
-    stages = [config.lambda2]
-    if config.second_stage and config.lambda2 > 0:
-        stages.append(0.0)
-
-    trace = []
-    Z = Y = None
-    admm_total = 0
-    outer_total = 0
-    admm_misses = 0
-    converged = False
-    for stage_idx, lam2 in enumerate(stages):
-        stage_cfg = replace(config, lambda2=lam2)
-        if Z is None:
-            W, Z, Y, info = admm_w_step(structure, mask, stage_cfg)
-            admm_total += info["iterations"]
-            admm_misses += 0 if info["converged"] else 1
-        trace.append(objective(structure, W, stage_cfg, scaled_frames, rays)[0])
-        converged = False
-        for _ in range(config.outer_max):
-            prev = trace[-1]
-            structure, depths, flags = x_step(
-                structure, W, stage_cfg, rays, scaled_frames, flags
-            )
-            trace.append(objective(structure, W, stage_cfg, scaled_frames, rays)[0])
-            W, Z, Y, info = admm_w_step(structure, mask, stage_cfg, W, Z, Y)
-            admm_total += info["iterations"]
-            admm_misses += 0 if info["converged"] else 1
-            trace.append(objective(structure, W, stage_cfg, scaled_frames, rays)[0])
-            outer_total += 1
-            if abs(prev - trace[-1]) <= config.outer_rel_tol * abs(trace[-1]):
-                converged = True
-                break
-        if not converged:
-            flags.append(f"stage{stage_idx}-outer-cap")
-    if admm_misses:
-        flags.append(f"admm-cap-hit-{admm_misses}x")
-
-    return SolveState(
-        structure=structure / factor,
-        depths=depths / factor,
-        weights=W,
-        dual=Y,
-        auxiliary=Z,
-        objective_trace=trace,
-        flags=flags,
-        scale_factor=factor,
-        outer_iterations=outer_total,
-        admm_iterations=admm_total,
-        converged=converged,
+    # The depth initialization spreads the coded weights, and the coupled
+    # loop keeps that spread as a fixed point; the decoupled warm-up
+    # contracts both blocks toward the self-expressive solution instead.
+    flat_cfg = replace(config, lambda2=0.0)
+    passes, _ = _alternate(
+        state, flat_cfg, problem, _code_step, "self_expression", code_first=True
     )
+    state.flags.append(f"warmup-{passes}")
+    # cold, not warm started from the warm-up's code: the coding QP can tie
+    _admm_step(state, config, mask)
+    _coupled_stage(state, 0, config, problem)
+    if config.second_stage and config.lambda2 > 0:
+        _coupled_stage(state, 1, flat_cfg, problem)
+    if state.admm_cap_hits:
+        state.flags.append(f"admm-cap-hit-{state.admm_cap_hits}x")
+    state.structure = state.structure / factor
+    state.depths = state.depths / factor
+    return state

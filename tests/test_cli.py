@@ -8,6 +8,7 @@ import pytest
 
 from unsync3d import sceneio
 from unsync3d.cli import main
+from unsync3d.solver import SolverConfig
 
 
 def run(capsys, *argv):
@@ -271,6 +272,42 @@ def test_solve_rejects_bad_lambda3(tmp_path, capsys):
         "--lambda3", "soft",
     )
     assert code == 3
+
+
+def test_solve_rejects_nan_lambda1(tmp_path, capsys):
+    scene, _ = simulate_small(tmp_path, capsys, seed=3)
+    code, _, err = run(
+        capsys, "solve", "--scene", str(scene), "--out", str(tmp_path / "r.json"),
+        "--lambda1", "nan", "--outer-max", "1", "--admm-max-iter", "5",
+    )
+    assert code == 3
+    msg = json.loads(err.strip().split("\n")[-1])
+    assert msg["category"] == "input"
+    assert "lambda1" in msg["message"]
+
+
+def test_solve_rejects_mistyped_config_values(tmp_path, capsys):
+    scene, _ = simulate_small(tmp_path, capsys, seed=3)
+    config = tmp_path / "config.json"
+    for key, value in (
+        ("outer_max", 2.5),
+        ("outer_max", "3"),
+        ("lambda1", "abc"),
+        ("rho", None),
+        ("second_stage", "no"),
+    ):
+        sceneio.save_config(config, SolverConfig())
+        doc = json.loads(config.read_text())
+        doc[key] = value
+        config.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "solve", "--scene", str(scene), "--config", str(config),
+            "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 3, (key, value)
+        msg = json.loads(err.strip().split("\n")[-1])
+        assert msg["category"] == "input"
+        assert key in msg["message"]
 
 
 def _solve_edited_scene(tmp_path, capsys, edit):

@@ -2,9 +2,12 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unsync3d import sceneio
 from unsync3d.errors import InputError
@@ -77,6 +80,35 @@ def test_config_round_trip_with_infinite_lambda3(tmp_path):
         p.write_text(json.dumps(doc))
         with pytest.raises(InputError):
             sceneio.load_config(p)
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from([spec.name for spec in fields(SolverConfig)]), JSON_SCALARS
+    )
+)
+def test_load_config_accepts_valid_or_raises_input_error(tmp_path_factory, doc):
+    """Any JSON scalar under a known key loads a valid config or InputError."""
+    path = tmp_path_factory.getbasetemp() / "property-config.json"
+    path.write_text(json.dumps({"format": "unsync3d-config", "version": 1, **doc}))
+    try:
+        config = sceneio.load_config(path)
+    except InputError:
+        return
+    config.validate()
+    # what loads also saves as strict JSON and loads back equal
+    sceneio.save_config(path, config)
+    assert sceneio.load_config(path) == config
 
 
 def test_weights_round_trip(tmp_path):

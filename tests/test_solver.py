@@ -72,6 +72,34 @@ def test_config_defaults_and_validation():
     with pytest.raises(InputError):
         replace(cfg, outer_max=0).validate()
 
+    # non-finite numbers (lambda3 alone may be inf) and wrong types
+    bad = [
+        ("lambda1", math.nan),
+        ("lambda1", math.inf),
+        ("lambda2", math.inf),
+        ("lambda2", math.nan),
+        ("lambda3", math.nan),
+        ("lambda3", -math.inf),
+        ("rho", math.inf),
+        ("outer_rel_tol", math.nan),
+        ("consensus_tol", math.inf),
+        ("lambda1", 10**400),
+        ("lambda1", "abc"),
+        ("lambda1", True),
+        ("rho", None),
+        ("outer_max", 2.5),
+        ("outer_max", "3"),
+        ("outer_max", True),
+        ("admm_max_iter", None),
+        ("second_stage", "no"),
+        ("same_video_exclusion", 1),
+    ]
+    for name, value in bad:
+        with pytest.raises(InputError):
+            replace(cfg, **{name: value}).validate()
+    # ints and numpy scalars are numbers too
+    replace(cfg, lambda1=1, lambda3=np.float64(100.0), outer_max=np.int64(5)).validate()
+
 
 def test_video_pairs_follow_within_video_order():
     scene = make_scene(samples=12, cameras=3)
@@ -513,6 +541,65 @@ def test_solve_input_validation():
     )
     with pytest.raises(InfeasibleError):
         solve(single.observations, single.frames)
+
+
+def test_solve_loop_calls_and_flags(monkeypatch):
+    """The warm-up and both coupled stages run the one alternation loop.
+
+    Per solve: x_step = warm-up passes + outer iterations, admm_w_step =
+    outer + 1 (the cold bootstrap), self_express = warm-up passes + 1 (the
+    bootstrap codes cold), objective = warm-up passes + 2 outer + stages.
+    """
+    scene = make_scene(points=3, samples=12, cameras=3, seed=20)
+    calls = {}
+    infos = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            out = fn(*args, **kwargs)
+            if name == "admm_w_step":
+                infos.append(out[3])
+            return out
+
+        return wrapper
+
+    for name in ("x_step", "objective", "admm_w_step", "self_express"):
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+
+    def run(cfg):
+        calls.clear()
+        infos.clear()
+        state = solve(scene.observations, scene.frames, cfg)
+        warmup = [f for f in state.flags if f.startswith("warmup-")]
+        (passes,) = [int(f.removeprefix("warmup-")) for f in warmup]
+        outer = state.outer_iterations
+        assert calls["x_step"] == passes + outer
+        assert calls["admm_w_step"] == outer + 1
+        assert calls["self_express"] == passes + 1
+        assert calls["objective"] == passes + 2 * outer + 2
+        assert len(state.objective_trace) == 2 * outer + 2
+        assert state.admm_iterations == sum(i["iterations"] for i in infos)
+        assert state.admm_cap_hits == sum(not i["converged"] for i in infos)
+        return state, passes
+
+    capped, passes = run(SolverConfig(outer_max=3, admm_max_iter=1))
+    assert passes == 3 and capped.outer_iterations == 6
+    assert not capped.converged
+    assert capped.admm_cap_hits > 0
+    assert [f for f in capped.flags if not f.startswith("ridge:")] == [
+        "warmup-3",
+        "stage0-outer-cap",
+        "stage1-outer-cap",
+        f"admm-cap-hit-{capped.admm_cap_hits}x",
+    ]
+
+    # a loose tolerance stops every loop on it, before the cap
+    loose, passes = run(SolverConfig(outer_rel_tol=0.5))
+    assert loose.converged
+    assert not any(f.endswith("-outer-cap") for f in loose.flags)
+    assert 2 <= passes < 100
+    assert 2 <= loose.outer_iterations < 200
 
 
 def test_solve_trace_monotone_and_flags():
