@@ -138,6 +138,10 @@ def validate_frames(frames):
     seen_pair = set()
     for frame in frames:
         f = frame.global_index
+        # the range tests below all pass on NaN
+        for name in ("rotation", "center", "intrinsics"):
+            if not np.isfinite(getattr(frame, name)).all():
+                raise InputError(f"frame {f}: {name} has a non-finite entry")
         if frame.rotation.shape != (3, 3):
             raise InputError(f"frame {f}: rotation must be 3x3")
         err = np.abs(frame.rotation.T @ frame.rotation - np.eye(3)).max()

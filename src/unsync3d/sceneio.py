@@ -107,6 +107,16 @@ def save_scene(path, frames, obs):
 
 
 _NUMBER = (int, float)
+# what a malformed document raises while it is decoded: a missing key, a
+# wrong type or shape, or a number past the float or int64 range
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _camera_index(cam, key, g):
+    value = int(cam[key])
+    if not -(2**63) <= value < 2**63:
+        raise InputError(f"camera {g}: {key} is outside the int64 range")
+    return value
 
 
 def _observation_error(p, f, entry):
@@ -124,8 +134,8 @@ def load_scene(path):
                 rotation=np.array(cam["rotation"], float).reshape(3, 3),
                 center=np.array(cam["center"], float),
                 intrinsics=np.array(cam["intrinsics"], float).reshape(3, 3),
-                video_id=int(cam["video_id"]),
-                frame_in_video=int(cam["frame_in_video"]),
+                video_id=_camera_index(cam, "video_id", g),
+                frame_in_video=_camera_index(cam, "frame_in_video", g),
                 global_index=g,
             )
             for g, cam in enumerate(doc["cameras"])
@@ -160,7 +170,7 @@ def load_scene(path):
         measures = np.full((P * F, 2), np.nan)
         measures[present] = values
         measures = measures.reshape(P, F, 2)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except _MALFORMED as exc:
         raise InputError(f"malformed scene file {path}: {exc}") from exc
     return frames, ObservationSet(measures=measures)
 
@@ -196,7 +206,7 @@ def load_truth(path):
             if doc.get("assignment") is None
             else np.array(doc["assignment"], dtype=int)
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise InputError(f"malformed truth file {path}: {exc}") from exc
     return truth, order, hz, assignment
 
@@ -252,7 +262,7 @@ def load_weights(path):
     doc = _load(path, "unsync3d-weights")
     try:
         W = np.array(doc["weights"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise InputError(f"malformed weights file {path}: {exc}") from exc
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise InputError(f"weights must be square, got {W.shape}")
@@ -308,7 +318,7 @@ def load_result(path):
             "converged": bool(doc["converged"]),
             "config": doc.get("config"),
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise InputError(f"malformed result file {path}: {exc}") from exc
     return out
 
@@ -344,7 +354,7 @@ def load_report(path):
             top2_neighbor_frequency=float(doc["top2_neighbor_frequency"]),
             counters=dict(doc["counters"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise InputError(f"malformed report file {path}: {exc}") from exc
 
 
@@ -417,6 +427,6 @@ def load_analysis(path):
             row["error_bound"] = _decode_scalar(row["error_bound"])
         doc["mean_condition"] = _decode_scalar(doc["mean_condition"])
         doc["max_condition"] = _decode_scalar(doc["max_condition"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise InputError(f"malformed analysis file {path}: {exc}") from exc
     return doc

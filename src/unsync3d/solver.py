@@ -11,17 +11,18 @@ psi2 the mean squared displacement between consecutive frames of the same
 video, and the bracketed soft-ray term active only for finite lambda3.  With
 lambda3 infinite each observed point is pinned to its viewing ray,
 X = C + d r, and the free variables are the depths d (plus fully free 3D
-points where observations are missing).  The structure update treats both
-cases alike: each frame of a point is an offset plus a basis block, the ray
-(offset C, basis r) for a pinned observation and the identity otherwise.
+points where observations are missing).
 
 Both block updates are exact descent steps, so the objective trace is
 non-increasing across X-steps and W-steps.  The W update runs ADMM with a
-closed-form auxiliary step; the X update solves small per-point linear
-systems.  One loop alternates them in every phase of a solve: a decoupled
-warm-up (exact coding, then X refits) pulls the depth initialization into
-the self-expressive basin; a coupled stage, then one with lambda2 = 0, let
-the smoothness prior guide early passes without biasing the result.
+closed-form auxiliary step.  The X update eliminates each point's unobserved
+frames in closed form (a Schur complement of the coupling) and solves what
+remains, one small linear system per point on its observed frames, in
+bounded stacks.  One loop alternates them in every phase of a solve: a
+decoupled warm-up (exact coding, then X refits) pulls the depth
+initialization into the self-expressive basin; a coupled stage, then one
+with lambda2 = 0, let the smoothness prior guide early passes without
+biasing the result.
 """
 
 import math
@@ -260,39 +261,183 @@ def coupling_matrix(weights, config, frames, point_count):
     return Mc
 
 
-def _solve_regularized(H, rhs, flags, label):
-    # direct solve with a trace-scaled ridge retry on singular systems
+# matrix entries one stacked solve may hold: bounds the stacks' memory (one
+# point per stack at F = 240 with hard rays, every point in one at F = 48)
+_STACK_ENTRIES = 1 << 16
+
+
+def _accepted(H, rhs, sol):
+    # the direct solve's residual test, for one system or a stack of them
+    scale = np.trace(H, axis1=-2, axis2=-1) / H.shape[-1]
+    resid = H @ sol
+    resid -= rhs
+    resid = np.linalg.norm(resid, axis=(-2, -1))
+    bound = 1e-8 * (
+        1.0
+        + np.linalg.norm(rhs, axis=(-2, -1))
+        + np.abs(scale) * np.linalg.norm(sol, axis=(-2, -1))
+    )
+    return np.isfinite(sol).all(axis=(-2, -1)) & (resid <= bound)
+
+
+def _solve_regularized(H, rhs):
+    # direct solve with a trace-scaled ridge retry on singular systems;
+    # returns (solution, whether the ridge was needed)
     n = H.shape[0]
-    scale = float(np.trace(H)) / n
     try:
         sol = np.linalg.solve(H, rhs)
-        resid = np.linalg.norm(H @ sol - rhs)
-        if np.isfinite(sol).all() and resid <= 1e-8 * (
-            1.0 + np.linalg.norm(rhs) + abs(scale) * np.linalg.norm(sol)
-        ):
-            return sol
+        if _accepted(H, rhs, sol):
+            return sol, False
     except np.linalg.LinAlgError:
         pass
-    eps = 1e-10 * max(abs(scale), 1e-300)
-    flags.append(f"ridge:{label}")
+    eps = 1e-10 * max(abs(float(np.trace(H)) / n), 1e-300)
     try:
-        return np.linalg.solve(H + eps * np.eye(n), rhs)
+        return np.linalg.solve(H + eps * np.eye(n), rhs), True
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(H + eps * np.eye(n), rhs, rcond=None)[0]
+        return np.linalg.lstsq(H + eps * np.eye(n), rhs, rcond=None)[0], True
+
+
+def _solve_stack(H, rhs, sizes):
+    """Solve a stack of padded systems H[i] x = rhs[i] (rhs is (S, N, K)).
+
+    Member i is its leading ``sizes[i]`` block plus decoupled padding rows
+    with zero right-hand side.  A member that fails the residual test is
+    solved again alone, on its leading block, by ``_solve_regularized``.
+    Returns (solutions, indices of the members that needed the ridge).
+    """
+    try:
+        sol = np.linalg.solve(H, rhs)
+        retry = np.flatnonzero(~_accepted(H, rhs, sol))
+    except np.linalg.LinAlgError:
+        # one exactly singular member fails the whole call; a member with
+        # only padding rows solves to zero
+        sol = np.zeros_like(rhs)
+        retry = np.flatnonzero(sizes)
+    ridged = []
+    for i in retry:
+        n = sizes[i]
+        sol[i] = 0.0
+        sol[i, :n], needed = _solve_regularized(H[i, :n, :n], rhs[i, :n])
+        if needed:
+            ridged.append(i)
+    return sol, ridged
+
+
+def _slots(present):
+    """Per-point frame order of a stack: observed frames, then unobserved.
+
+    Returns (slot, observed counts, No).  Row i of ``slot`` lists member i's
+    observed frames in slots [0, No) and its unobserved frames from slot No
+    on, each ascending; No is the largest observed count.  A slot s left
+    over (padding) holds F + s, past every frame.
+    """
+    F = present.shape[1]
+    n_obs = present.sum(axis=1)
+    No = int(n_obs.max())
+    order = np.argsort(~present, axis=1, kind="stable")
+    s = np.arange(No + F - int(n_obs.min()))
+    rank = np.where(s < No, s, s - No + n_obs[:, None])
+    used = np.where(s < No, s < n_obs[:, None], rank < F)
+    frame = np.take_along_axis(order, np.minimum(rank, F - 1), axis=1)
+    return np.where(used, frame, F + s), n_obs, No
+
+
+def _eliminate(Mc, slot, No, n_unobs):
+    """Eliminate each stack member's unobserved frames m from the coupling.
+
+    Returns (S, K, ridged members) with K = Mc_mm^-1 Mc_mo, so that
+    x_m = -K x_o, and the Schur complement S = Mc_oo - Mc_om K on the
+    observed slots [0, No).  Padding slots read an identity block past Mc,
+    which keeps them decoupled.  Mc is symmetric, so Mc_om = Mc_mo^T.
+    """
+    F = Mc.shape[0]
+    T = slot.shape[1]
+    big = np.zeros((F + T, F + T))
+    big[:F, :F] = Mc
+    np.fill_diagonal(big[F:, F:], 1.0)
+    o = slot[:, :No]
+    m = slot[:, No:]
+    Mmo = big[m[:, :, None], o[:, None, :]]
+    K, ridged = _solve_stack(big[m[:, :, None], m[:, None, :]], Mmo, n_unobs)
+    S = big[o[:, :, None], o[:, None, :]]
+    S -= Mmo.transpose(0, 2, 1) @ K
+    return S, K, ridged
+
+
+def _minimize_stack(Mc, rays, part, lambda3):
+    # minimize_structure for the points in slice ``part``, solved as one
+    # stack; returns (points (S, F, 3), depths (S, F), ridged members)
+    present = rays.present[part]
+    size, F = present.shape
+    full = present.all()
+    if full:
+        # every frame observed: S = Mc, and nothing to gather or eliminate
+        S, No, n_obs = Mc, F, np.full(size, F)
+        R = rays.directions[part]
+        C = np.broadcast_to(rays.centers, R.shape)
+    else:
+        slot, n_obs, No = _slots(present)
+        T = slot.shape[1]
+        obs = slot[:, :No]
+        # padding slots read a zero center and the unit direction e_x
+        C = np.concatenate([rays.centers, np.zeros((T, 3))])[obs]
+        pad_dirs = np.broadcast_to(np.eye(3)[0], (size, T, 3))
+        dirs = np.concatenate([rays.directions[part], pad_dirs], axis=1)
+        R = np.take_along_axis(dirs, obs[:, :, None], axis=1)
+        S, K, ridged = _eliminate(Mc, slot, No, F - n_obs)
+
+    if math.isinf(lambda3):
+        # in place: S * (R @ R^T) allocates a second stack, which measured
+        # several times slower than the product itself at F = 240
+        H = R @ R.transpose(0, 2, 1)
+        H *= S
+        rhs = -np.einsum("pia,pia->pi", R, S @ C)
+        d, bad = _solve_stack(H, rhs[:, :, None], n_obs)
+        x_obs = C + d * R
+    else:
+        n = 3 * No
+        eye = np.eye(3)
+        proj = lambda3 * (eye - R[:, :, :, None] * R[:, :, None, :])
+        kron = (S[..., :, None, :, None] * eye[:, None, :]).reshape(-1, n, n)
+        H = np.broadcast_to(kron, (size, n, n)).copy()
+        block = 3 * np.arange(No)[:, None] + np.arange(3)
+        H[:, block[:, :, None], block[:, None, :]] += proj
+        rhs = np.einsum("psab,psb->psa", proj, C).reshape(size, n, 1)
+        z, bad = _solve_stack(H, rhs, 3 * n_obs)
+        x_obs = z.reshape(size, No, 3)
+    along = np.einsum("psa,psa->ps", x_obs - C, R)
+    if full:
+        return x_obs, along, bad
+
+    points = np.empty((size, F + T, 3))
+    x = np.concatenate([x_obs, -K @ x_obs], axis=1)
+    np.put_along_axis(points, slot[:, :, None], x, axis=1)
+    depths = np.full((size, F + T), np.nan)
+    np.put_along_axis(depths, obs, along, axis=1)
+    return points[:, :F], depths[:, :F], ridged + bad
 
 
 def minimize_structure(coupling, rays, lambda3=math.inf, flags=None):
     """Exactly minimize sum_p tr(X_p Mc X_p^T) (+ soft-ray term) per point.
 
-    Every frame f of a point gets a basis block E_f and an offset o_f with
-    x_f = o_f + E_f z_f.  With infinite lambda3 an observed frame is pinned
-    to its ray (E_f = r_f, o_f = C_f, z_f the depth); every other frame is
-    a free 3D point (E_f = I, o_f = 0).  With own_i the frame of basis
-    column e_i, the quadratic in z has Hessian entries Mc[own_i, own_j]
-    e_i . e_j and right-hand side -e_i . (Mc o)[own_i]; a finite lambda3
-    adds the ray penalty lambda3 (I - r r^T) to the diagonal block of each
-    observed frame and lambda3 (I - r r^T) C_f to the right-hand side.
-    Each point solves one symmetric linear system.
+    The unobserved frames m of a point carry free 3D positions and no other
+    term, so they are eliminated in closed form: per coordinate,
+    x_m = -Mc_mm^-1 Mc_mo x_o, leaving x_o^T S x_o with the Schur complement
+    S = Mc_oo - Mc_om Mc_mm^-1 Mc_mo on the observed frames o (S = Mc when
+    every frame is observed).  With infinite lambda3 an observed frame is
+    pinned to its ray, x_f = C_f + d_f r_f, and the depths solve
+    (S o (R R^T)) d = -sum_a R[:, a] o (S C)[:, a].  With finite lambda3 each
+    observed frame is a free 3D point, and the system is kron(S, I3) plus
+    the ray penalty lambda3 (I - r r^T) on each frame's diagonal block, with
+    lambda3 (I - r r^T) C_f on the right-hand side.
+
+    The points are solved in stacks of consecutive points, as many as fit
+    ``_STACK_ENTRIES`` matrix entries at a point's full system size (F
+    unknowns, 3F with finite lambda3).  Each member is padded to the stack's
+    largest system with decoupled identity rows and zero right-hand sides.  A member whose
+    direct solve fails the residual test is solved alone with a
+    trace-scaled ridge (then least squares) and flagged
+    ``ridge:point-<p>``, once per point.
 
     Returns (structure, depths) with depths (x_f - C_f) . r_f on observed
     frames; ``flags`` collects ridge warnings.
@@ -301,48 +446,17 @@ def minimize_structure(coupling, rays, lambda3=math.inf, flags=None):
         flags = []
     Mc = np.asarray(coupling, dtype=float)
     P, F = rays.present.shape
-    hard = math.isinf(lambda3)
-    centers = rays.centers
-    structure = np.empty((3 * P, F))
-    depths = np.full((P, F), np.nan)
-    frame_of = np.repeat(np.arange(F), 3)
-    free_basis = np.tile(np.eye(3), (F, 1, 1))
-
-    for p in range(P):
-        pres = rays.present[p]
-        dirs = rays.directions[p]
-        on_ray = pres if hard else np.zeros(F, dtype=bool)
-        # rows of basis[f] span frame f; an on-ray frame keeps only row 0
-        basis = free_basis.copy()
-        basis[on_ray, 0] = dirs[on_ray]
-        keep = np.ones((F, 3), dtype=bool)
-        keep[on_ray, 1:] = False
-        keep = keep.ravel()
-        E = basis.reshape(3 * F, 3)[keep]
-        own = frame_of[keep]
-        offset = np.where(on_ray[:, None], centers, 0.0)
-
-        # a fully pinned point has own = identity: skip the F x F gather
-        M = Mc if on_ray.all() else Mc[np.ix_(own, own)]
-        H = M * (E @ E.T)
-        rhs = -np.einsum("ia,ia->i", E, (Mc @ offset)[own])
-        if not hard:
-            obs = np.flatnonzero(pres)
-            r = dirs[obs]
-            proj = lambda3 * (np.eye(3) - r[:, :, None] * r[:, None, :])
-            cols = (np.cumsum(keep) - 1).reshape(F, 3)[obs]
-            H[cols[:, :, None], cols[:, None, :]] += proj
-            rhs[cols] += np.einsum("fab,fb->fa", proj, centers[obs])
-        sol = _solve_regularized(H, rhs, flags, f"point-{p}")
-
-        coeff = np.zeros(3 * F)
-        coeff[keep] = sol
-        Xp = offset + np.einsum("fka,fk->fa", basis, coeff.reshape(F, 3))
-        structure[3 * p : 3 * p + 3, :] = Xp.T
-        depths[p, pres] = np.einsum(
-            "fa,fa->f", Xp[pres] - centers[pres], dirs[pres]
-        )
-    return structure, depths
+    width = 1 if math.isinf(lambda3) else 3
+    step = max(1, _STACK_ENTRIES // (width * F) ** 2)
+    points = np.empty((P, F, 3))
+    depths = np.empty((P, F))
+    ridged = set()
+    for start in range(0, P, step):
+        part = slice(start, start + step)
+        points[part], depths[part], bad = _minimize_stack(Mc, rays, part, lambda3)
+        ridged.update(start + i for i in bad)
+    flags.extend(f"ridge:point-{p}" for p in sorted(ridged))
+    return points.transpose(0, 2, 1).reshape(3 * P, F), depths
 
 
 def x_step(structure, weights, config, rays, frames, flags=None):

@@ -341,3 +341,52 @@ def test_solve_rejects_scene_without_points(tmp_path, capsys):
     assert code == 3
     assert msg["category"] == "input"
     assert "no points" in msg["message"]
+
+
+def test_solve_rejects_camera_index_outside_int64(tmp_path, capsys):
+    def edit(doc):
+        doc["cameras"][2]["video_id"] = 10**30
+
+    code, msg = _solve_edited_scene(tmp_path, capsys, edit)
+    assert code == 3
+    assert msg["category"] == "input"
+    assert "camera 2: video_id" in msg["message"]
+
+
+def test_solve_rejects_non_finite_camera_entries(tmp_path, capsys):
+    # rotation and intrinsics are stored row-major as 9 numbers
+    for field, index, value in (
+        ("rotation", 0, float("nan")),
+        ("rotation", 4, float("inf")),
+        ("center", 1, float("nan")),
+        ("center", 2, float("-inf")),
+        ("intrinsics", 0, float("nan")),
+        ("intrinsics", 2, float("inf")),
+    ):
+
+        def edit(doc):
+            doc["cameras"][2][field][index] = value
+
+        code, msg = _solve_edited_scene(tmp_path, capsys, edit)
+        assert code == 3, (field, index)
+        assert msg["category"] == "input"
+        assert f"frame 2: {field} has a non-finite entry" in msg["message"]
+
+
+def test_eval_rejects_out_of_range_truth_number(tmp_path, capsys):
+    scene, truth = simulate_small(tmp_path, capsys)
+    result = tmp_path / "result.json"
+    code, _, err = run(
+        capsys, "solve", "--scene", str(scene), "--out", str(result),
+        "--outer-max", "1",
+    )
+    assert code == 0, err
+    doc = json.loads(truth.read_text())
+    doc["hz"] = 10**400
+    truth.write_text(json.dumps(doc))
+    code, _, err = run(
+        capsys, "eval", "--result", str(result), "--truth", str(truth),
+        "--out", str(tmp_path / "report.json"),
+    )
+    assert code == 3
+    assert json.loads(err.strip().split("\n")[-1])["category"] == "input"

@@ -174,3 +174,58 @@ def test_json_never_contains_bare_infinity(tmp_path):
     text = p.read_text()
     assert "Infinity" not in text
     json.loads(text)  # strict parse succeeds
+
+
+def test_loaders_map_out_of_range_numbers_to_input_error(tmp_path, scene):
+    # a 400-digit integer parses as JSON but overflows float() and int64
+    huge = 10**400
+    p = tmp_path / "scene.json"
+    sceneio.save_scene(p, scene.frames, scene.observations)
+    doc = json.loads(p.read_text())
+    doc["cameras"][0]["center"][0] = huge
+    docs = {
+        sceneio.load_scene: doc,
+        sceneio.load_truth: {
+            "format": "unsync3d-truth",
+            "points": [[[0.0, 0.0, 0.0]]],
+            "time_rank": [0],
+            "hz": huge,
+        },
+        sceneio.load_weights: {"format": "unsync3d-weights", "weights": [[huge]]},
+        sceneio.load_result: {
+            "format": "unsync3d-result",
+            "structure": [[[0.0, 0.0, 0.0]]],
+            "depths": [[huge]],
+        },
+        sceneio.load_report: {
+            "format": "unsync3d-report",
+            "per_point_errors": [[0.0]],
+            "accuracy_at": {"30": 1.0},
+            "median_error": huge,
+        },
+        sceneio.load_analysis: {
+            "format": "unsync3d-analysis",
+            "per_point": [],
+            "mean_condition": huge,
+            "max_condition": 1.0,
+        },
+    }
+    for load, body in docs.items():
+        p.write_text(json.dumps(body))
+        with pytest.raises(InputError, match="malformed"):
+            load(p)
+
+
+def test_load_scene_rejects_camera_index_outside_int64(tmp_path, scene):
+    p = tmp_path / "scene.json"
+    for key, value in (("video_id", 10**30), ("frame_in_video", -(2**63) - 1)):
+        sceneio.save_scene(p, scene.frames, scene.observations)
+        doc = json.loads(p.read_text())
+        doc["cameras"][3][key] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=f"camera 3: {key} is outside"):
+            sceneio.load_scene(p)
+    doc["cameras"][3]["frame_in_video"] = 2**63 - 1  # the largest int64 loads
+    p.write_text(json.dumps(doc))
+    frames, _ = sceneio.load_scene(p)
+    assert frames[3].frame_in_video == 2**63 - 1

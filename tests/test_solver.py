@@ -297,6 +297,118 @@ def check_soft_x_step(miss_rate):
         assert abs(up - dn) / (2 * h) < 1e-4 * (1 + abs(base))
 
 
+def reference_point(Mc, rays, lambda3, p):
+    """Dense solve of one point's structure in the per-frame basis.
+
+    The plain per-point loop minimize_structure replaced, kept as its
+    oracle: every unobserved frame is a free 3D point of the system rather
+    than eliminated, and one np.linalg.solve covers the whole point.
+    """
+    F = Mc.shape[0]
+    pres = rays.present[p]
+    dirs = rays.directions[p]
+    on_ray = pres if math.isinf(lambda3) else np.zeros(F, dtype=bool)
+    basis = np.tile(np.eye(3), (F, 1, 1))
+    basis[on_ray, 0] = dirs[on_ray]
+    keep = np.ones((F, 3), dtype=bool)
+    keep[on_ray, 1:] = False
+    keep = keep.ravel()
+    E = basis.reshape(3 * F, 3)[keep]
+    own = np.repeat(np.arange(F), 3)[keep]
+    offset = np.where(on_ray[:, None], rays.centers, 0.0)
+    H = Mc[np.ix_(own, own)] * (E @ E.T)
+    rhs = -np.einsum("ia,ia->i", E, (Mc @ offset)[own])
+    if not math.isinf(lambda3):
+        # every frame keeps its three identity columns
+        for f in np.flatnonzero(pres):
+            proj = lambda3 * (np.eye(3) - np.outer(dirs[f], dirs[f]))
+            cols = 3 * f + np.arange(3)
+            H[np.ix_(cols, cols)] += proj
+            rhs[cols] += proj @ rays.centers[f]
+    coeff = np.zeros(3 * F)
+    coeff[keep] = np.linalg.solve(H, rhs)
+    Xp = offset + np.einsum("fka,fk->fa", basis, coeff.reshape(F, 3))
+    depths = np.full(F, np.nan)
+    depths[pres] = np.einsum("fa,fa->f", Xp[pres] - rays.centers[pres], dirs[pres])
+    return Xp, depths
+
+
+def without(rays, p, frames):
+    """The ray field with point p unobserved in ``frames``."""
+    present = rays.present.copy()
+    directions = rays.directions.copy()
+    present[p, frames] = False
+    directions[p, frames] = np.nan
+    return RayField(directions=directions, centers=rays.centers, present=present)
+
+
+def check_matches_reference(Mc, rays, lambda3, skip=()):
+    flags = []
+    X, depths = solver.minimize_structure(Mc, rays, lambda3, flags)
+    P = rays.present.shape[0]
+    points = structure_to_points(X, P)
+    for p in sorted(set(range(P)) - set(skip)):
+        Xp, dp = reference_point(Mc, rays, lambda3, p)
+        tol = 1e-10 * max(1.0, np.abs(Xp).max())
+        assert np.abs(points[p] - Xp).max() <= tol, p
+        assert np.array_equal(np.isnan(depths[p]), np.isnan(dp)), p
+        assert np.nanmax(np.abs(depths[p] - dp)) <= tol, p
+    return points, depths, flags
+
+
+def test_minimize_structure_matches_dense_per_point_solve():
+    for lambda3, points in ((math.inf, 4), (50.0, 13)):
+        for miss_rate in (0.0, 0.3):
+            scene = make_scene(
+                points=points, samples=24, cameras=3, seed=4, miss_rate=miss_rate
+            )
+            scaled, _ = normalize_scale(scene.frames)
+            rays = compute_rays(scaled, scene.observations)
+            F = len(scaled)
+            W = offdiag_weights(F, np.random.default_rng(5))
+            Mc = coupling_matrix(W, SolverConfig(lambda2=0.2), scaled, points)
+            counts = rays.present.sum(axis=1)
+            # unequal observed counts, so the stacks carry padding
+            assert (np.unique(counts).size > 1) == (miss_rate > 0)
+            if not math.isinf(lambda3):
+                # the soft-ray points span more than one stack
+                assert points * (3 * F) ** 2 > solver._STACK_ENTRIES
+            _, _, flags = check_matches_reference(Mc, rays, lambda3)
+            assert flags == []
+            # a point observed in a single frame; it would slide along that
+            # ray at no cost under a coupling with Mc 1 = 0, so this one is
+            # positive definite
+            lone = without(rays, 1, np.flatnonzero(rays.present[1])[1:])
+            Mpd = Mc + np.eye(F)
+            _, depths, flags = check_matches_reference(Mpd, lone, lambda3)
+            assert np.isfinite(depths[1]).sum() == 1 and flags == []
+
+
+def test_minimize_structure_ridge_retries_only_the_singular_point():
+    scene = make_scene(points=3, samples=18, cameras=3, seed=4)
+    scaled, _ = normalize_scale(scene.frames)
+    rays = compute_rays(scaled, scene.observations)
+    F = len(scaled)
+    # frames a and b code only each other and code no other frame, so
+    # e_a + e_b spans a null direction of Mc restricted to {a, b}
+    a, b = 3, 10
+    W = offdiag_weights(F, np.random.default_rng(6))
+    W[[a, b], :] = 0.0
+    W[:, [a, b]] = 0.0
+    W /= np.where(W.sum(axis=0) > 0, W.sum(axis=0), 1.0)
+    W[b, a] = W[a, b] = 1.0
+    Q = np.eye(F) - W
+    Mc = Q @ Q.T
+    # point 1 misses exactly {a, b}, point 2 one other frame, point 0 none
+    rays = without(without(rays, 1, [a, b]), 2, [5])
+    points, depths, flags = check_matches_reference(Mc, rays, math.inf, skip=[1])
+    assert flags == ["ridge:point-1"]
+    assert np.isfinite(points[1]).all()
+    assert np.isfinite(depths[1][rays.present[1]]).all()
+    with pytest.raises(np.linalg.LinAlgError):
+        reference_point(Mc, rays, math.inf, 1)
+
+
 def test_x_step_never_increases_objective():
     scene = make_scene(points=3, samples=16, cameras=3, seed=9, noise_sigma=1.0)
     scaled, _ = normalize_scale(scene.frames)
