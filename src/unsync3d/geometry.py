@@ -144,8 +144,10 @@ def validate_frames(frames):
                 raise InputError(f"frame {f}: {name} has a non-finite entry")
         if frame.rotation.shape != (3, 3):
             raise InputError(f"frame {f}: rotation must be 3x3")
-        err = np.abs(frame.rotation.T @ frame.rotation - np.eye(3)).max()
-        if err > 1e-9:
+        # a huge entry overflows R^T R to inf or NaN, both rejected here
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = np.abs(frame.rotation.T @ frame.rotation - np.eye(3)).max()
+        if not err <= 1e-9:
             raise InputError(
                 f"frame {f}: rotation not orthonormal (|R^T R - I| = {err:.2e})"
             )
@@ -218,15 +220,26 @@ def compute_rays(frames, obs):
         if rows.size == 0:
             continue
         K = frame.intrinsics
-        # upper triangular, so the determinant is the diagonal product
-        det = K[0, 0] * K[1, 1] * K[2, 2]
+        # upper triangular, so the determinant is the diagonal product; one
+        # that overflows to inf is far from singular
+        with np.errstate(over="ignore"):
+            det = K[0, 0] * K[1, 1] * K[2, 2]
         if abs(det) < 1e-12:
             raise GeometryError(f"singular intrinsics for frame {f}")
         pix = obs.measures[rows, f]
         homo = np.column_stack([pix, np.ones(rows.size)])
-        world = homo @ np.linalg.inv(K).T @ frame.rotation
-        norms = np.linalg.norm(world, axis=1, keepdims=True)
-        directions[rows, f] = world / norms
+        # finite pixels and intrinsics can still overflow on the way
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            world = homo @ np.linalg.inv(K).T @ frame.rotation
+            norms = np.linalg.norm(world, axis=1, keepdims=True)
+            rays = world / norms
+        lost = np.flatnonzero(~np.isfinite(rays).all(axis=1))
+        if lost.size:
+            raise GeometryError(
+                f"frame {f}: the viewing ray of point {rows[lost[0]]} is not "
+                "finite (pixel or intrinsics out of range)"
+            )
+        directions[rows, f] = rays
     return RayField(directions=directions, centers=centers, present=obs.present.copy())
 
 

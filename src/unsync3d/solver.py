@@ -15,14 +15,17 @@ points where observations are missing).
 
 Both block updates are exact descent steps, so the objective trace is
 non-increasing across X-steps and W-steps.  The W update runs ADMM with a
-closed-form auxiliary step.  The X update eliminates each point's unobserved
-frames in closed form (a Schur complement of the coupling) and solves what
-remains, one small linear system per point on its observed frames, in
-bounded stacks.  One loop alternates them in every phase of a solve: a
-decoupled warm-up (exact coding, then X refits) pulls the depth
-initialization into the self-expressive basin; a coupled stage, then one
-with lambda2 = 0, let the smoothness prior guide early passes without
-biasing the result.
+closed-form auxiliary step.  Its per-column simplex QPs have a data term of
+rank 3P: when 12 P < F they are solved by semismooth Newton on the
+3P-dimensional dual variable X w, else by projected gradient, and the exact
+active-set engine finishes any column either leaves with an open KKT gap.
+The X update eliminates each point's unobserved frames in closed form (a
+Schur complement of the coupling) and solves what remains, one small linear
+system per point on its observed frames, in bounded stacks.  One loop
+alternates them in every phase of a solve: a decoupled warm-up (exact
+coding, then X refits) pulls the depth initialization into the
+self-expressive basin; a coupled stage, then one with lambda2 = 0, let the
+smoothness prior guide early passes without biasing the result.
 """
 
 import math
@@ -476,6 +479,83 @@ def x_step(structure, weights, config, rays, frames, flags=None):
     return new_structure, depths, flags
 
 
+# Newton steps per ADMM iteration on the W-step's dual; a column still open
+# at the cap is left to the KKT-gap test and the active-set polish
+_NEWTON_STEPS = 30
+
+
+def _project_near(V, allowed, support):
+    """``project_to_masked_simplex`` of V, in place, given its likely supports.
+
+    A column whose threshold theta = (sum of V over its support - 1) / |support|
+    is exceeded by V on exactly its support, among its allowed atoms,
+    projects to max(V - theta, 0) on that support, with no sort.  The other
+    columns go through ``project_to_masked_simplex`` (a projection onto the
+    simplex ignores a shift of its input by a constant).
+    """
+    count = support.sum(axis=0)
+    V -= (np.sum(V, axis=0, where=support) - 1.0) / np.maximum(count, 1)
+    above = V > 0.0
+    above &= allowed
+    missed = (above != support).any(axis=0) | (count == 0)
+    del above
+    V[~(support | missed)] = 0.0
+    if missed.any():
+        V[:, missed] = project_to_masked_simplex(V[:, missed], allowed[:, missed])
+    return V
+
+
+def _dual_newton(X, outer, W, const, allowed, scale, rho):
+    """Solve step 1 of ``admm_w_step`` by semismooth Newton on y = X w.
+
+    Column f minimizes (scale/2) ||X w||^2 + (rho/2) ||w||^2 + const_f^T w
+    over its masked simplex.  With kappa = scale / rho its optimum is
+    w = Pi(-(const_f + scale X^T y) / rho) at the root y of
+    r(y) = y - X w(y), a system in 3P unknowns (Li, Sun & Toh 2018).  The
+    generalized Jacobian I + kappa X J X^T, with J = diag(s) - s s^T / |s|
+    for the support s of Pi, is symmetric positive definite, so one stacked
+    3P x 3P solve per open column gives the Newton step; ``outer`` holds
+    x_j x_j^T in row j, so X J X^T for every column is one product with the
+    support matrix.  Once a support stops changing r is affine and the step
+    is exact, so Pi is first tried on the last support (``_project_near``).
+    Starts from y = X W and stops a column when
+    |r|_inf <= 1e-13 (1 + |y|_inf).  Overwrites W with the projected
+    iterate, feasible whether or not every column closed within
+    ``_NEWTON_STEPS``, and returns it.
+    """
+    n, F = X.shape
+    kappa = scale / rho
+    y = X @ W
+    cols = np.arange(F)
+    for _ in range(_NEWTON_STEPS):
+        # a slice while every column is open: no gathered copies
+        sel = slice(None) if cols.size == F else cols
+        V = X.T @ y[:, sel]
+        V *= scale
+        V += const[:, sel]
+        V *= -1.0 / rho
+        Wc = _project_near(V, allowed[:, sel], W[:, sel] > 0.0)
+        W[:, sel] = Wc
+        r = y[:, sel] - X @ Wc
+        open_ = np.abs(r).max(axis=0) > 1e-13 * (1.0 + np.abs(y[:, sel]).max(axis=0))
+        if not open_.any():
+            break
+        cols, r = cols[open_], r[:, open_]
+        s = (Wc[:, open_] > 0.0).astype(float)
+        del Wc
+        xs = X @ s
+        # X J X^T per column: the support's outer products minus the rank-one
+        # term of its sum
+        M = (s.T @ outer).reshape(-1, n, n)
+        M -= (xs.T[:, :, None] * xs.T[:, None, :]) / s.sum(axis=0)[:, None, None]
+        del s
+        M *= kappa
+        M += np.eye(n)
+        y[:, cols] -= np.linalg.solve(M, r.T[:, :, None])[:, :, 0].T
+        del M
+    return W
+
+
 def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None):
     """ADMM update of the weight matrix for fixed structure.
 
@@ -490,17 +570,25 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
     (``self_express``) and Y = 0; later calls hot-start from the previous
     triplet.
 
-    Step 1 runs projected gradient on all columns at once: the proximal
-    Hessian (1/FP) G + (rho/2) I is dominated by its rho I part, so the
-    iteration contracts fast.  The columns whose KKT gap stays above
-    tolerance afterwards are polished together, warm started from the
-    iterate, by one ``minimize_on_simplex`` call on that Hessian (the exact
-    active set; as the inner solver for every column it is much slower,
-    since the iterate's supports are dense).  G = X^T X has rank at most
-    3P, so when 3P is small next to F each gradient step takes the data
-    term in factored form, (2/FP) X^T (X W), at O(P F^2) instead of the
-    O(F^3) G W, and the step length uses G's largest eigenvalue, read from
-    the smaller of X X^T (3P x 3P) and G.
+    Step 1 solves every column's masked-simplex QP with data Hessian
+    (2/FP) G, G = X^T X, and proximal term (rho/2) ||w||^2.  G has rank at
+    most 3P, so when 12 P < F (3P well under F) step 1 runs semismooth
+    Newton on the 3P-dimensional dual variable y = X w of each column
+    (``_dual_newton``): from the warm start it takes about two evaluations
+    of the projection, whatever rho is, and each is tried first on the
+    previous support without a sort.  It stops at a private cap
+    (``_NEWTON_STEPS``), and its iterate is a projection, so always
+    feasible.  Otherwise step 1 runs projected gradient on all columns at
+    once, on G W: the proximal Hessian (1/FP) G + (rho/2) I is dominated by
+    its rho I part at the default rho, so the iteration contracts fast, with
+    the step length from G's largest eigenvalue, read from the smaller of
+    X X^T (3P x 3P) and G.  At 3P = F the Newton systems are as large as
+    the problem, and it measured twice as slow there.  Either way, the
+    columns whose KKT gap stays above tolerance afterwards are polished
+    together, warm started from the iterate, by one ``minimize_on_simplex``
+    call on (1/FP) G + (rho/2) I (the exact active set; as the inner solver
+    for every column it is much slower, since the iterate's supports are
+    dense).
 
     Returns (weights, auxiliary, dual, info).  The returned weights are the
     best feasible iterate by the coupled objective (never worse than the
@@ -513,20 +601,26 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
     F = X.shape[1]
     P = X.shape[0] // 3
     validate_mask(mask, min_allowed=1)
-    G = X.T @ X
     inv_fp = 1.0 / (F * P)
     rho = config.rho
     alpha = config.lambda1 / F
     allowed = mask.allowed
-    A2 = 2.0 * inv_fp * G
-    lam_max = float(np.linalg.eigvalsh(X @ X.T if X.shape[0] < F else G)[-1])
     # X^T (X W) costs 6 P F^2 flops against F^3 for G W; measured on one
     # core it wins once 3P is under about F / 4 (from F = 96 up; below that
-    # both take a few microseconds)
-    factored = 12 * P < F
+    # both take a few microseconds); the same test picks the dual Newton step
+    newton = 12 * P < F
+    # the data term's Hessian (2/FP) G, scaled in place from G = X^T X
+    A2 = X.T @ X
+    if newton:
+        # row j holds x_j x_j^T (3P x 3P, flattened) for the Newton Jacobians
+        outer = (X.T[:, :, None] * X.T[:, None, :]).reshape(F, -1)
+    else:
+        lam_max = float(np.linalg.eigvalsh(X @ X.T if X.shape[0] < F else A2)[-1])
+        L = 2.0 * inv_fp * lam_max + rho
+    A2 *= 2.0 * inv_fp
 
     def data_gradient(Wc):
-        return (2.0 * inv_fp) * (X.T @ (X @ Wc)) if factored else A2 @ Wc
+        return (2.0 * inv_fp) * (X.T @ (X @ Wc)) if newton else A2 @ Wc
 
     if weights is None:
         W = self_express(X, mask)
@@ -544,29 +638,34 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
     best_val = coupled(W)
     converged = False
     iterations = 0
-    L = 2.0 * inv_fp * lam_max + rho
     for _ in range(config.admm_max_iter):
         iterations += 1
         const = Y - rho * Z - A2
-        for _ in range(500):
-            grad = data_gradient(W) + rho * W + const
-            W_new = project_to_masked_simplex(W - grad / L, allowed)
-            delta = np.abs(W_new - W).max()
-            W = W_new
-            if delta <= 1e-13:
-                break
+        if newton:
+            W = _dual_newton(X, outer, W, const, allowed, 2.0 * inv_fp, rho)
+        else:
+            for _ in range(500):
+                grad = data_gradient(W) + rho * W + const
+                W_new = project_to_masked_simplex(W - grad / L, allowed)
+                delta = np.abs(W_new - W).max()
+                W = W_new
+                if delta <= 1e-13:
+                    break
         grad = data_gradient(W) + rho * W + const
         mu = np.where(allowed, grad, np.inf).min(axis=0)
         viol = np.where(W > 1e-12, grad - mu[None, :], 0.0).max(axis=0)
         tol = 1e-9 * (1.0 + np.abs(np.where(allowed, grad, 0.0)).max(axis=0))
+        del grad
         polish = np.flatnonzero(viol > tol)
         if polish.size:
+            # 0.5 A2 has the bytes of (1/FP) G: halving undoes an exact doubling
             W[:, polish] = minimize_on_simplex(
-                inv_fp * G + (rho / 2.0) * np.eye(F),
-                -A2[:, polish] + Y[:, polish] - rho * Z[:, polish],
+                0.5 * A2 + (rho / 2.0) * np.eye(F),
+                const[:, polish],
                 w0=W[:, polish],
                 allowed=allowed[:, polish],
             )
+        del const
         B = Y + rho * W
         Z_new = 0.5 * ((B + B.T) / rho + (B - B.T) / (8.0 * alpha + rho))
         Y += rho * (W - Z_new)
@@ -706,17 +805,24 @@ def normalize_scale(frames):
     centers = frame_centers(frames)
     ids = frame_video_ids(frames)
     uniq = np.unique(ids)
-    if uniq.size >= 2:
-        reps = np.stack([centers[ids == v].mean(axis=0) for v in uniq])
-    else:
-        reps = centers
-    n = reps.shape[0]
-    if n < 2:
+    if centers.shape[0] < 2:
         raise InputError("scale normalization needs at least 2 camera centers")
-    iu = np.triu_indices(n, k=1)
-    dists = np.linalg.norm(reps[iu[0]] - reps[iu[1]], axis=1)
-    mean_dist = float(dists.mean())
-    spread = float(np.abs(reps - reps.mean(axis=0)).max())
+    # finite centers near the float limit overflow the means and norms;
+    # that shows as a non-finite distance, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if uniq.size >= 2:
+            reps = np.stack([centers[ids == v].mean(axis=0) for v in uniq])
+        else:
+            reps = centers
+        iu = np.triu_indices(reps.shape[0], k=1)
+        dists = np.linalg.norm(reps[iu[0]] - reps[iu[1]], axis=1)
+        mean_dist = float(dists.mean())
+        spread = float(np.abs(reps - reps.mean(axis=0)).max())
+    if not (math.isfinite(mean_dist) and math.isfinite(spread)):
+        raise InputError(
+            "camera centers are too far apart: the inter-camera distance "
+            "is not finite"
+        )
     if mean_dist <= 1e-12 * max(1.0, spread) or mean_dist == 0.0:
         raise InputError("camera centers coincide; scale undefined")
     factor = 1.0 / mean_dist
@@ -844,9 +950,18 @@ def solve(obs, frames, config=None):
         raise InputError(f"need at least 3 frames, got {F}")
     if obs.point_count == 0:
         raise InputError("scene has no points")
-    unobserved = np.flatnonzero(~obs.present.any(axis=1))
+    seen = obs.present.sum(axis=1)
+    unobserved = np.flatnonzero(seen == 0)
     if unobserved.size:
         raise InputError(f"points {unobserved.tolist()[:8]} have no observations")
+    # every coupling has Mc 1 = 0, so a point on one ray slides along it
+    # at no cost and its depth is undetermined
+    lone = np.flatnonzero(seen == 1)
+    if lone.size:
+        raise InputError(
+            f"points {lone.tolist()[:8]} are observed in only one frame; "
+            "their depth is undetermined"
+        )
     ids = frame_video_ids(frames)
     if config.same_video_exclusion and np.unique(ids).size < 2:
         raise InfeasibleError(

@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, files, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from unsync3d import sceneio
 from unsync3d.cli import main
@@ -390,3 +394,94 @@ def test_eval_rejects_out_of_range_truth_number(tmp_path, capsys):
     )
     assert code == 3
     assert json.loads(err.strip().split("\n")[-1])["category"] == "input"
+
+
+def test_solve_rejects_points_seen_in_one_frame(tmp_path, capsys):
+    # a point on a single ray slides along it at no cost under every coupling
+    def edit(doc):
+        row = doc["observations"][1]
+        doc["observations"][1] = [None] * len(row)
+        doc["observations"][1][5] = row[5]
+
+    code, msg = _solve_edited_scene(tmp_path, capsys, edit)
+    assert code == 3
+    assert msg["category"] == "input"
+    assert "points [1] are observed in only one frame" in msg["message"]
+
+
+def test_solve_rejects_camera_centers_too_far_apart(tmp_path, capsys):
+    # a finite center entry whose squared distance overflows; under the
+    # tier-1 warning filter an overflow RuntimeWarning would exit 1 instead
+    def edit(doc):
+        doc["cameras"][2]["center"][0] = 1e308
+
+    code, msg = _solve_edited_scene(tmp_path, capsys, edit)
+    assert code == 3
+    assert msg["category"] == "input"
+    assert "inter-camera distance is not finite" in msg["message"]
+
+
+# the scene of simulate --seed 13 --points 3 --samples 12 --cameras 3, node
+# by node: every path below the root of its JSON document
+FUZZ_POINTS, FUZZ_FRAMES = 3, 12
+CAMERA_FIELDS = {
+    "center": 3,
+    "frame_in_video": 0,
+    "intrinsics": 9,
+    "rotation": 9,
+    "video_id": 0,
+}
+
+
+def scene_nodes():
+    yield from (("format",), ("version",), ("cameras",), ("observations",))
+    for g in range(FUZZ_FRAMES):
+        yield ("cameras", g)
+        for key, size in CAMERA_FIELDS.items():
+            yield ("cameras", g, key)
+            yield from (("cameras", g, key, i) for i in range(size))
+    for p in range(FUZZ_POINTS):
+        yield ("observations", p)
+        for f in range(FUZZ_FRAMES):
+            yield from (("observations", p, f, *tail) for tail in ((), (0,), (1,)))
+
+
+@pytest.fixture(scope="module")
+def fuzz_scene(tmp_path_factory):
+    scene = tmp_path_factory.mktemp("fuzz") / "scene.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([
+            "simulate", "--seed", "13", "--points", str(FUZZ_POINTS),
+            "--samples", str(FUZZ_FRAMES), "--cameras", "3",
+            "--scene-out", str(scene),
+        ])
+    assert code == 0
+    return scene, scene.read_text()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    path=st.sampled_from(list(scene_nodes())),
+    value=st.sampled_from(
+        [None, True, False, 10**30, 1e308, "x", [], [1.0, 2.0],
+         float("nan"), float("inf")]
+    ),
+)
+@example(path=("cameras", 2, "center", 0), value=1e308)
+def test_solve_maps_any_bad_scene_node_to_a_known_exit(fuzz_scene, path, value):
+    """One scene node replaced by a junk value solves, or exits 3, 4 or 5."""
+    scene, text = fuzz_scene
+    doc = json.loads(text)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    edited = scene.with_name("edited.json")
+    edited.write_text(json.dumps(doc))  # NaN and Infinity written bare
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([
+            "solve", "--scene", str(edited),
+            "--out", str(scene.with_name("result.json")), "--outer-max", "1",
+        ])
+    assert code in (0, 3, 4, 5), err.getvalue()

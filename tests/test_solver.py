@@ -15,7 +15,7 @@ from unsync3d.geometry import (
     compute_rays,
     structure_to_points,
 )
-from unsync3d.simplex import self_express, support_mask
+from unsync3d.simplex import minimize_on_simplex, self_express, support_mask
 from unsync3d.solver import (
     SolverConfig,
     _fill_missing,
@@ -479,6 +479,111 @@ def test_admm_w_step_polish_keeps_feasibility_and_descent(monkeypatch):
     assert coupled(W) <= start + 1e-9 * (1 + start)
     W2 = admm_w_step(X, mask, cfg, W, Z, Y)[0]
     assert coupled(W2) <= coupled(W) + 1e-9 * (1 + coupled(W))
+
+
+def newton_scene():
+    """A bootstrapped structure with 12 P < F, where step 1 runs dual Newton."""
+    scene = make_scene(points=3, samples=60, cameras=4, seed=11)
+    X, mask = bootstrap_structure(scene)
+    assert 12 * (X.shape[0] // 3) < X.shape[1]
+    return X, mask
+
+
+def step_one_kkt_gap(X, W, const, allowed, rho):
+    # worst stationarity violation of each column of step 1's masked-simplex
+    # QP, relative to its gradient's size (0 at an exact minimizer)
+    F, P = X.shape[1], X.shape[0] // 3
+    grad = (2.0 / (F * P)) * (X.T @ (X @ W)) + rho * W + const
+    mu = np.where(allowed, grad, np.inf).min(axis=0)
+    viol = np.where(W > 1e-12, grad - mu, 0.0).max(axis=0)
+    return viol / (1.0 + np.abs(np.where(allowed, grad, 0.0)).max(axis=0))
+
+
+@pytest.mark.parametrize("rho", [1.0, 1e-2, 1e-3])
+def test_admm_w_step_dual_newton_solves_each_column(monkeypatch, rho):
+    # every step-1 solve of a cold and a hot-started call, against the
+    # active-set engine on the same QP: (1/FP) G + (rho/2) I, linear term
+    # const = Y - rho Z - (2/FP) G
+    solves = []
+    original = solver._dual_newton
+
+    def recording(X, outer, W, const, allowed, scale, rho_):
+        out = original(X, outer, W, const, allowed, scale, rho_)
+        solves.append((const.copy(), out.copy()))
+        return out
+
+    monkeypatch.setattr(solver, "_dual_newton", recording)
+    X, mask = newton_scene()
+    F, P = X.shape[1], X.shape[0] // 3
+    cfg = SolverConfig(rho=rho)
+    W, Z, Y, _ = admm_w_step(X, mask, cfg)
+    admm_w_step(X, mask, cfg, W, Z, Y)
+    assert solves
+    H = (X.T @ X) / (F * P) + (rho / 2.0) * np.eye(F)
+    allowed = mask.allowed
+    for const, W1 in solves[:6]:
+        assert np.allclose(W1.sum(axis=0), 1.0, atol=1e-12)
+        assert W1.min() >= 0.0
+        assert np.abs(W1[~allowed]).max() == 0.0
+        assert step_one_kkt_gap(X, W1, const, allowed, rho).max() <= 1e-9
+        ref = minimize_on_simplex(H, const, allowed=allowed)
+        assert np.abs(W1 - ref).max() <= 1e-9
+
+
+def test_admm_w_step_dual_newton_projects_at_most_three_times(monkeypatch):
+    # projected gradient took about 8 full projections per ADMM iteration
+    calls = []
+    original = solver.project_to_masked_simplex
+
+    def counting(V, allowed):
+        calls.append(V.shape[1])
+        return original(V, allowed)
+
+    monkeypatch.setattr(solver, "project_to_masked_simplex", counting)
+    X, mask = newton_scene()
+    cfg = SolverConfig()
+    W, Z, Y, info = admm_w_step(X, mask, cfg)
+    iterations = info["iterations"]
+    for _ in range(3):
+        X = X + 1e-3 * np.sin(np.arange(X.size)).reshape(X.shape)
+        W, Z, Y, info = admm_w_step(X, mask, cfg, W, Z, Y)
+        iterations += info["iterations"]
+    assert len(calls) <= 3 * iterations
+
+
+def test_admm_w_step_newton_cap_falls_back_to_polish(monkeypatch):
+    # one Newton evaluation leaves step 1 at the projection of its warm
+    # start; the KKT-gap test must send the open columns to the polish
+    polished = []
+    original = solver.minimize_on_simplex
+
+    def recording(H, c, **kwargs):
+        out = original(H, c, **kwargs)
+        polished.append((c, kwargs["allowed"], out))
+        return out
+
+    X, mask = newton_scene()
+    F, P = X.shape[1], X.shape[0] // 3
+    cfg = SolverConfig(rho=1e-2)
+
+    def coupled(Wc):
+        return np.sum((X - X @ Wc) ** 2) / (F * P) + cfg.lambda1 * psi1(Wc)
+
+    W_ref = admm_w_step(X, mask, cfg)[0]
+    monkeypatch.setattr(solver, "_NEWTON_STEPS", 1)
+    monkeypatch.setattr(solver, "minimize_on_simplex", recording)
+    W, Z, Y, info = admm_w_step(X, mask, cfg)
+    assert polished
+    for c, allowed, out in polished:
+        assert step_one_kkt_gap(X, out, c, allowed, cfg.rho).max() <= 1e-9
+    assert np.allclose(W.sum(axis=0), 1.0, atol=1e-12)
+    assert W.min() >= 0.0
+    assert np.abs(W[~mask.allowed]).max() == 0.0
+    start = coupled(self_express(X, mask))
+    assert coupled(W) <= start + 1e-9 * (1 + start)
+    # with every column closed the ADMM sequence follows the uncapped one,
+    # up to the KKT tolerance over rho
+    assert np.abs(W - W_ref).max() <= 1e-6
 
 
 def test_admm_w_step_lambda1_zero_matches_decoupled_coding():
