@@ -16,8 +16,9 @@ points where observations are missing).
 Both block updates are exact descent steps, so the objective trace is
 non-increasing across X-steps and W-steps.  The W update runs ADMM with a
 closed-form auxiliary step.  Its per-column simplex QPs have a data term of
-rank 3P: when 12 P < F they are solved by semismooth Newton on the
-3P-dimensional dual variable X w, else by projected gradient, and the exact
+rank 3P: when 12 P < F and (3P)^2 <= 6F they are solved by semismooth
+Newton on the 3P-dimensional dual variable X w, else by projected gradient
+(whose sorts then cost less than Newton's F Jacobians), and the exact
 active-set engine finishes any column either leaves with an open KKT gap.
 The X update eliminates each point's unobserved frames in closed form (a
 Schur complement of the coupling) and solves what remains, one small linear
@@ -515,10 +516,11 @@ def _dual_newton(X, outer, W, const, allowed, scale, rho):
     generalized Jacobian I + kappa X J X^T, with J = diag(s) - s s^T / |s|
     for the support s of Pi, is symmetric positive definite, so one stacked
     3P x 3P solve per open column gives the Newton step; ``outer`` holds
-    x_j x_j^T in row j, so X J X^T for every column is one product with the
-    support matrix.  Once a support stops changing r is affine and the step
-    is exact, so Pi is first tried on the last support (``_project_near``).
-    Starts from y = X W and stops a column when
+    x_j x_j^T in row j, so X J X^T comes from products of the support
+    matrix with it, over chunks of columns whose Jacobian stacks hold at
+    most F x F entries.  Once a support stops changing r is affine and the
+    step is exact, so Pi is first tried on the last support
+    (``_project_near``).  Starts from y = X W and stops a column when
     |r|_inf <= 1e-13 (1 + |y|_inf).  Overwrites W with the projected
     iterate, feasible whether or not every column closed within
     ``_NEWTON_STEPS``, and returns it.
@@ -541,18 +543,23 @@ def _dual_newton(X, outer, W, const, allowed, scale, rho):
         if not open_.any():
             break
         cols, r = cols[open_], r[:, open_]
-        s = (Wc[:, open_] > 0.0).astype(float)
+        support = Wc[:, open_] > 0.0
         del Wc
-        xs = X @ s
-        # X J X^T per column: the support's outer products minus the rank-one
-        # term of its sum
-        M = (s.T @ outer).reshape(-1, n, n)
-        M -= (xs.T[:, :, None] * xs.T[:, None, :]) / s.sum(axis=0)[:, None, None]
-        del s
-        M *= kappa
-        M += np.eye(n)
-        y[:, cols] -= np.linalg.solve(M, r.T[:, :, None])[:, :, 0].T
-        del M
+        # the Jacobians go in chunks of at most F x F entries
+        step = max(1, F * F // (n * n))
+        for start in range(0, cols.size, step):
+            part = slice(start, start + step)
+            s = support[:, part].astype(float)
+            xs = X @ s
+            # X J X^T per column: the support's outer products minus the
+            # rank-one term of its sum
+            M = (s.T @ outer).reshape(-1, n, n)
+            M -= (xs.T[:, :, None] * xs.T[:, None, :]) / s.sum(axis=0)[:, None, None]
+            del s
+            M *= kappa
+            M += np.eye(n)
+            y[:, cols[part]] -= np.linalg.solve(M, r[:, part].T[:, :, None])[:, :, 0].T
+            del M
     return W
 
 
@@ -572,18 +579,21 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
 
     Step 1 solves every column's masked-simplex QP with data Hessian
     (2/FP) G, G = X^T X, and proximal term (rho/2) ||w||^2.  G has rank at
-    most 3P, so when 12 P < F (3P well under F) step 1 runs semismooth
-    Newton on the 3P-dimensional dual variable y = X w of each column
-    (``_dual_newton``): from the warm start it takes about two evaluations
-    of the projection, whatever rho is, and each is tried first on the
-    previous support without a sort.  It stops at a private cap
+    most 3P, so when 12 P < F and (3P)^2 <= 6F (P <= 12 at F = 240) step 1
+    runs semismooth Newton on the 3P-dimensional dual variable y = X w of
+    each column (``_dual_newton``): from the warm start it takes about two
+    evaluations of the projection, whatever rho is, and each is tried first
+    on the previous support without a sort.  It stops at a private cap
     (``_NEWTON_STEPS``), and its iterate is a projection, so always
     feasible.  Otherwise step 1 runs projected gradient on all columns at
-    once, on G W: the proximal Hessian (1/FP) G + (rho/2) I is dominated by
-    its rho I part at the default rho, so the iteration contracts fast, with
-    the step length from G's largest eigenvalue, read from the smaller of
-    X X^T (3P x 3P) and G.  At 3P = F the Newton systems are as large as
-    the problem, and it measured twice as slow there.  Either way, the
+    once, on X^T (X W) when 12 P < F and on G W otherwise: the proximal
+    Hessian (1/FP) G + (rho/2) I is dominated by its rho I part at the
+    default rho, so the iteration contracts fast, with the step length from
+    G's largest eigenvalue, read from the smaller of X X^T (3P x 3P) and G.
+    Newton's Jacobians cost F^2 (3P)^2 flops per step against projected
+    gradient's eight or so sorts of F x F, so Newton loses once (3P)^2
+    passes about 9F (F = 240, P >= 16), and at 3P = F it measured twice as
+    slow.  Either way, the
     columns whose KKT gap stays above tolerance afterwards are polished
     together, warm started from the iterate, by one ``minimize_on_simplex``
     call on (1/FP) G + (rho/2) I (the exact active set; as the inner solver
@@ -607,8 +617,13 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
     allowed = mask.allowed
     # X^T (X W) costs 6 P F^2 flops against F^3 for G W; measured on one
     # core it wins once 3P is under about F / 4 (from F = 96 up; below that
-    # both take a few microseconds); the same test picks the dual Newton step
-    newton = 12 * P < F
+    # both take a few microseconds)
+    factored = 12 * P < F
+    # a dual Newton step builds F Jacobians from F x (3P)^2 rows, so its cost
+    # grows with P^2 while projected gradient's sorts do not.  Per ADMM
+    # iteration on two cores (F = 96-480) Newton measured 9-59% faster at
+    # (3P)^2 <= 8.2F and 15-35% slower at 9.6F and 13.5F
+    newton = factored and (3 * P) ** 2 <= 6 * F
     # the data term's Hessian (2/FP) G, scaled in place from G = X^T X
     A2 = X.T @ X
     if newton:
@@ -620,7 +635,7 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
     A2 *= 2.0 * inv_fp
 
     def data_gradient(Wc):
-        return (2.0 * inv_fp) * (X.T @ (X @ Wc)) if newton else A2 @ Wc
+        return (2.0 * inv_fp) * (X.T @ (X @ Wc)) if factored else A2 @ Wc
 
     if weights is None:
         W = self_express(X, mask)

@@ -586,6 +586,33 @@ def test_admm_w_step_newton_cap_falls_back_to_polish(monkeypatch):
     assert np.abs(W - W_ref).max() <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "points, frames, newton",
+    [(3, 60, True), (5, 80, True), (9, 120, False), (16, 240, False), (16, 48, False)],
+)
+def test_admm_w_step_runs_dual_newton_only_where_it_pays(
+    monkeypatch, points, frames, newton
+):
+    # Newton's Jacobians cost F^2 (3P)^2 flops per step, so it runs only
+    # when 12 P < F and (3P)^2 <= 6F; projected gradient covers the rest
+    calls = []
+    original = solver._dual_newton
+
+    def recording(*args):
+        calls.append(True)
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_dual_newton", recording)
+    rng = np.random.default_rng(points)
+    X = rng.standard_normal((3 * points, frames))
+    mask = support_mask(np.arange(frames) % 4)
+    W = admm_w_step(X, mask, SolverConfig(admm_max_iter=2))[0]
+    assert bool(calls) == newton
+    assert np.allclose(W.sum(axis=0), 1.0, atol=1e-12)
+    assert W.min() >= 0.0
+    assert np.abs(W[~mask.allowed]).max() == 0.0
+
+
 def test_admm_w_step_lambda1_zero_matches_decoupled_coding():
     scene = make_scene(points=3, samples=16, cameras=4, seed=12)
     X, mask = bootstrap_structure(scene)
