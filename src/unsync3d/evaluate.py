@@ -67,10 +67,15 @@ def evaluate(estimate, truth, weights, truth_order, counters=None):
     W = np.asarray(weights, dtype=float)
     if W.shape != (F, F):
         raise InputError(f"weights shape {W.shape} does not match F={F}")
+    if not np.isfinite(W).all():
+        raise InputError("weights must be finite")
     order = _check_order(truth_order, F)
 
-    diff = (est - tru).reshape(P, 3, F)
-    errors = np.sqrt(np.einsum("paf,paf->pf", diff, diff))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = (est - tru).reshape(P, 3, F)
+        errors = np.sqrt(np.einsum("paf,paf->pf", diff, diff))
+    if not np.isfinite(errors).all():
+        raise InputError("point errors are not finite: estimate or truth out of range")
     accuracy = {t: float(np.mean(errors < t)) for t in THRESHOLDS}
 
     # frame at each time rank, for neighbor lookup

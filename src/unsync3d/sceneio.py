@@ -208,6 +208,8 @@ def load_truth(path):
         )
     except _MALFORMED as exc:
         raise InputError(f"malformed truth file {path}: {exc}") from exc
+    if not np.isfinite(truth).all():
+        raise InputError(f"malformed truth file {path}: points must be finite")
     return truth, order, hz, assignment
 
 
@@ -320,6 +322,12 @@ def load_result(path):
         }
     except _MALFORMED as exc:
         raise InputError(f"malformed result file {path}: {exc}") from exc
+    # save_result writes finite structure and weights and integer counters
+    for key in ("structure", "weights"):
+        if not np.isfinite(out[key]).all():
+            raise InputError(f"malformed result file {path}: {key} must be finite")
+    if not all(type(v) is int for v in out["counters"].values()):
+        raise InputError(f"malformed result file {path}: counters must be integers")
     return out
 
 

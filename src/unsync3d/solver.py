@@ -18,8 +18,10 @@ non-increasing across X-steps and W-steps.  The W update runs ADMM with a
 closed-form auxiliary step.  Its per-column simplex QPs have a data term of
 rank 3P: when 12 P < F and (3P)^2 <= 6F they are solved by semismooth
 Newton on the 3P-dimensional dual variable X w, else by projected gradient
-(whose sorts then cost less than Newton's F Jacobians), and the exact
-active-set engine finishes any column either leaves with an open KKT gap.
+(whose projections then cost less than Newton's F Jacobians), one product
+with a step map per step.  Both try each projection on the previous
+support before sorting, and the exact active-set engine finishes any
+column either leaves with an open KKT gap.
 The X update eliminates each point's unobserved frames in closed form (a
 Schur complement of the coupling) and solves what remains, one small linear
 system per point on its observed frames, in bounded stacks.  One loop
@@ -483,27 +485,79 @@ def x_step(structure, weights, config, rays, frames, flags=None):
 # Newton steps per ADMM iteration on the W-step's dual; a column still open
 # at the cap is left to the KKT-gap test and the active-set polish
 _NEWTON_STEPS = 30
+# projected-gradient steps per ADMM iteration; the same safeguard
+_PG_STEPS = 500
 
 
-def _project_near(V, allowed, support):
+def _project_near(V, allowed, support, count=None):
     """``project_to_masked_simplex`` of V, in place, given its likely supports.
 
     A column whose threshold theta = (sum of V over its support - 1) / |support|
     is exceeded by V on exactly its support, among its allowed atoms,
     projects to max(V - theta, 0) on that support, with no sort.  The other
     columns go through ``project_to_masked_simplex`` (a projection onto the
-    simplex ignores a shift of its input by a constant).
+    simplex ignores a shift of its input by a constant).  Entries off the
+    support come out +0.0.  ``support`` and ``count`` (its column sums as
+    floats, computed when not given) are updated in place to the supports of
+    the result, so a loop can pass them on to its next projection.
     """
-    count = support.sum(axis=0)
-    V -= (np.sum(V, axis=0, where=support) - 1.0) / np.maximum(count, 1)
+    if count is None:
+        count = support.sum(axis=0).astype(float)
+    # einsum costs less than a masked np.sum(where=) and, unlike
+    # multiply-and-sum, allocates no F x F temporary; it adds the same terms
+    # in the same order, except that numpy sums a single column pairwise
+    theta = np.einsum("ij,ij->j", V, support)
+    theta -= 1.0
+    theta /= np.maximum(count, 1.0)
+    V -= theta
     above = V > 0.0
     above &= allowed
-    missed = (above != support).any(axis=0) | (count == 0)
-    del above
-    V[~(support | missed)] = 0.0
-    if missed.any():
-        V[:, missed] = project_to_masked_simplex(V[:, missed], allowed[:, missed])
+    above ^= support
+    missed = None
+    # one test over all entries first: most calls miss no column
+    if above.any() or not count.all():
+        missed = above.any(axis=0)
+        missed |= count == 0
+        fixed = project_to_masked_simplex(V[:, missed], allowed[:, missed])
+    # zero the rest by a multiply, four times cheaper than a masked write;
+    # adding +0.0 turns the -0.0 of negative entries into +0.0
+    V *= support
+    V += 0.0
+    if missed is not None:
+        V[:, missed] = fixed
+        support[:, missed] = fixed > 0.0
+        count[missed] = support[:, missed].sum(axis=0)
     return V
+
+
+def _projected_gradient(step_map, W, const, allowed, L):
+    """Solve step 1 of ``admm_w_step`` by projected gradient on all columns.
+
+    Column f minimizes the QP whose gradient is g(w) + const_f over its
+    masked simplex, with g linear and L >= its largest curvature.  Each
+    step is W <- Pi(W - (g(W) + const) / L); ``step_map(W, out)`` writes
+    W - g(W) / L into out, so the step is that map and one subtraction.
+    Pi is tried on the previous iterate's support first (``_project_near``),
+    so only the columns whose support changed are sorted.  Stops once no
+    entry moves by more than 1e-13, or after ``_PG_STEPS`` steps, and
+    returns the last projected iterate.  Overwrites W.
+    """
+    shift = const / L
+    support = W > 0.0
+    count = support.sum(axis=0).astype(float)
+    V = np.empty_like(W)
+    for _ in range(_PG_STEPS):
+        step_map(W, V)
+        V -= shift
+        _project_near(V, allowed, support, count)
+        # W becomes the step's change, then the buffer for the next step
+        W -= V
+        np.abs(W, out=W)
+        delta = W.max()
+        W, V = V, W
+        if delta <= 1e-13:
+            break
+    return W
 
 
 def _dual_newton(X, outer, W, const, allowed, scale, rho):
@@ -586,15 +640,20 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
     on the previous support without a sort.  It stops at a private cap
     (``_NEWTON_STEPS``), and its iterate is a projection, so always
     feasible.  Otherwise step 1 runs projected gradient on all columns at
-    once, on X^T (X W) when 12 P < F and on G W otherwise: the proximal
-    Hessian (1/FP) G + (rho/2) I is dominated by its rho I part at the
-    default rho, so the iteration contracts fast, with the step length from
-    G's largest eigenvalue, read from the smaller of X X^T (3P x 3P) and G.
-    Newton's Jacobians cost F^2 (3P)^2 flops per step against projected
-    gradient's eight or so sorts of F x F, so Newton loses once (3P)^2
-    passes about 9F (F = 240, P >= 16), and at 3P = F it measured twice as
-    slow.  Either way, the
-    columns whose KKT gap stays above tolerance afterwards are polished
+    once (``_projected_gradient``): the proximal Hessian (1/FP) G +
+    (rho/2) I is dominated by its rho I part at the default rho, so each
+    step shrinks the error by a factor of about (L - rho) / L (0.03 on a
+    16-point, 48-frame scene), with the step length 1/L from G's largest
+    eigenvalue, read from the smaller of X X^T (3P x 3P) and G.  When
+    12 P >= F a step is one product with the step map
+    M = (1 - rho/L) I - (2/FP) G / L, built once per call; when 12 P < F
+    it goes through X^T (X W), since M would cost F^3.  Each step's
+    projection is tried first on the previous iterate's support, so only
+    the columns whose support changed are sorted.  Newton's Jacobians cost
+    F^2 (3P)^2 flops per step against projected gradient's eight or so
+    projections of F x F, so Newton loses once (3P)^2 passes about 9F
+    (F = 240, P >= 16), and at 3P = F it measured twice as slow.  Either
+    way, the columns whose KKT gap stays above tolerance afterwards are polished
     together, warm started from the iterate, by one ``minimize_on_simplex``
     call on (1/FP) G + (rho/2) I (the exact active set; as the inner solver
     for every column it is much slower, since the iterate's supports are
@@ -637,6 +696,23 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
     def data_gradient(Wc):
         return (2.0 * inv_fp) * (X.T @ (X @ Wc)) if factored else A2 @ Wc
 
+    # projected gradient's step map W - (data_gradient(W) + rho W) / L: one
+    # F x F matrix M = (1 - rho/L) I - A2/L, built once, unless factored,
+    # where forming M would cost F^3
+    if factored and not newton:
+        XL = X.T * (-2.0 * inv_fp / L)
+
+        def step_map(Wc, out):
+            np.matmul(XL, X @ Wc, out=out)
+            out += (1.0 - rho / L) * Wc
+
+    elif not factored:
+        M = A2 * (-1.0 / L)
+        M.flat[:: F + 1] += 1.0 - rho / L
+
+        def step_map(Wc, out):
+            np.matmul(M, Wc, out=out)
+
     if weights is None:
         W = self_express(X, mask)
         Z = W.copy()
@@ -659,18 +735,21 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
         if newton:
             W = _dual_newton(X, outer, W, const, allowed, 2.0 * inv_fp, rho)
         else:
-            for _ in range(500):
-                grad = data_gradient(W) + rho * W + const
-                W_new = project_to_masked_simplex(W - grad / L, allowed)
-                delta = np.abs(W_new - W).max()
-                W = W_new
-                if delta <= 1e-13:
-                    break
-        grad = data_gradient(W) + rho * W + const
-        mu = np.where(allowed, grad, np.inf).min(axis=0)
-        viol = np.where(W > 1e-12, grad - mu[None, :], 0.0).max(axis=0)
-        tol = 1e-9 * (1.0 + np.abs(np.where(allowed, grad, 0.0)).max(axis=0))
-        del grad
+            W = _projected_gradient(step_map, W, const, allowed, L)
+        grad = data_gradient(W)
+        grad += rho * W
+        grad += const
+        # the KKT gap: on each column's support, how far the gradient rises
+        # above its least allowed entry
+        work = np.where(allowed, grad, np.inf)
+        mu = work.min(axis=0)
+        np.subtract(grad, mu, out=work)
+        work *= W > 1e-12
+        viol = work.max(axis=0)
+        np.abs(grad, out=work)
+        work *= allowed
+        tol = 1e-9 * (1.0 + work.max(axis=0))
+        del grad, work
         polish = np.flatnonzero(viol > tol)
         if polish.size:
             # 0.5 A2 has the bytes of (1/FP) G: halving undoes an exact doubling
@@ -683,8 +762,9 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
         del const
         B = Y + rho * W
         Z_new = 0.5 * ((B + B.T) / rho + (B - B.T) / (8.0 * alpha + rho))
-        Y += rho * (W - Z_new)
-        r_pri = np.linalg.norm(W - Z_new)
+        gap = W - Z_new
+        Y += rho * gap
+        r_pri = np.linalg.norm(gap)
         s_dual = rho * np.linalg.norm(Z_new - Z)
         Z = Z_new
 
@@ -700,10 +780,12 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
         if (
             r_pri <= eps_pri
             and s_dual <= eps_dual
-            and np.abs(W - Z).max() <= config.consensus_tol
+            and np.abs(gap).max() <= config.consensus_tol
         ):
             converged = True
             break
+        # not held through the next step 1, where the W-step peaks in memory
+        del gap
     return best_W, Z, Y, {"iterations": iterations, "converged": converged}
 
 

@@ -459,14 +459,12 @@ def fuzz_scene(tmp_path_factory):
     return scene, scene.read_text()
 
 
+JUNK = [None, True, False, 10**30, 1e308, "x", [], [1.0, 2.0], float("nan"),
+        float("inf")]
+
+
 @settings(max_examples=100, deadline=None)
-@given(
-    path=st.sampled_from(list(scene_nodes())),
-    value=st.sampled_from(
-        [None, True, False, 10**30, 1e308, "x", [], [1.0, 2.0],
-         float("nan"), float("inf")]
-    ),
-)
+@given(path=st.sampled_from(list(scene_nodes())), value=st.sampled_from(JUNK))
 @example(path=("cameras", 2, "center", 0), value=1e308)
 def test_solve_maps_any_bad_scene_node_to_a_known_exit(fuzz_scene, path, value):
     """One scene node replaced by a junk value solves, or exits 3, 4 or 5."""
@@ -485,3 +483,59 @@ def test_solve_maps_any_bad_scene_node_to_a_known_exit(fuzz_scene, path, value):
             "--out", str(scene.with_name("result.json")), "--outer-max", "1",
         ])
     assert code in (0, 3, 4, 5), err.getvalue()
+
+
+def json_nodes(doc, path=()):
+    """Every path below the root of a JSON document, list indices under 2."""
+    if path:
+        yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc[:2])
+    else:
+        items = ()
+    for key, value in items:
+        yield from json_nodes(value, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_eval(tmp_path_factory):
+    """Truth and result files of a small solved scene, as (path, text)."""
+    root = tmp_path_factory.mktemp("fuzz_eval")
+    scene, truth, result = (root / f"{n}.json" for n in ("scene", "truth", "result"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([
+            "simulate", "--seed", "13", "--points", str(FUZZ_POINTS),
+            "--samples", str(FUZZ_FRAMES), "--cameras", "3",
+            "--scene-out", str(scene), "--truth-out", str(truth),
+        ]) == 0
+        assert main([
+            "solve", "--scene", str(scene), "--out", str(result), "--outer-max", "1",
+        ]) == 0
+    return {"truth": (truth, truth.read_text()), "result": (result, result.read_text())}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_eval_maps_any_bad_truth_or_result_node_to_a_known_exit(fuzz_eval, data):
+    """One truth or result node replaced by a junk value evaluates, or exits 3."""
+    which = data.draw(st.sampled_from(sorted(fuzz_eval)))
+    original, text = fuzz_eval[which]
+    doc = json.loads(text)
+    path = data.draw(st.sampled_from(list(json_nodes(doc))))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(st.sampled_from(JUNK))
+    edited = original.with_name("edited.json")
+    edited.write_text(json.dumps(doc))  # NaN and Infinity written bare
+    files = {name: str(path_) for name, (path_, _) in fuzz_eval.items()}
+    files[which] = str(edited)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([
+            "eval", "--result", files["result"], "--truth", files["truth"],
+            "--out", str(original.with_name("report.json")),
+        ])
+    assert code in (0, 3), err.getvalue()

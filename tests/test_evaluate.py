@@ -116,6 +116,11 @@ def test_evaluate_validation():
         evaluate(truth, truth, W, np.array([0, 1, 1, 3]))
     with pytest.raises(InputError):
         evaluate(truth, truth, W, np.arange(5))
+    with pytest.raises(InputError, match="weights must be finite"):
+        evaluate(truth, truth, np.full((4, 4), np.inf), identity_order(4))
+    # finite coordinates whose squared distance overflows
+    with pytest.raises(InputError, match="point errors are not finite"):
+        evaluate(np.full((3, 4), 1e308), truth, W, identity_order(4))
 
 
 def test_counters_passthrough():

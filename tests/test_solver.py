@@ -1,10 +1,16 @@
 """Alternating solver: penalties, block updates, and the full pipeline."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from unsync3d import solver
 from unsync3d.errors import InfeasibleError, InputError
@@ -15,7 +21,12 @@ from unsync3d.geometry import (
     compute_rays,
     structure_to_points,
 )
-from unsync3d.simplex import minimize_on_simplex, self_express, support_mask
+from unsync3d.simplex import (
+    minimize_on_simplex,
+    project_to_masked_simplex,
+    self_express,
+    support_mask,
+)
 from unsync3d.solver import (
     SolverConfig,
     _fill_missing,
@@ -584,6 +595,126 @@ def test_admm_w_step_newton_cap_falls_back_to_polish(monkeypatch):
     # with every column closed the ADMM sequence follows the uncapped one,
     # up to the KKT tolerance over rho
     assert np.abs(W - W_ref).max() <= 1e-6
+
+
+def pg_scene():
+    """A bootstrapped structure with 12 P >= F, where step 1 runs projected
+    gradient on the F x F step map."""
+    scene = make_scene(points=16, samples=48, cameras=4, seed=11)
+    X, mask = bootstrap_structure(scene)
+    assert 12 * (X.shape[0] // 3) >= X.shape[1]
+    return X, mask
+
+
+@pytest.mark.parametrize("rho", [1.0, 1e-2])
+def test_admm_w_step_projected_gradient_solves_each_column(monkeypatch, rho):
+    # the projected-gradient twin of the dual Newton check above
+    solves = []
+    original = solver._projected_gradient
+
+    def recording(step_map, W, const, allowed, L):
+        out = original(step_map, W, const, allowed, L)
+        solves.append((const.copy(), out.copy()))
+        return out
+
+    monkeypatch.setattr(solver, "_projected_gradient", recording)
+    X, mask = pg_scene()
+    F, P = X.shape[1], X.shape[0] // 3
+    cfg = SolverConfig(rho=rho)
+    W, Z, Y, _ = admm_w_step(X, mask, cfg)
+    admm_w_step(X, mask, cfg, W, Z, Y)
+    assert solves
+    H = (X.T @ X) / (F * P) + (rho / 2.0) * np.eye(F)
+    allowed = mask.allowed
+    for const, W1 in solves[:6]:
+        assert np.allclose(W1.sum(axis=0), 1.0, atol=1e-12)
+        assert W1.min() >= 0.0
+        assert np.abs(W1[~allowed]).max() == 0.0
+        assert step_one_kkt_gap(X, W1, const, allowed, rho).max() <= 1e-9
+        ref = minimize_on_simplex(H, const, allowed=allowed)
+        assert np.abs(W1 - ref).max() <= 1e-9
+
+
+def test_admm_w_step_projected_gradient_sorts_under_once_per_iteration(
+    monkeypatch,
+):
+    # each step tries the previous support first, so only columns whose
+    # support changed are sorted; sorting every step took about 8 full
+    # projections per ADMM iteration
+    calls = []
+    original = solver.project_to_masked_simplex
+
+    def counting(V, allowed):
+        calls.append(V.shape[1])
+        return original(V, allowed)
+
+    monkeypatch.setattr(solver, "project_to_masked_simplex", counting)
+    X, mask = pg_scene()
+    cfg = SolverConfig()
+    W, Z, Y, info = admm_w_step(X, mask, cfg)
+    iterations = info["iterations"]
+    for _ in range(3):
+        X = X + 1e-3 * np.sin(np.arange(X.size)).reshape(X.shape)
+        W, Z, Y, info = admm_w_step(X, mask, cfg, W, Z, Y)
+        iterations += info["iterations"]
+    assert len(calls) <= iterations
+
+
+@st.composite
+def projection_problems(draw):
+    """Inputs of ``_project_near``: V, a mask and a true, stale or empty hint."""
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 6))
+    values = st.floats(-3.0, 3.0, allow_subnormal=False)
+    V = draw(hnp.arrays(float, (n, m), elements=values))
+    allowed = draw(hnp.arrays(bool, (n, m)))
+    keep = draw(hnp.arrays(int, m, elements=st.integers(0, n - 1)))
+    allowed[keep, np.arange(m)] = True
+    hint = draw(st.sampled_from(["true", "stale", "empty"]))
+    if hint == "true":
+        support = project_to_masked_simplex(V, allowed) > 0.0
+    elif hint == "stale":
+        # the support of a nearby input, as the previous iterate gives it
+        nudge = draw(hnp.arrays(float, (n, m), elements=values))
+        support = project_to_masked_simplex(V + 0.1 * nudge, allowed) > 0.0
+    else:
+        support = np.zeros((n, m), dtype=bool)
+    return V, allowed, support
+
+
+@settings(max_examples=200, deadline=None)
+@given(projection_problems())
+def test_project_near_matches_sorted_projection(problem):
+    V, allowed, support = problem
+    ref = project_to_masked_simplex(V, allowed)
+    count = support.sum(axis=0).astype(float)
+    out = solver._project_near(V.copy(), allowed, support, count)
+    assert np.abs(out - ref).max() <= 1e-12
+    assert out.min() >= 0.0
+    assert np.abs(out.sum(axis=0) - 1.0).max() <= 1e-12
+    assert not out[~allowed].any()
+    # zeros are +0.0, as a masked write would leave them
+    assert not np.signbit(out).any()
+    # the hint now holds the result's supports, ready for the next call
+    assert np.array_equal(support, out > 0.0)
+    assert np.array_equal(count, support.sum(axis=0))
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.linalg adds about 26 MB of resident memory and 0.35 s of import
+    # time; the solver's linear algebra stays on numpy
+    code = (
+        "import sys, unsync3d, unsync3d.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(
