@@ -173,6 +173,8 @@ def filter_weights(filter_taps, frame_count):
     M = taps.size
     if M < 2:
         raise InputError(f"need at least 2 filter taps, got {M}")
+    if not np.isfinite(taps).all():
+        raise InputError(f"filter taps must be finite, got {taps.tolist()}")
     F = int(frame_count)
     if F <= M:
         raise InputError(f"frame count {F} must exceed tap count {M}")

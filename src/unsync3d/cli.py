@@ -28,7 +28,7 @@ from .errors import InputError, UnsyncError
 from .evaluate import _check_order, emit_tables, evaluate
 from .geometry import compute_rays, frame_video_ids, structure_to_points
 from .simplex import self_express, support_mask
-from .solver import SolverConfig, minimize_structure, solve
+from .solver import SolveState, SolverConfig, minimize_structure, solve
 from .synth import (
     CorruptionSpec,
     RigSpec,
@@ -184,7 +184,10 @@ def _build_parser():
 
 
 def _cmd_simulate(args):
-    seed = int(os.environ["SEED"]) if "SEED" in os.environ else args.seed
+    try:
+        seed = int(os.environ.get("SEED", args.seed))
+    except ValueError as exc:
+        raise InputError(f"bad SEED value {os.environ['SEED']!r}") from exc
     if args.mocap_file is not None:
         motion = load_mocap(args.mocap_file)
     else:
@@ -346,20 +349,22 @@ def _cmd_baseline(args):
     # apply the banded filter in capture order: row f of the global operator
     # is the time-domain row at f's rank
     G = bank.g_matrix[order, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        GGt = G @ G.T
+    if not np.isfinite(GGt).all():
+        raise InputError(f"filter taps {taps} overflow the filter operator")
     rays = compute_rays(frames, obs)
     flags = []
-    structure, depths = minimize_structure(G @ G.T, rays, flags=flags)
+    structure, depths = minimize_structure(GGt, rays, flags=flags)
     P = structure.shape[0] // 3
     X3 = structure.reshape(P, 3, F)
-    cost = float(np.einsum("paf,fg,pag->", X3, G @ G.T, X3))
+    cost = float(np.einsum("paf,fg,pag->", X3, GGt, X3))
 
     weights = np.zeros((F, F))
     if bank.w_matrix is not None:
         frame_of_rank = np.empty(F, dtype=int)
         frame_of_rank[order] = np.arange(F)
         weights[np.ix_(frame_of_rank, frame_of_rank)] = bank.w_matrix
-
-    from .solver import SolveState
 
     state = SolveState(
         structure=structure,

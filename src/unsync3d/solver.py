@@ -17,11 +17,11 @@ Both block updates are exact descent steps, so the objective trace is
 non-increasing across X-steps and W-steps.  The W update runs ADMM with a
 closed-form auxiliary step.  Its per-column simplex QPs have a data term of
 rank 3P: when 12 P < F and (3P)^2 <= 6F they are solved by semismooth
-Newton on the 3P-dimensional dual variable X w, else by projected gradient
-(whose projections then cost less than Newton's F Jacobians), one product
-with a step map per step.  Both try each projection on the previous
-support before sorting, and the exact active-set engine finishes any
-column either leaves with an open KKT gap.
+Newton on the 3P-dimensional dual variable X w, else by the projected-
+gradient loop of ``simplex`` (whose projections then cost less than
+Newton's F Jacobians), one product with a step map per step.  Both try
+each projection on the previous support before sorting, and the exact
+active-set engine finishes any column either leaves with an open KKT gap.
 The X update eliminates each point's unobserved frames in closed form (a
 Schur complement of the coupling) and solves what remains, one small linear
 system per point on its observed frames, in bounded stacks.  One loop
@@ -49,8 +49,9 @@ from .geometry import (
     validate_frames,
 )
 from .simplex import (
+    _project_near,
+    _projected_gradient,
     minimize_on_simplex,
-    project_to_masked_simplex,
     self_express,
     support_mask,
     validate_mask,
@@ -485,79 +486,6 @@ def x_step(structure, weights, config, rays, frames, flags=None):
 # Newton steps per ADMM iteration on the W-step's dual; a column still open
 # at the cap is left to the KKT-gap test and the active-set polish
 _NEWTON_STEPS = 30
-# projected-gradient steps per ADMM iteration; the same safeguard
-_PG_STEPS = 500
-
-
-def _project_near(V, allowed, support, count=None):
-    """``project_to_masked_simplex`` of V, in place, given its likely supports.
-
-    A column whose threshold theta = (sum of V over its support - 1) / |support|
-    is exceeded by V on exactly its support, among its allowed atoms,
-    projects to max(V - theta, 0) on that support, with no sort.  The other
-    columns go through ``project_to_masked_simplex`` (a projection onto the
-    simplex ignores a shift of its input by a constant).  Entries off the
-    support come out +0.0.  ``support`` and ``count`` (its column sums as
-    floats, computed when not given) are updated in place to the supports of
-    the result, so a loop can pass them on to its next projection.
-    """
-    if count is None:
-        count = support.sum(axis=0).astype(float)
-    # einsum costs less than a masked np.sum(where=) and, unlike
-    # multiply-and-sum, allocates no F x F temporary; it adds the same terms
-    # in the same order, except that numpy sums a single column pairwise
-    theta = np.einsum("ij,ij->j", V, support)
-    theta -= 1.0
-    theta /= np.maximum(count, 1.0)
-    V -= theta
-    above = V > 0.0
-    above &= allowed
-    above ^= support
-    missed = None
-    # one test over all entries first: most calls miss no column
-    if above.any() or not count.all():
-        missed = above.any(axis=0)
-        missed |= count == 0
-        fixed = project_to_masked_simplex(V[:, missed], allowed[:, missed])
-    # zero the rest by a multiply, four times cheaper than a masked write;
-    # adding +0.0 turns the -0.0 of negative entries into +0.0
-    V *= support
-    V += 0.0
-    if missed is not None:
-        V[:, missed] = fixed
-        support[:, missed] = fixed > 0.0
-        count[missed] = support[:, missed].sum(axis=0)
-    return V
-
-
-def _projected_gradient(step_map, W, const, allowed, L):
-    """Solve step 1 of ``admm_w_step`` by projected gradient on all columns.
-
-    Column f minimizes the QP whose gradient is g(w) + const_f over its
-    masked simplex, with g linear and L >= its largest curvature.  Each
-    step is W <- Pi(W - (g(W) + const) / L); ``step_map(W, out)`` writes
-    W - g(W) / L into out, so the step is that map and one subtraction.
-    Pi is tried on the previous iterate's support first (``_project_near``),
-    so only the columns whose support changed are sorted.  Stops once no
-    entry moves by more than 1e-13, or after ``_PG_STEPS`` steps, and
-    returns the last projected iterate.  Overwrites W.
-    """
-    shift = const / L
-    support = W > 0.0
-    count = support.sum(axis=0).astype(float)
-    V = np.empty_like(W)
-    for _ in range(_PG_STEPS):
-        step_map(W, V)
-        V -= shift
-        _project_near(V, allowed, support, count)
-        # W becomes the step's change, then the buffer for the next step
-        W -= V
-        np.abs(W, out=W)
-        delta = W.max()
-        W, V = V, W
-        if delta <= 1e-13:
-            break
-    return W
 
 
 def _dual_newton(X, outer, W, const, allowed, scale, rho):
@@ -632,28 +560,22 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
     triplet.
 
     Step 1 solves every column's masked-simplex QP with data Hessian
-    (2/FP) G, G = X^T X, and proximal term (rho/2) ||w||^2.  G has rank at
-    most 3P, so when 12 P < F and (3P)^2 <= 6F (P <= 12 at F = 240) step 1
-    runs semismooth Newton on the 3P-dimensional dual variable y = X w of
-    each column (``_dual_newton``): from the warm start it takes about two
-    evaluations of the projection, whatever rho is, and each is tried first
-    on the previous support without a sort.  It stops at a private cap
-    (``_NEWTON_STEPS``), and its iterate is a projection, so always
-    feasible.  Otherwise step 1 runs projected gradient on all columns at
-    once (``_projected_gradient``): the proximal Hessian (1/FP) G +
-    (rho/2) I is dominated by its rho I part at the default rho, so each
-    step shrinks the error by a factor of about (L - rho) / L (0.03 on a
-    16-point, 48-frame scene), with the step length 1/L from G's largest
-    eigenvalue, read from the smaller of X X^T (3P x 3P) and G.  When
-    12 P >= F a step is one product with the step map
-    M = (1 - rho/L) I - (2/FP) G / L, built once per call; when 12 P < F
-    it goes through X^T (X W), since M would cost F^3.  Each step's
-    projection is tried first on the previous iterate's support, so only
-    the columns whose support changed are sorted.  Newton's Jacobians cost
-    F^2 (3P)^2 flops per step against projected gradient's eight or so
-    projections of F x F, so Newton loses once (3P)^2 passes about 9F
-    (F = 240, P >= 16), and at 3P = F it measured twice as slow.  Either
-    way, the columns whose KKT gap stays above tolerance afterwards are polished
+    (2/FP) G, G = X^T X, and proximal term (rho/2) ||w||^2, one of two
+    ways.  G has rank at most 3P, so when 12 P < F and (3P)^2 <= 6F
+    (P <= 12 at F = 240) it runs semismooth Newton on the 3P-dimensional
+    dual variable y = X w of each column (``_dual_newton``): from the warm
+    start it takes about two projections, whatever rho is.  Otherwise it
+    runs the package's one projected-gradient loop
+    (``simplex._projected_gradient``) on all columns at once, with the
+    step length 1/L from G's largest eigenvalue, read from the smaller of
+    X X^T (3P x 3P) and G.  The proximal Hessian is dominated by its rho I
+    part at the default rho, so each step shrinks the error by about
+    (L - rho) / L (0.03 on a 16-point, 48-frame scene).  When 12 P >= F a
+    step is one product with the step map M = (1 - rho/L) I - (2/FP) G / L,
+    built once per call; when 12 P < F it goes through X^T (X W), since M
+    would cost F^3.  Both paths are capped, try each projection on the
+    previous support before sorting, and return a feasible iterate.  The
+    columns whose KKT gap stays above tolerance afterwards are polished
     together, warm started from the iterate, by one ``minimize_on_simplex``
     call on (1/FP) G + (rho/2) I (the exact active set; as the inner solver
     for every column it is much slower, since the iterate's supports are

@@ -13,6 +13,7 @@ unit-variance draw, and miss masks nest as the rate grows.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,6 +100,8 @@ class CorruptionSpec:
             raise InputError("noise_sigma must be nonnegative")
         if not 0.0 <= self.miss_rate < 1.0:
             raise InputError(f"miss_rate must be in [0, 1), got {self.miss_rate}")
+        if isinstance(self.seed, numbers.Integral) and self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -133,6 +136,8 @@ def procedural_motion(
     """
     if point_count < 1 or sample_count < 2:
         raise InputError("need at least 1 point and 2 samples")
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     if step_limit is None:
         step_limit = 0.04 * scale
     rng = np.random.default_rng(seed)

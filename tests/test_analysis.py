@@ -175,6 +175,9 @@ def test_filter_weights_unnamed_taps_and_errors():
         filter_weights([1.0], 5)
     with pytest.raises(InputError):
         filter_weights([1.0, -1.0, 0.5], 3)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InputError):
+            filter_weights([bad, 1.0], 5)
 
 
 def test_analyze_point_with_and_without_truth():

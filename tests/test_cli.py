@@ -86,6 +86,29 @@ def test_simulate_seed_env_override(tmp_path, capsys):
     assert a.read_bytes() != c.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        ("abc", ()),
+        ("", ()),
+        ("-1", ()),
+        (None, ("--seed", "-1")),
+        (None, ("--seed", "1", "--motion-seed", "-2")),
+    ],
+)
+def test_simulate_rejects_bad_seed(tmp_path, capsys, monkeypatch, env, argv):
+    if env is not None:
+        monkeypatch.setenv("SEED", env)
+    scene = tmp_path / "scene.json"
+    code, _, err = run(
+        capsys, "simulate", *argv, "--points", "2", "--samples", "12",
+        "--scene-out", str(scene),
+    )
+    assert code == 3, err
+    assert json.loads(err.strip().split("\n")[-1])["category"] == "input"
+    assert not scene.exists()
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert main([]) == 2
     assert main(["simulate"]) == 2  # --seed and --scene-out required
@@ -209,6 +232,19 @@ def test_baseline_filter_solve(tmp_path, capsys):
     )
     assert code == 0, err
     assert "[1.0, -1.0]" in out
+
+
+@pytest.mark.parametrize("taps", ["inf,1", "nan,1", "1e308,-1e308"])
+def test_baseline_rejects_non_finite_filter(tmp_path, capsys, taps):
+    scene, truth = simulate_small(tmp_path, capsys, seed=10)
+    out_path = tmp_path / "base.json"
+    code, _, err = run(
+        capsys, "baseline", "--scene", str(scene), "--truth", str(truth),
+        f"--taps={taps}", "--out", str(out_path),
+    )
+    assert code == 3, err
+    assert json.loads(err.strip().split("\n")[-1])["category"] == "input"
+    assert not out_path.exists()
 
 
 def test_baseline_rejects_truth_of_another_scene(tmp_path, capsys):

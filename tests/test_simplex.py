@@ -221,6 +221,42 @@ def test_minimize_on_simplex_indexed_gram_matches_gathered_block(monkeypatch):
     assert fallbacks
 
 
+def test_minimize_on_simplex_fallback_solves_full_rank_problems(monkeypatch):
+    # one active-set step sends the unfinished rows to the projected-gradient
+    # fallback, which must still reach the optimum of a full-rank problem
+    # and, taking steps of 1/L, never end above its warm start
+    fallbacks = _count_fallbacks(monkeypatch)
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        n = int(rng.integers(4, 12))
+        m = int(rng.integers(1, 5))
+        D = rng.normal(size=(n + 4, n))
+        T = rng.normal(size=(n + 4, m))
+        H = D.T @ D
+        c = -2.0 * (D.T @ T)
+        allowed = rng.random((n, m)) < 0.7
+        allowed[rng.integers(n, size=m), np.arange(m)] = True
+        w0 = rng.dirichlet(np.ones(n), size=m).T
+        W = minimize_on_simplex(H, c, w0=w0, max_iter=1, allowed=allowed)
+        cold = minimize_on_simplex(H, c, allowed=allowed)
+        start = np.where(allowed, w0, 0.0)
+        start /= start.sum(axis=0)
+        for f in range(m):
+
+            def phi(w):
+                return float(w @ H @ w + c[:, f] @ w)
+
+            best = phi(cold[:, f])
+            assert abs(phi(W[:, f]) - best) <= 1e-9 * (1.0 + abs(best))
+            assert phi(W[:, f]) <= phi(start[:, f])
+            assert W[:, f].min() >= 0.0
+            assert not W[~allowed[:, f], f].any()
+            assert abs(W[:, f].sum() - 1.0) <= 1e-12
+            _, _, worst = coding_kkt(T[:, f], D, W[:, f], allowed[:, f])
+            assert worst >= -1e-6
+    assert fallbacks
+
+
 @st.composite
 def coding_problems(draw):
     """Random PSD Gram D^T D, targets, masks and (often invalid) warm starts."""

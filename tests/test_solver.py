@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from unsync3d import solver
+from unsync3d import simplex, solver
 from unsync3d.errors import InfeasibleError, InputError
 from unsync3d.geometry import (
     ObservationSet,
@@ -541,16 +541,22 @@ def test_admm_w_step_dual_newton_solves_each_column(monkeypatch, rho):
         assert np.abs(W1 - ref).max() <= 1e-9
 
 
-def test_admm_w_step_dual_newton_projects_at_most_three_times(monkeypatch):
-    # projected gradient took about 8 full projections per ADMM iteration
+def _count_sorts(monkeypatch):
+    # one entry per sorted projection, wherever in the package it is called
     calls = []
-    original = solver.project_to_masked_simplex
+    original = simplex.project_to_masked_simplex
 
     def counting(V, allowed):
         calls.append(V.shape[1])
         return original(V, allowed)
 
-    monkeypatch.setattr(solver, "project_to_masked_simplex", counting)
+    monkeypatch.setattr(simplex, "project_to_masked_simplex", counting)
+    return calls
+
+
+def test_admm_w_step_dual_newton_projects_at_most_three_times(monkeypatch):
+    # projected gradient took about 8 full projections per ADMM iteration
+    calls = _count_sorts(monkeypatch)
     X, mask = newton_scene()
     cfg = SolverConfig()
     W, Z, Y, info = admm_w_step(X, mask, cfg)
@@ -559,7 +565,7 @@ def test_admm_w_step_dual_newton_projects_at_most_three_times(monkeypatch):
         X = X + 1e-3 * np.sin(np.arange(X.size)).reshape(X.shape)
         W, Z, Y, info = admm_w_step(X, mask, cfg, W, Z, Y)
         iterations += info["iterations"]
-    assert len(calls) <= 3 * iterations
+    assert 0 < len(calls) <= 3 * iterations
 
 
 def test_admm_w_step_newton_cap_falls_back_to_polish(monkeypatch):
@@ -641,14 +647,7 @@ def test_admm_w_step_projected_gradient_sorts_under_once_per_iteration(
     # each step tries the previous support first, so only columns whose
     # support changed are sorted; sorting every step took about 8 full
     # projections per ADMM iteration
-    calls = []
-    original = solver.project_to_masked_simplex
-
-    def counting(V, allowed):
-        calls.append(V.shape[1])
-        return original(V, allowed)
-
-    monkeypatch.setattr(solver, "project_to_masked_simplex", counting)
+    calls = _count_sorts(monkeypatch)
     X, mask = pg_scene()
     cfg = SolverConfig()
     W, Z, Y, info = admm_w_step(X, mask, cfg)
@@ -657,7 +656,7 @@ def test_admm_w_step_projected_gradient_sorts_under_once_per_iteration(
         X = X + 1e-3 * np.sin(np.arange(X.size)).reshape(X.shape)
         W, Z, Y, info = admm_w_step(X, mask, cfg, W, Z, Y)
         iterations += info["iterations"]
-    assert len(calls) <= iterations
+    assert 0 < len(calls) <= iterations
 
 
 @st.composite

@@ -46,6 +46,8 @@ def test_procedural_motion_shape_determinism_and_step_limit():
         procedural_motion(0, 50)
     with pytest.raises(InputError):
         procedural_motion(4, 1)
+    with pytest.raises(InputError):
+        procedural_motion(4, 50, seed=-1)
 
 
 def test_motion_source_validation():
@@ -108,6 +110,8 @@ def test_spec_validation():
         CorruptionSpec(noise_sigma=-0.5).validate()
     with pytest.raises(InputError):
         CorruptionSpec(miss_rate=1.0).validate()
+    with pytest.raises(InputError):
+        CorruptionSpec(seed=-1).validate()
 
 
 def test_generate_covers_every_sample_once_with_exclusion():
