@@ -7,144 +7,22 @@ of the shapes seen in other frames. The learned combination weights double
 as a temporal ordering signal across cameras.
 """
 
-from .analysis import (
-    ErrorSolution,
-    FilterBank,
-    ReconstructabilityReport,
-    analyze_point,
-    analyze_scene,
-    build_system,
-    error_vector,
-    filter_weights,
-    residual,
-    system_condition,
-)
-from .errors import GeometryError, InfeasibleError, InputError, UnsyncError
-from .evaluate import THRESHOLDS, EvalReport, emit_tables, evaluate
-from .geometry import (
-    CameraFrame,
-    ObservationSet,
-    RayField,
-    assemble_structure,
-    compute_rays,
-    frame_centers,
-    frame_video_ids,
-    project_depth,
-    reproject,
-    structure_from_points,
-    structure_to_points,
-    validate_frames,
-)
-from .simplex import (
-    SupportMask,
-    coding_kkt,
-    minimize_on_simplex,
-    project_to_masked_simplex,
-    project_to_simplex,
-    self_express,
-    simplex_code,
-    sparsity_profile,
-    support_mask,
-    validate_mask,
-)
-from .solver import (
-    SolveState,
-    SolverConfig,
-    admm_w_step,
-    coupling_matrix,
-    initialize_depths,
-    minimize_structure,
-    normalize_scale,
-    objective,
-    pair_distance_matrix,
-    psi1,
-    psi2,
-    smoothness_operator,
-    soft_ray_cost,
-    solve,
-    video_pairs,
-    x_step,
-)
-from .synth import (
-    CorruptionSpec,
-    MotionSource,
-    RigSpec,
-    SyntheticScene,
-    decimate,
-    generate,
-    load_mocap,
-    procedural_motion,
-    save_mocap,
-    sweep,
-)
+from . import analysis, errors, evaluate, geometry, simplex, solver, synth
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CameraFrame",
-    "CorruptionSpec",
-    "ErrorSolution",
-    "EvalReport",
-    "FilterBank",
-    "GeometryError",
-    "InfeasibleError",
-    "InputError",
-    "MotionSource",
-    "ObservationSet",
-    "RayField",
-    "ReconstructabilityReport",
-    "RigSpec",
-    "SolveState",
-    "SolverConfig",
-    "SupportMask",
-    "SyntheticScene",
-    "THRESHOLDS",
-    "UnsyncError",
-    "admm_w_step",
-    "analyze_point",
-    "analyze_scene",
-    "assemble_structure",
-    "build_system",
-    "coding_kkt",
-    "compute_rays",
-    "coupling_matrix",
-    "decimate",
-    "emit_tables",
-    "error_vector",
-    "evaluate",
-    "filter_weights",
-    "frame_centers",
-    "frame_video_ids",
-    "generate",
-    "initialize_depths",
-    "load_mocap",
-    "minimize_on_simplex",
-    "minimize_structure",
-    "normalize_scale",
-    "objective",
-    "pair_distance_matrix",
-    "procedural_motion",
-    "project_depth",
-    "project_to_masked_simplex",
-    "project_to_simplex",
-    "psi1",
-    "psi2",
-    "reproject",
-    "residual",
-    "save_mocap",
-    "self_express",
-    "simplex_code",
-    "smoothness_operator",
-    "soft_ray_cost",
-    "solve",
-    "sparsity_profile",
-    "structure_from_points",
-    "structure_to_points",
-    "support_mask",
-    "sweep",
-    "system_condition",
-    "validate_frames",
-    "validate_mask",
-    "video_pairs",
-    "x_step",
-]
+# each submodule's __all__ is the one declaration of its public names; build
+# the package's before the star imports rebind ``evaluate`` to the function
+__all__ = sorted(
+    name
+    for module in (analysis, errors, evaluate, geometry, simplex, solver, synth)
+    for name in module.__all__
+)
+
+from .analysis import *  # noqa: E402, F403
+from .errors import *  # noqa: E402, F403
+from .evaluate import *  # noqa: E402, F403
+from .geometry import *  # noqa: E402, F403
+from .simplex import *  # noqa: E402, F403
+from .solver import *  # noqa: E402, F403
+from .synth import *  # noqa: E402, F403

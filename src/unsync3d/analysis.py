@@ -88,9 +88,14 @@ def build_system(ray_dirs, weights, ground_truth=None):
         raise InputError(f"weights shape {W.shape} does not match F={F}")
     if not np.isfinite(R).all():
         raise InputError("ray directions must be finite for every frame")
+    if not np.isfinite(W).all():
+        raise InputError("weights must be finite")
     Q = np.eye(F) - W
-    S = Q @ Q.T
-    A = S * (R @ R.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = Q @ Q.T
+        A = S * (R @ R.T)
+    if not np.isfinite(A).all():
+        raise InputError("weights overflow Q Q^T in the analysis system")
     if ground_truth is None:
         return A, None
     X = np.asarray(ground_truth, dtype=float)
@@ -98,13 +103,19 @@ def build_system(ray_dirs, weights, ground_truth=None):
         raise InputError(
             f"ground_truth must be (3, F) for single-point analysis, got {X.shape}"
         )
-    b = np.einsum("fa,af->f", R, X @ S)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.einsum("fa,af->f", R, X @ S)
+    if not np.isfinite(b).all():
+        raise InputError("ground truth and weights give a non-finite X S")
     return A, b
 
 
 def system_condition(a_matrix):
     """1/sigma_min(A), infinite past the 1e-12 relative singular cutoff."""
-    s = np.linalg.svd(np.asarray(a_matrix, dtype=float), compute_uv=False)
+    A = np.asarray(a_matrix, dtype=float)
+    if not np.isfinite(A).all():
+        raise InputError("system matrix A must be finite")
+    s = np.linalg.svd(A, compute_uv=False)
     smax = float(s[0])
     smin = float(s[-1])
     if smax == 0.0 or smin < 1e-12 * smax:
@@ -121,6 +132,8 @@ def error_vector(a_matrix, b_vector):
     """
     A = np.asarray(a_matrix, dtype=float)
     b = np.asarray(b_vector, dtype=float)
+    if not np.isfinite(b).all():
+        raise InputError("right-hand side b must be finite")
     cond = system_condition(A)
     if math.isfinite(cond):
         l = np.linalg.solve(A, b)

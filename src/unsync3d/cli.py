@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -37,6 +38,10 @@ from .synth import (
     load_mocap,
     procedural_motion,
 )
+
+
+# the solve flags: one --field-name option per numeric SolverConfig field
+_NUMERIC_FIELDS = [spec for spec in fields(SolverConfig) if spec.type is not bool]
 
 
 def _fail(category, message):
@@ -118,21 +123,17 @@ def _build_parser():
     sol.add_argument("--scene", required=True)
     sol.add_argument("--out", required=True)
     sol.add_argument("--config", default=None, help="config file to start from")
-    sol.add_argument("--lambda1", type=float, default=None)
-    sol.add_argument("--lambda2", type=float, default=None)
-    sol.add_argument("--lambda3", default=None, help="positive float or 'inf'")
+    for spec in _NUMERIC_FIELDS:
+        flag = "--" + spec.name.replace("_", "-")
+        if spec.name == "lambda3":  # a string, so a bad value exits 3
+            sol.add_argument(flag, help="positive float or 'inf'")
+        else:
+            sol.add_argument(flag, type=spec.type)
     sol.add_argument(
         "--soft",
         action="store_true",
         help="shortcut for --lambda3 100 (noisy observations)",
     )
-    sol.add_argument("--rho", type=float, default=None)
-    sol.add_argument("--outer-max", type=int, default=None)
-    sol.add_argument("--outer-rel-tol", type=float, default=None)
-    sol.add_argument("--admm-abs-tol", type=float, default=None)
-    sol.add_argument("--admm-rel-tol", type=float, default=None)
-    sol.add_argument("--admm-max-iter", type=int, default=None)
-    sol.add_argument("--consensus-tol", type=float, default=None)
     sol.add_argument(
         "--allow-same-video",
         action="store_true",
@@ -239,41 +240,26 @@ def _cmd_simulate(args):
     return 0
 
 
-# solve options copied onto the config field of the same name when given
-_CONFIG_OVERRIDES = (
-    "lambda1",
-    "lambda2",
-    "rho",
-    "outer_max",
-    "outer_rel_tol",
-    "admm_abs_tol",
-    "admm_rel_tol",
-    "admm_max_iter",
-    "consensus_tol",
-)
-
-
 def _config_from_args(args):
     config = (
         sceneio.load_config(args.config) if args.config else SolverConfig()
     )
-    for name in _CONFIG_OVERRIDES:
-        value = getattr(args, name)
-        if value is not None:
-            setattr(config, name, value)
     if args.allow_same_video:
         config.same_video_exclusion = False
     if args.no_second_stage:
         config.second_stage = False
-    if args.soft and args.lambda3 is None:
+    if args.soft:
         config.lambda3 = 100.0
-    if args.lambda3 is not None:
-        try:
-            config.lambda3 = (
-                math.inf if args.lambda3.lower() == "inf" else float(args.lambda3)
-            )
-        except ValueError as exc:
-            raise InputError(f"bad --lambda3 value {args.lambda3!r}") from exc
+    for spec in _NUMERIC_FIELDS:
+        value = getattr(args, spec.name)
+        if value is None:
+            continue
+        if spec.name == "lambda3":
+            try:
+                value = float(value)
+            except ValueError as exc:
+                raise InputError(f"bad --lambda3 value {value!r}") from exc
+        setattr(config, spec.name, value)
     config.validate()
     return config
 

@@ -6,6 +6,8 @@ ValueError so plain library users can catch validation failures the usual
 way.
 """
 
+__all__ = ["UnsyncError", "InputError", "InfeasibleError", "GeometryError"]
+
 
 class UnsyncError(Exception):
     """Base class for all package errors."""

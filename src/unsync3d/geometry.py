@@ -326,5 +326,7 @@ def structure_to_points(structure, point_count):
 def structure_from_points(points):
     """Stack a (P, F, 3) point array into the 3P x F structure layout."""
     points = np.asarray(points, dtype=float)
+    if points.ndim != 3 or points.shape[2] != 3:
+        raise InputError(f"points must be shaped (P, F, 3), got {points.shape}")
     P, F, _ = points.shape
     return points.transpose(0, 2, 1).reshape(3 * P, F)

@@ -33,7 +33,12 @@ import numpy as np
 
 from .errors import InputError
 from .evaluate import THRESHOLDS, EvalReport
-from .geometry import CameraFrame, ObservationSet
+from .geometry import (
+    CameraFrame,
+    ObservationSet,
+    structure_from_points,
+    structure_to_points,
+)
 from .solver import SolverConfig
 
 __all__ = [
@@ -177,8 +182,7 @@ def load_scene(path):
 
 def save_truth(path, truth, truth_order, hz, assignment=None):
     truth = np.asarray(truth, dtype=float)
-    P = truth.shape[0] // 3
-    points = truth.reshape(P, 3, -1).transpose(0, 2, 1).tolist()
+    points = structure_to_points(truth, truth.shape[0] // 3).tolist()
     _dump(
         path,
         {
@@ -197,8 +201,7 @@ def save_truth(path, truth, truth_order, hz, assignment=None):
 def load_truth(path):
     doc = _load(path, "unsync3d-truth")
     try:
-        points = np.array(doc["points"], dtype=float)
-        truth = points.transpose(0, 2, 1).reshape(3 * points.shape[0], -1)
+        truth = structure_from_points(doc["points"])
         order = np.array(doc["time_rank"], dtype=int)
         hz = float(doc["hz"])
         assignment = (
@@ -268,17 +271,19 @@ def load_weights(path):
         raise InputError(f"malformed weights file {path}: {exc}") from exc
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise InputError(f"weights must be square, got {W.shape}")
+    if not np.isfinite(W).all():
+        raise InputError(f"malformed weights file {path}: weights must be finite")
     return W
 
 
 def save_result(path, state, config=None):
     structure = np.asarray(state.structure, dtype=float)
-    P = structure.shape[0] // 3
+    points = structure_to_points(structure, structure.shape[0] // 3)
     depths = np.asarray(state.depths, dtype=float)
     doc = {
         "format": "unsync3d-result",
         "version": _VERSION,
-        "structure": structure.reshape(P, 3, -1).transpose(0, 2, 1).tolist(),
+        "structure": points.tolist(),
         "depths": [
             [None if not np.isfinite(d) else float(d) for d in row]
             for row in depths
@@ -300,8 +305,7 @@ def save_result(path, state, config=None):
 def load_result(path):
     doc = _load(path, "unsync3d-result")
     try:
-        points = np.array(doc["structure"], dtype=float)
-        structure = points.transpose(0, 2, 1).reshape(3 * points.shape[0], -1)
+        structure = structure_from_points(doc["structure"])
         depths = np.array(
             [
                 [np.nan if d is None else float(d) for d in row]

@@ -45,6 +45,7 @@ from .geometry import (
     compute_rays,
     frame_centers,
     frame_video_ids,
+    structure_from_points,
     structure_to_points,
     validate_frames,
 )
@@ -463,7 +464,7 @@ def minimize_structure(coupling, rays, lambda3=math.inf, flags=None):
         points[part], depths[part], bad = _minimize_stack(Mc, rays, part, lambda3)
         ridged.update(start + i for i in bad)
     flags.extend(f"ridge:point-{p}" for p in sorted(ridged))
-    return points.transpose(0, 2, 1).reshape(3 * P, F), depths
+    return structure_from_points(points), depths
 
 
 def x_step(structure, weights, config, rays, frames, flags=None):

@@ -82,6 +82,31 @@ def test_system_condition_identity_scaling_and_singular():
     assert system_condition(ok) == pytest.approx(1e3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_system_condition_rejects_non_finite_matrix(bad):
+    A = np.eye(3)
+    A[1, 2] = bad
+    with pytest.raises(InputError):
+        system_condition(A)
+
+
+def test_error_vector_rejects_non_finite_b():
+    with pytest.raises(InputError):
+        error_vector(np.eye(3), np.array([1.0, math.nan, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1e308])
+def test_build_system_rejects_non_finite_or_overflowing_weights(bad):
+    rng = np.random.default_rng(5)
+    R = random_rays(6, rng)
+    W = column_stochastic(6, rng)
+    W[2, 4] = bad
+    with pytest.raises(InputError):
+        build_system(R, W)
+    with pytest.raises(InputError):
+        build_system(R, W, rng.normal(size=(3, 6)))
+
+
 def test_error_vector_bound_holds_and_zero_b_gives_zero_l():
     rng = np.random.default_rng(2)
     for _ in range(100):

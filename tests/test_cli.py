@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unsync3d import sceneio
-from unsync3d.cli import main
+from unsync3d.cli import _build_parser, _config_from_args, main
 from unsync3d.solver import SolverConfig
 
 
@@ -204,6 +205,19 @@ def test_analyze_with_truth_weights(tmp_path, capsys):
     assert doc["max_condition"] >= doc["mean_condition"]
 
 
+def test_analyze_rejects_non_finite_weights_file(tmp_path, capsys):
+    scene, _ = simulate_small(tmp_path, capsys, seed=8)
+    weights = tmp_path / "w.json"
+    sceneio.save_weights(weights, np.zeros((24, 24)))
+    weights.write_text(weights.read_text().replace("0.0", "NaN", 1))
+    code, _, err = run(
+        capsys, "analyze", "--scene", str(scene), "--weights", str(weights),
+        "--out", str(tmp_path / "a.json"),
+    )
+    assert code == 3, err
+    assert json.loads(err.strip().split("\n")[-1])["category"] == "input"
+
+
 def test_analyze_without_truth_or_weights_fails(tmp_path, capsys):
     scene, _ = simulate_small(tmp_path, capsys, seed=9)
     code, out, err = run(
@@ -324,6 +338,23 @@ def test_solve_rejects_nan_lambda1(tmp_path, capsys):
     msg = json.loads(err.strip().split("\n")[-1])
     assert msg["category"] == "input"
     assert "lambda1" in msg["message"]
+
+
+@pytest.mark.parametrize(
+    "spec", [spec for spec in fields(SolverConfig) if spec.type is not bool],
+    ids=lambda spec: spec.name,
+)
+def test_solve_flag_sets_its_config_field(spec):
+    # a valid value that differs from every default
+    value = 7 if spec.type is int else 0.5
+    flag = "--" + spec.name.replace("_", "-")
+    args = _build_parser().parse_args(
+        ["solve", "--scene", "s.json", "--out", "r.json", flag, str(value)]
+    )
+    config = _config_from_args(args)
+    expected = replace(SolverConfig(), **{spec.name: value})
+    assert config == expected
+    assert type(getattr(config, spec.name)) is spec.type
 
 
 def test_solve_rejects_mistyped_config_values(tmp_path, capsys):

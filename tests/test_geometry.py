@@ -149,6 +149,12 @@ def test_structure_to_points_rejects_row_mismatch():
         structure_to_points(np.zeros((10, 4)), 3)
 
 
+@pytest.mark.parametrize("shape", [(4, 6, 2), (4, 6, 4), (12, 6), (4, 6, 3, 1)])
+def test_structure_from_points_rejects_non_point_arrays(shape):
+    with pytest.raises(InputError):
+        structure_from_points(np.zeros(shape))
+
+
 def test_reproject_marks_points_behind_camera_absent():
     frames = toy_frames(2, radius=2.0)
     # place the point far behind camera 0 (beyond its center along -z view)

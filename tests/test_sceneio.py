@@ -136,6 +136,40 @@ def test_result_round_trip(tmp_path, scene):
     assert doc["counters"]["outer_iterations"] == state.outer_iterations
 
 
+@pytest.mark.parametrize("coords", [2, 4])
+def test_truth_and_result_loaders_reject_wrong_coordinate_count(
+    tmp_path, scene, coords
+):
+    # 3 points x 24 frames with 4 coordinates each would reshape to 9 x 32
+    points = np.zeros((3, 24, coords)).tolist()
+    truth = tmp_path / "t.json"
+    sceneio.save_truth(truth, scene.truth, scene.truth_order, scene.hz)
+    doc = json.loads(truth.read_text())
+    doc["points"] = points
+    truth.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="points must be shaped"):
+        sceneio.load_truth(truth)
+
+    state = solve(scene.observations, scene.frames, SolverConfig(outer_max=1))
+    result = tmp_path / "r.json"
+    sceneio.save_result(result, state)
+    doc = json.loads(result.read_text())
+    doc["structure"] = points
+    result.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="points must be shaped"):
+        sceneio.load_result(result)
+
+
+def test_load_weights_rejects_non_finite_entries(tmp_path):
+    p = tmp_path / "w.json"
+    sceneio.save_weights(p, np.zeros((3, 3)))
+    for bad in ("NaN", "Infinity"):
+        p.write_text(p.read_text().replace("0.0", bad, 1))
+        with pytest.raises(InputError, match="finite"):
+            sceneio.load_weights(p)
+        sceneio.save_weights(p, np.zeros((3, 3)))
+
+
 def test_report_round_trip(tmp_path, scene):
     W = np.zeros((16, 16))
     W[0, :] = 1.0
