@@ -245,6 +245,8 @@ def analyze_scene(rays, weights, ground_truth=None):
     analyzed point must be observed in all frames.
     """
     P = rays.present.shape[0]
+    if P == 0:
+        raise InputError("scene has no points")
     X = None
     if ground_truth is not None:
         X = np.asarray(ground_truth, dtype=float)

@@ -126,14 +126,11 @@ def _build_parser():
     for spec in _NUMERIC_FIELDS:
         flag = "--" + spec.name.replace("_", "-")
         if spec.name == "lambda3":  # a string, so a bad value exits 3
-            sol.add_argument(flag, help="positive float or 'inf'")
+            sol.add_argument(
+                flag, help="positive float, or 'inf' (100 suits noisy pixels)"
+            )
         else:
             sol.add_argument(flag, type=spec.type)
-    sol.add_argument(
-        "--soft",
-        action="store_true",
-        help="shortcut for --lambda3 100 (noisy observations)",
-    )
     sol.add_argument(
         "--allow-same-video",
         action="store_true",
@@ -248,8 +245,6 @@ def _config_from_args(args):
         config.same_video_exclusion = False
     if args.no_second_stage:
         config.second_stage = False
-    if args.soft:
-        config.lambda3 = 100.0
     for spec in _NUMERIC_FIELDS:
         value = getattr(args, spec.name)
         if value is None:

@@ -64,6 +64,9 @@ def evaluate(estimate, truth, weights, truth_order, counters=None):
         )
     P = est.shape[0] // 3
     F = est.shape[1]
+    # the error statistics need a point, the neighbour score a second frame
+    if P == 0 or F < 2:
+        raise InputError(f"need at least 1 point and 2 frames, got {P} and {F}")
     W = np.asarray(weights, dtype=float)
     if W.shape != (F, F):
         raise InputError(f"weights shape {W.shape} does not match F={F}")

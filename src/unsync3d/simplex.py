@@ -401,7 +401,7 @@ def _drop_blocker(W, support, stuck, rows, atoms, face):
     support[rows[~empty], atoms[at, drop][~empty]] = False
 
 
-def simplex_code(target, dictionary, allowed, warm_start=None):
+def simplex_code(target, dictionary, allowed):
     """Code one target over the masked simplex of dictionary columns.
 
     Parameters
@@ -412,8 +412,6 @@ def simplex_code(target, dictionary, allowed, warm_start=None):
         Atom columns, typically the structure matrix itself.
     allowed : (F,) boolean array
         Atoms permitted to carry weight.
-    warm_start : (F,) array, optional
-        Previous solution used to seed the active set.
 
     Returns
     -------
@@ -437,9 +435,8 @@ def simplex_code(target, dictionary, allowed, warm_start=None):
     D = dictionary[:, idx]
     H = D.T @ D
     c = -2.0 * (D.T @ target)
-    w0 = warm_start[idx] if warm_start is not None else None
     w = np.zeros(allowed.size)
-    w[idx] = minimize_on_simplex(H, c, w0=w0)
+    w[idx] = minimize_on_simplex(H, c)
     return w
 
 
@@ -483,7 +480,7 @@ def sparsity_profile(weights, eps):
     return (weights > eps).sum(axis=0)
 
 
-def coding_kkt(target, dictionary, weights, allowed, active_tol=1e-12):
+def coding_kkt(target, dictionary, weights, allowed):
     """Optimality diagnostics for one coded column.
 
     Returns (gradient, mu, worst_gap): the gradient 2 D^T (D w - t) over
@@ -495,7 +492,7 @@ def coding_kkt(target, dictionary, weights, allowed, active_tol=1e-12):
     w = np.asarray(weights, dtype=float)
     allowed = np.asarray(allowed, dtype=bool)
     g = 2.0 * (D.T @ (D @ w - np.asarray(target, dtype=float)))
-    active = allowed & (w > active_tol)
+    active = allowed & (w > 1e-12)
     if not active.any():
         raise InputError("no active atoms in coded column")
     mu = g[active].mean()

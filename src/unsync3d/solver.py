@@ -93,10 +93,7 @@ class SolverConfig:
     rho: float = 1.0
     outer_max: int = 100
     outer_rel_tol: float = 1e-6
-    admm_abs_tol: float = 1e-5
-    admm_rel_tol: float = 1e-4
     admm_max_iter: int = 500
-    consensus_tol: float = 1e-4
     same_video_exclusion: bool = True
     second_stage: bool = True
 
@@ -123,14 +120,8 @@ class SolverConfig:
             raise InputError("lambda3 must be positive (inf = hard constraint)")
         if not self.rho > 0:
             raise InputError("rho must be positive")
-        for name in (
-            "outer_rel_tol",
-            "admm_abs_tol",
-            "admm_rel_tol",
-            "consensus_tol",
-        ):
-            if not getattr(self, name) > 0:
-                raise InputError(f"{name} must be positive")
+        if not self.outer_rel_tol > 0:
+            raise InputError("outer_rel_tol must be positive")
         if self.outer_max < 1 or self.admm_max_iter < 1:
             raise InputError("iteration caps must be at least 1")
 
@@ -488,6 +479,12 @@ def x_step(structure, weights, config, rays, frames, flags=None):
 # at the cap is left to the KKT-gap test and the active-set polish
 _NEWTON_STEPS = 30
 
+# ADMM stop rule: primal and dual residuals under F * abs + rel * scale
+# (Boyd et al. 2011, sec. 3.3.1), and the largest |W - Z| under consensus
+_ADMM_ABS_TOL = 1e-5
+_ADMM_REL_TOL = 1e-4
+_CONSENSUS_TOL = 1e-4
+
 
 def _dual_newton(X, outer, W, const, allowed, scale, rho):
     """Solve step 1 of ``admm_w_step`` by semismooth Newton on y = X w.
@@ -696,14 +693,14 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
             best_val = val
             best_W = W.copy()
 
-        eps_pri = F * config.admm_abs_tol + config.admm_rel_tol * max(
+        eps_pri = F * _ADMM_ABS_TOL + _ADMM_REL_TOL * max(
             np.linalg.norm(W), np.linalg.norm(Z)
         )
-        eps_dual = F * config.admm_abs_tol + config.admm_rel_tol * np.linalg.norm(Y)
+        eps_dual = F * _ADMM_ABS_TOL + _ADMM_REL_TOL * np.linalg.norm(Y)
         if (
             r_pri <= eps_pri
             and s_dual <= eps_dual
-            and np.abs(gap).max() <= config.consensus_tol
+            and np.abs(gap).max() <= _CONSENSUS_TOL
         ):
             converged = True
             break

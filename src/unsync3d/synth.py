@@ -50,8 +50,8 @@ class MotionSource:
             )
         if not np.isfinite(self.points).all():
             raise InputError("motion contains non-finite coordinates")
-        if self.hz <= 0:
-            raise InputError(f"sample rate must be positive, got {self.hz}")
+        if not (math.isfinite(self.hz) and self.hz > 0):
+            raise InputError(f"sample rate must be finite and positive, got {self.hz}")
 
 
 @dataclass
@@ -78,12 +78,19 @@ class RigSpec:
             raise InputError("camera_count must be at least 1")
         if not (math.isfinite(self.distance_factor) and self.distance_factor > 0):
             raise InputError("distance_factor must be finite and positive")
-        if self.focal <= 0:
-            raise InputError("focal must be positive")
+        if not (math.isfinite(self.focal) and self.focal > 0):
+            raise InputError("focal must be finite and positive")
+        if not math.isfinite(self.principal_point):
+            raise InputError("principal_point must be finite")
         if self.mode not in ("static", "handheld", "random"):
             raise InputError(f"unknown rig mode {self.mode!r}")
-        if self.jitter_sigma < 0:
-            raise InputError("jitter_sigma must be nonnegative")
+        if not (math.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0):
+            raise InputError("jitter_sigma must be finite and nonnegative")
+        # camera heights are drawn from [-spread, spread], a width of 2 spread
+        if not (self.height_spread >= 0 and math.isfinite(2.0 * self.height_spread)):
+            raise InputError(
+                "height_spread must be nonnegative with 2 x height_spread finite"
+            )
 
 
 @dataclass
@@ -96,8 +103,8 @@ class CorruptionSpec:
     seed: int = 0
 
     def validate(self):
-        if self.noise_sigma < 0:
-            raise InputError("noise_sigma must be nonnegative")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise InputError("noise_sigma must be finite and nonnegative")
         if not 0.0 <= self.miss_rate < 1.0:
             raise InputError(f"miss_rate must be in [0, 1), got {self.miss_rate}")
         if isinstance(self.seed, numbers.Integral) and self.seed < 0:
@@ -124,22 +131,26 @@ def procedural_motion(
     seed=0,
     scale=500.0,
     harmonics=3,
-    step_limit=None,
 ):
     """Smooth sum-of-sinusoids point trajectories.
 
     Each point oscillates around a random base position inside a box of
     side ``scale`` with ``harmonics`` random low-frequency components per
     axis.  The dynamic part is rescaled, if needed, so no point moves more
-    than ``step_limit`` (default 4% of scale) between consecutive samples,
-    which keeps consecutive shapes the best mutual representers.
+    than 4% of scale between consecutive samples, which keeps consecutive
+    shapes the best mutual representers.
     """
     if point_count < 1 or sample_count < 2:
         raise InputError("need at least 1 point and 2 samples")
+    if harmonics < 1:
+        raise InputError(f"need at least 1 harmonic, got {harmonics}")
     if isinstance(seed, numbers.Integral) and seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
-    if step_limit is None:
-        step_limit = 0.04 * scale
+    if not (math.isfinite(hz) and hz > 0):
+        raise InputError(f"hz must be finite and positive, got {hz}")
+    if not (math.isfinite(scale) and scale >= 0):
+        raise InputError(f"scale must be finite and nonnegative, got {scale}")
+    step_limit = 0.04 * scale
     rng = np.random.default_rng(seed)
     base = rng.uniform(-0.5, 0.5, (point_count, 3)) * scale
     freqs = rng.uniform(0.5, 2.5, (point_count, 3, harmonics))
@@ -147,14 +158,18 @@ def procedural_motion(
     amps = rng.uniform(0.3, 1.0, (point_count, 3, harmonics)) * (
         0.25 * scale / harmonics
     )
-    t = np.arange(sample_count) / hz
-    # (T, P, 3): sum over harmonics of amp * sin(2 pi f t + phase)
-    angles = (
-        2.0 * math.pi * freqs[None, :, :, :] * t[:, None, None, None]
-        + phases[None, :, :, :]
-    )
-    osc = (amps[None, :, :, :] * np.sin(angles)).sum(axis=3)
-    steps = np.linalg.norm(np.diff(osc, axis=0), axis=2)
+    # a tiny hz overflows the sample times, a huge scale the squared steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.arange(sample_count) / hz
+        # (T, P, 3): sum over harmonics of amp * sin(2 pi f t + phase)
+        angles = (
+            2.0 * math.pi * freqs[None, :, :, :] * t[:, None, None, None]
+            + phases[None, :, :, :]
+        )
+        osc = (amps[None, :, :, :] * np.sin(angles)).sum(axis=3)
+        steps = np.linalg.norm(np.diff(osc, axis=0), axis=2)
+    if not np.isfinite(steps).all():
+        raise InputError(f"scale {scale} at hz {hz} overflows the motion")
     max_step = float(steps.max()) if steps.size else 0.0
     if max_step > step_limit > 0:
         osc *= step_limit / max_step
@@ -240,6 +255,9 @@ def _assign_cameras(sample_count, camera_count, exclusion, block_length, rng):
     return rng.integers(camera_count, size=sample_count)
 
 
+# huge finite rig or motion values overflow the camera geometry or the pixels
+# to inf or NaN, which validate_frames and ObservationSet reject
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def generate(motion, rig, corruption, block_length=None):
     """Build one synthetic scene.
 
@@ -275,7 +293,9 @@ def generate(motion, rig, corruption, block_length=None):
     N = rig.camera_count
     angle0 = rig_rng.uniform(0.0, 2.0 * math.pi)
     angles = angle0 + 2.0 * math.pi * np.arange(N) / N
-    heights = rig_rng.uniform(-rig.height_spread, rig.height_spread, N) * radius
+    # validate passes -0.0, which uniform refuses as a high below low = 0.0
+    spread = abs(rig.height_spread)
+    heights = rig_rng.uniform(-spread, spread, N) * radius
     bases = centroid + np.stack(
         [radius * np.cos(angles), radius * np.sin(angles), heights], axis=1
     )
@@ -305,7 +325,7 @@ def generate(motion, rig, corruption, block_length=None):
                 target = centroid
             else:
                 ang = rig_rng.uniform(0.0, 2.0 * math.pi)
-                h = rig_rng.uniform(-rig.height_spread, rig.height_spread) * radius
+                h = rig_rng.uniform(-spread, spread) * radius
                 center = centroid + np.array(
                     [radius * math.cos(ang), radius * math.sin(ang), h]
                 )

@@ -226,6 +226,21 @@ def test_analyze_without_truth_or_weights_fails(tmp_path, capsys):
     assert code == 3
 
 
+def test_analyze_rejects_scene_without_points(tmp_path, capsys):
+    scene, _ = simulate_small(tmp_path, capsys, seed=9)
+    doc = json.loads(scene.read_text())
+    doc["observations"] = []
+    scene.write_text(json.dumps(doc))
+    weights = tmp_path / "w.json"
+    sceneio.save_weights(weights, np.zeros((24, 24)))
+    code, _, err = run(
+        capsys, "analyze", "--scene", str(scene), "--weights", str(weights),
+        "--out", str(tmp_path / "a.json"),
+    )
+    assert code == 3, err
+    assert json.loads(err.strip().split("\n")[-1])["message"] == "scene has no points"
+
+
 def test_baseline_filter_solve(tmp_path, capsys):
     scene, truth = simulate_small(tmp_path, capsys, seed=10)
     out_path = tmp_path / "base.json"

@@ -116,6 +116,11 @@ def test_evaluate_validation():
         evaluate(truth, truth, W, np.array([0, 1, 1, 3]))
     with pytest.raises(InputError):
         evaluate(truth, truth, W, np.arange(5))
+    # the neighbour score needs a second frame, the error statistics a point
+    with pytest.raises(InputError, match="1 point and 2 frames"):
+        evaluate(np.zeros((3, 1)), np.zeros((3, 1)), np.ones((1, 1)), identity_order(1))
+    with pytest.raises(InputError, match="1 point and 2 frames"):
+        evaluate(np.zeros((0, 4)), np.zeros((0, 4)), W, identity_order(4))
     with pytest.raises(InputError, match="weights must be finite"):
         evaluate(truth, truth, np.full((4, 4), np.inf), identity_order(4))
     # finite coordinates whose squared distance overflows

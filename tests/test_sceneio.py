@@ -73,7 +73,13 @@ def test_config_round_trip_with_infinite_lambda3(tmp_path):
 
     # a field SolverConfig does not have (removed options included) is
     # rejected, like any unknown key
-    for key, value in (("seed", 9), ("adapt_rho", True)):
+    for key, value in (
+        ("seed", 9),
+        ("adapt_rho", True),
+        ("admm_abs_tol", 1e-5),
+        ("admm_rel_tol", 1e-4),
+        ("consensus_tol", 1e-4),
+    ):
         sceneio.save_config(p, soft)
         doc = json.loads(p.read_text())
         doc[key] = value

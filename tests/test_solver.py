@@ -93,7 +93,6 @@ def test_config_defaults_and_validation():
         ("lambda3", -math.inf),
         ("rho", math.inf),
         ("outer_rel_tol", math.nan),
-        ("consensus_tol", math.inf),
         ("lambda1", 10**400),
         ("lambda1", "abc"),
         ("lambda1", True),
@@ -451,7 +450,7 @@ def test_admm_w_step_feasible_and_descends():
     assert np.abs(W[~mask.allowed]).max() == 0.0
     assert info["iterations"] >= 1
     # consensus between the two blocks
-    assert np.abs(W - Z).max() < 10 * cfg.consensus_tol
+    assert np.abs(W - Z).max() < 10 * solver._CONSENSUS_TOL
 
     # a second, hot-started call never worsens the coupled objective
     def coupled(Wc):

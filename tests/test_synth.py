@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from unsync3d.errors import InfeasibleError, InputError
+from unsync3d.errors import InfeasibleError, InputError, UnsyncError
 from unsync3d.geometry import reproject, structure_to_points
 from unsync3d.synth import (
     CorruptionSpec,
@@ -48,6 +50,8 @@ def test_procedural_motion_shape_determinism_and_step_limit():
         procedural_motion(4, 1)
     with pytest.raises(InputError):
         procedural_motion(4, 50, seed=-1)
+    with pytest.raises(InputError, match="harmonic"):
+        procedural_motion(4, 50, harmonics=0)
 
 
 def test_motion_source_validation():
@@ -57,6 +61,9 @@ def test_motion_source_validation():
         MotionSource(points=np.full((5, 2, 3), np.nan), hz=100.0)
     with pytest.raises(InputError):
         MotionSource(points=np.zeros((5, 2, 3)), hz=0.0)
+    for hz in (math.nan, math.inf):
+        with pytest.raises(InputError, match="sample rate"):
+            MotionSource(points=np.zeros((5, 2, 3)), hz=hz)
 
 
 def test_mocap_round_trip(tmp_path):
@@ -112,6 +119,25 @@ def test_spec_validation():
         CorruptionSpec(miss_rate=1.0).validate()
     with pytest.raises(InputError):
         CorruptionSpec(seed=-1).validate()
+    # NaN passes every range test, so each float field checks finiteness
+    for name in ("focal", "principal_point", "jitter_sigma", "height_spread"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(InputError, match=name):
+                RigSpec(**{name: value}).validate()
+    # camera heights are drawn over a width of 2 x height_spread
+    for spread in (-1.0, 1e308):
+        with pytest.raises(InputError, match="height_spread"):
+            RigSpec(height_spread=spread).validate()
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(InputError, match="noise_sigma"):
+            CorruptionSpec(noise_sigma=sigma).validate()
+    # a spread of -0.0 is a spread of 0
+    motion = procedural_motion(2, 12, seed=5)
+    corr = CorruptionSpec(seed=5)
+    flat = generate(motion, RigSpec(height_spread=0.0), corr)
+    signed = generate(motion, RigSpec(height_spread=-0.0), corr)
+    for a, b in zip(flat.frames, signed.frames):
+        assert np.array_equal(a.center, b.center)
 
 
 def test_generate_covers_every_sample_once_with_exclusion():
@@ -244,3 +270,61 @@ def test_sweep_axes_and_unknown_axis():
 
     with pytest.raises(InputError):
         sweep(motion, rig, corr, "zoom", [1.0])
+
+
+# a plausible range for each float input of a synthetic scene; the fields
+# under test draw from WILD_FLOATS instead
+FLOAT_INPUTS = {
+    "hz": (1.0, 240.0),
+    "scale": (1.0, 1000.0),
+    "distance_factor": (0.5, 4.0),
+    "focal": (100.0, 2000.0),
+    "principal_point": (0.0, 1000.0),
+    "jitter_sigma": (0.0, 50.0),
+    "height_spread": (0.0, 1.0),
+    "noise_sigma": (0.0, 5.0),
+    "miss_rate": (0.0, 0.9),
+}
+WILD_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0, 1e308, -1e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_generate_returns_a_scene_or_raises_unsync_error(data):
+    wild = data.draw(st.sets(st.sampled_from(sorted(FLOAT_INPUTS)), max_size=2))
+    x = {
+        name: data.draw(WILD_FLOATS if name in wild else st.floats(lo, hi), name)
+        for name, (lo, hi) in FLOAT_INPUTS.items()
+    }
+    try:
+        motion = procedural_motion(
+            data.draw(st.integers(1, 4), "points"),
+            data.draw(st.integers(2, 12), "samples"),
+            hz=x["hz"],
+            seed=data.draw(st.integers(0, 99), "motion seed"),
+            scale=x["scale"],
+            harmonics=data.draw(st.sampled_from([1, 2, 3, 0]), "harmonics"),
+        )
+        rig = RigSpec(
+            camera_count=data.draw(st.integers(1, 4), "cameras"),
+            distance_factor=x["distance_factor"],
+            focal=x["focal"],
+            principal_point=x["principal_point"],
+            jitter_sigma=x["jitter_sigma"],
+            mode=data.draw(st.sampled_from(["static", "handheld", "random"])),
+            height_spread=x["height_spread"],
+        )
+        corruption = CorruptionSpec(
+            noise_sigma=x["noise_sigma"],
+            miss_rate=x["miss_rate"],
+            consecutive_exclusion=data.draw(st.booleans()),
+            seed=data.draw(st.integers(0, 99), "seed"),
+        )
+        block = data.draw(st.none() | st.integers(0, 4), "block_length")
+        scene = generate(motion, rig, corruption, block_length=block)
+    except UnsyncError:
+        return
+    assert len(scene.frames) == motion.points.shape[0]
