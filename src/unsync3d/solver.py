@@ -24,7 +24,10 @@ each projection on the previous support before sorting, and the exact
 active-set engine finishes any column either leaves with an open KKT gap.
 The X update eliminates each point's unobserved frames in closed form (a
 Schur complement of the coupling) and solves what remains, one small linear
-system per point on its observed frames, in bounded stacks.  One loop
+system per point on its observed frames, in bounded stacks.  Its geometry
+(slot layout, gather and scatter indices, observed rays) is planned once per
+ray field, and a solve builds its video pairs once, so each pass only
+gathers the new coupling, solves and scatters.  One loop
 alternates them in every phase of a solve: a decoupled warm-up (exact
 coding, then X refits) pulls the depth initialization into the
 self-expressive basin; a coupled stage, then one with lambda2 = 0, let the
@@ -36,6 +39,7 @@ import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -158,6 +162,32 @@ def video_pairs(frames):
     return np.column_stack([seq[:-1, 0][same], seq[1:, 0][same]])
 
 
+class _SolveFrames(tuple):
+    """A frame list carrying its video pairs and their Laplacian T T^T.
+
+    ``solve`` wraps its frames once, so ``psi2`` and ``coupling_matrix``,
+    which run on every pass, do not rebuild them; they wrap any other
+    frame list per call (``_with_pairs``).  The Laplacian is built on first
+    use and kept as (flat indices, values) of its nonzero entries: an
+    F x F copy would stay alive through every W-step.
+    """
+
+    def __new__(cls, frames):
+        self = super().__new__(cls, frames)
+        self.pairs = video_pairs(self)
+        return self
+
+    @cached_property
+    def laplacian(self):
+        L = _smoothness_laplacian(self.pairs, len(self))
+        index = np.flatnonzero(L)
+        return index, L.ravel()[index]
+
+
+def _with_pairs(frames):
+    return frames if isinstance(frames, _SolveFrames) else _SolveFrames(frames)
+
+
 def smoothness_operator(frames):
     """F x M difference operator T with columns e_a - e_b per video pair."""
     pairs = video_pairs(frames)
@@ -180,7 +210,7 @@ def psi2(structure, frames):
 
     Defined as 0 (with a warning) when every video has a single frame.
     """
-    pairs = video_pairs(frames)
+    pairs = _with_pairs(frames).pairs
     if pairs.shape[0] == 0:
         warnings.warn("psi2 undefined with single-frame videos; returning 0")
         return 0.0
@@ -246,17 +276,20 @@ def coupling_matrix(weights, config, frames, point_count):
 
     Mc = (1/FP) (I - W)(I - W)^T + (lambda2 / M) T T^T, with the smoothness
     part dropped when lambda2 = 0 or no video has consecutive frames.  T T^T
-    is the video pairs' graph Laplacian, built from the pairs directly.
+    is the video pairs' graph Laplacian, built from the pairs directly and
+    added on its nonzero entries.
     """
     W = np.asarray(weights, dtype=float)
     F = W.shape[0]
     Q = np.eye(F) - W
     Mc = (Q @ Q.T) / (F * point_count)
     if config.lambda2 > 0:
-        pairs = video_pairs(frames)
-        if pairs.shape[0] > 0:
-            L = _smoothness_laplacian(pairs, F)
-            Mc = Mc + (config.lambda2 / pairs.shape[0]) * L
+        frames = _with_pairs(frames)
+        M = frames.pairs.shape[0]
+        if M > 0:
+            index, values = frames.laplacian
+            # Mc is a new contiguous array, so ravel is a view of it
+            Mc.ravel()[index] += (config.lambda2 / M) * values
     return Mc
 
 
@@ -341,79 +374,150 @@ def _slots(present):
     return np.where(used, frame, F + s), n_obs, No
 
 
-def _eliminate(Mc, slot, No, n_unobs):
-    """Eliminate each stack member's unobserved frames m from the coupling.
+def _entry_index(a, b, F):
+    # flat index of the coupling entry between slots a and b (see _slots)
+    # in Mc.ravel() followed by [0, 1]
+    pad = (a >= F) | (b >= F)
+    return np.where(pad, F * F + (a == b), a * F + b)
 
-    Returns (S, K, ridged members) with K = Mc_mm^-1 Mc_mo, so that
-    x_m = -K x_o, and the Schur complement S = Mc_oo - Mc_om K on the
-    observed slots [0, No).  Padding slots read an identity block past Mc,
-    which keeps them decoupled.  Mc is symmetric, so Mc_om = Mc_mo^T.
+
+class _StackPlan:
+    """What the X-step of one stack of points needs from its rays alone.
+
+    Every X-step of a solve couples the same rays, so ``minimize_structure``
+    builds these once per ray field and each pass only gathers the new
+    coupling Mc, solves and scatters.  A stack whose points see every frame
+    keeps views of the rays: S = Mc, and nothing to gather or eliminate.
+    Otherwise the plan holds the slot layout of ``_slots``, the observed
+    centres C and directions R (padding slots read a zero centre and the
+    unit direction e_x), flat indices of Mc_mm, Mc_mo and Mc_oo in one
+    padded copy of Mc that it reuses, and each frame's slot for the
+    scatter.  With finite lambda3 it also holds the ray projectors and
+    their right-hand side.
     """
-    F = Mc.shape[0]
-    T = slot.shape[1]
-    big = np.zeros((F + T, F + T))
-    big[:F, :F] = Mc
-    np.fill_diagonal(big[F:, F:], 1.0)
-    o = slot[:, :No]
-    m = slot[:, No:]
-    Mmo = big[m[:, :, None], o[:, None, :]]
-    K, ridged = _solve_stack(big[m[:, :, None], m[:, None, :]], Mmo, n_unobs)
-    S = big[o[:, :, None], o[:, None, :]]
-    S -= Mmo.transpose(0, 2, 1) @ K
-    return S, K, ridged
+
+    def __init__(self, rays, part, lambda3):
+        present = rays.present[part]
+        size, F = present.shape
+        self.part = part
+        self.present = present
+        self.hard = math.isinf(lambda3)
+        self.full = bool(present.all())
+        if self.full:
+            self.n_obs, self.No = np.full(size, F), F
+            self.R = rays.directions[part]
+            self.C = np.broadcast_to(rays.centers, self.R.shape)
+        else:
+            slot, self.n_obs, No = _slots(present)
+            self.No = No
+            T = slot.shape[1]
+            obs = slot[:, :No]
+            self.C = np.concatenate([rays.centers, np.zeros((T, 3))])[obs]
+            pad_dirs = np.broadcast_to(np.eye(3)[0], (size, T, 3))
+            dirs = np.concatenate([rays.directions[part], pad_dirs], axis=1)
+            self.R = np.take_along_axis(dirs, obs[:, :, None], axis=1)
+            # flat indices of Mc_mm, Mc_mo and Mc_oo in Mc.ravel() followed
+            # by a 0 and a 1: a padding slot reads 1 on its own diagonal
+            # and 0 elsewhere, which keeps it decoupled
+            self.buffer = np.zeros(F * F + 2)
+            self.buffer[-1] = 1.0
+            o, m = slot[:, :No], slot[:, No:]
+            self.mm = _entry_index(m[:, :, None], m[:, None, :], F)
+            self.mo = _entry_index(m[:, :, None], o[:, None, :], F)
+            self.oo = _entry_index(o[:, :, None], o[:, None, :], F)
+            self.n_unobs = F - self.n_obs
+            # the scatter back to frame order gathers each frame's slot
+            # (row i lists every frame once, then padding) from the stacked
+            # slots; an absent frame's depth reads slot 0, then NaN
+            where = np.argsort(slot, axis=1)[:, :F]
+            member = np.arange(size)[:, None]
+            self.rows = where + T * member
+            self.depth_rows = np.where(present, where + No * member, 0)
+        if not self.hard:
+            No = self.No
+            eye = np.eye(3)
+            R = self.R
+            self.proj = lambda3 * (eye - R[:, :, :, None] * R[:, :, None, :])
+            rhs = np.einsum("psab,psb->psa", self.proj, self.C)
+            self.rhs = rhs.reshape(size, 3 * No, 1)
+            block = 3 * np.arange(No)[:, None] + np.arange(3)
+            self.block = (block[:, :, None], block[:, None, :])
+
+    def eliminate(self, Mc):
+        """Eliminate each member's unobserved frames m from the coupling.
+
+        Returns (S, K, ridged members) with K = Mc_mm^-1 Mc_mo, so that
+        x_m = -K x_o, and the Schur complement S = Mc_oo - Mc_om K on the
+        observed slots [0, No).  Mc is symmetric, so Mc_om = Mc_mo^T.
+        """
+        buffer = self.buffer
+        buffer[:-2] = Mc.ravel()
+        Mmo = buffer.take(self.mo)
+        K, ridged = _solve_stack(buffer.take(self.mm), Mmo, self.n_unobs)
+        # Mc_om K, then Mc_oo minus it in its place: Mc_mo is not held
+        # through the gather of Mc_oo
+        S = Mmo.transpose(0, 2, 1) @ K
+        del Mmo
+        np.subtract(buffer.take(self.oo), S, out=S)
+        return S, K, ridged
+
+    def solve(self, Mc):
+        """This stack's part of ``minimize_structure`` for coupling Mc.
+
+        Returns (points (size, F, 3), depths (size, F), ridged members).
+        """
+        R, C, No = self.R, self.C, self.No
+        if self.full:
+            S, ridged = Mc, []
+        else:
+            S, K, ridged = self.eliminate(Mc)
+        if self.hard:
+            # in place: S * (R @ R^T) allocates a second stack, which
+            # measured several times slower than the product itself at
+            # F = 240
+            H = R @ R.transpose(0, 2, 1)
+            H *= S
+            rhs = -np.einsum("pia,pia->pi", R, S @ C)
+            # S is not held through the solve, where the X-step peaks in
+            # memory
+            del S
+            d, bad = _solve_stack(H, rhs[:, :, None], self.n_obs)
+            x_obs = C + d * R
+        else:
+            size = R.shape[0]
+            n = 3 * No
+            eye = np.eye(3)
+            kron = (S[..., :, None, :, None] * eye[:, None, :]).reshape(-1, n, n)
+            H = np.broadcast_to(kron, (size, n, n)).copy()
+            del S, kron
+            rows, cols = self.block
+            H[:, rows, cols] += self.proj
+            z, bad = _solve_stack(H, self.rhs, 3 * self.n_obs)
+            x_obs = z.reshape(size, No, 3)
+        along = np.einsum("psa,psa->ps", x_obs - C, R)
+        if self.full:
+            return x_obs, along, bad
+        x = np.concatenate([x_obs, -K @ x_obs], axis=1).reshape(-1, 3)
+        points = x.take(self.rows, axis=0)
+        depths = np.where(self.present, along.take(self.depth_rows), np.nan)
+        return points, depths, ridged + bad
 
 
-def _minimize_stack(Mc, rays, part, lambda3):
-    # minimize_structure for the points in slice ``part``, solved as one
-    # stack; returns (points (S, F, 3), depths (S, F), ridged members)
-    present = rays.present[part]
-    size, F = present.shape
-    full = present.all()
-    if full:
-        # every frame observed: S = Mc, and nothing to gather or eliminate
-        S, No, n_obs = Mc, F, np.full(size, F)
-        R = rays.directions[part]
-        C = np.broadcast_to(rays.centers, R.shape)
-    else:
-        slot, n_obs, No = _slots(present)
-        T = slot.shape[1]
-        obs = slot[:, :No]
-        # padding slots read a zero center and the unit direction e_x
-        C = np.concatenate([rays.centers, np.zeros((T, 3))])[obs]
-        pad_dirs = np.broadcast_to(np.eye(3)[0], (size, T, 3))
-        dirs = np.concatenate([rays.directions[part], pad_dirs], axis=1)
-        R = np.take_along_axis(dirs, obs[:, :, None], axis=1)
-        S, K, ridged = _eliminate(Mc, slot, No, F - n_obs)
-
-    if math.isinf(lambda3):
-        # in place: S * (R @ R^T) allocates a second stack, which measured
-        # several times slower than the product itself at F = 240
-        H = R @ R.transpose(0, 2, 1)
-        H *= S
-        rhs = -np.einsum("pia,pia->pi", R, S @ C)
-        d, bad = _solve_stack(H, rhs[:, :, None], n_obs)
-        x_obs = C + d * R
-    else:
-        n = 3 * No
-        eye = np.eye(3)
-        proj = lambda3 * (eye - R[:, :, :, None] * R[:, :, None, :])
-        kron = (S[..., :, None, :, None] * eye[:, None, :]).reshape(-1, n, n)
-        H = np.broadcast_to(kron, (size, n, n)).copy()
-        block = 3 * np.arange(No)[:, None] + np.arange(3)
-        H[:, block[:, :, None], block[:, None, :]] += proj
-        rhs = np.einsum("psab,psb->psa", proj, C).reshape(size, n, 1)
-        z, bad = _solve_stack(H, rhs, 3 * n_obs)
-        x_obs = z.reshape(size, No, 3)
-    along = np.einsum("psa,psa->ps", x_obs - C, R)
-    if full:
-        return x_obs, along, bad
-
-    points = np.empty((size, F + T, 3))
-    x = np.concatenate([x_obs, -K @ x_obs], axis=1)
-    np.put_along_axis(points, slot[:, :, None], x, axis=1)
-    depths = np.full((size, F + T), np.nan)
-    np.put_along_axis(depths, obs, along, axis=1)
-    return points[:, :F], depths[:, :F], ridged + bad
+def _stack_plans(rays, lambda3):
+    # the stack plans of a ray field for lambda3, built on its first X-step
+    # and kept on it: a solve never changes its rays
+    kept = getattr(rays, "_stack_plans", None)
+    if kept is not None and kept[0] == lambda3:
+        return kept[1]
+    P, F = rays.present.shape
+    width = 1 if math.isinf(lambda3) else 3
+    step = max(1, _STACK_ENTRIES // (width * F) ** 2)
+    plans = [
+        _StackPlan(rays, slice(start, min(start + step, P)), lambda3)
+        for start in range(0, P, step)
+    ]
+    rays._stack_plans = (lambda3, plans)
+    return plans
 
 
 def minimize_structure(coupling, rays, lambda3=math.inf, flags=None):
@@ -433,10 +537,12 @@ def minimize_structure(coupling, rays, lambda3=math.inf, flags=None):
     The points are solved in stacks of consecutive points, as many as fit
     ``_STACK_ENTRIES`` matrix entries at a point's full system size (F
     unknowns, 3F with finite lambda3).  Each member is padded to the stack's
-    largest system with decoupled identity rows and zero right-hand sides.  A member whose
-    direct solve fails the residual test is solved alone with a
-    trace-scaled ridge (then least squares) and flagged
-    ``ridge:point-<p>``, once per point.
+    largest system with decoupled identity rows and zero right-hand sides.
+    What a stack needs from the rays alone is planned on the first call for
+    a ray field and kept on it (``_StackPlan``), so a ray field must not be
+    changed in place once solved on.  A member whose direct solve fails the
+    residual test is solved alone with a trace-scaled ridge (then least
+    squares) and flagged ``ridge:point-<p>``, once per point.
 
     Returns (structure, depths) with depths (x_f - C_f) . r_f on observed
     frames; ``flags`` collects ridge warnings.
@@ -445,15 +551,13 @@ def minimize_structure(coupling, rays, lambda3=math.inf, flags=None):
         flags = []
     Mc = np.asarray(coupling, dtype=float)
     P, F = rays.present.shape
-    width = 1 if math.isinf(lambda3) else 3
-    step = max(1, _STACK_ENTRIES // (width * F) ** 2)
     points = np.empty((P, F, 3))
     depths = np.empty((P, F))
     ridged = set()
-    for start in range(0, P, step):
-        part = slice(start, start + step)
-        points[part], depths[part], bad = _minimize_stack(Mc, rays, part, lambda3)
-        ridged.update(start + i for i in bad)
+    for plan in _stack_plans(rays, lambda3):
+        part = plan.part
+        points[part], depths[part], bad = plan.solve(Mc)
+        ridged.update(part.start + i for i in bad)
     flags.extend(f"ridge:point-{p}" for p in sorted(ridged))
     return structure_from_points(points), depths
 
@@ -988,7 +1092,8 @@ def solve(obs, frames, config=None):
     mask = support_mask(ids, exclude_same_video=config.same_video_exclusion)
     validate_mask(mask, min_allowed=2)
 
-    scaled_frames, factor = normalize_scale(frames)
+    scaled, factor = normalize_scale(frames)
+    scaled_frames = _SolveFrames(scaled)
     rays = compute_rays(scaled_frames, obs)
     depths, flags = initialize_depths(rays, scaled_frames)
     structure = assemble_structure(depths, rays)

@@ -255,6 +255,29 @@ def _assign_cameras(sample_count, camera_count, exclusion, block_length, rng):
     return rng.integers(camera_count, size=sample_count)
 
 
+def _clean_projection(truth, frames, rig):
+    # reproject; when the pixels overflow and leaving out one intrinsic
+    # (a focal length of 1 or a principal point of 0) keeps them finite,
+    # the error names that intrinsic
+    try:
+        return reproject(truth, frames)
+    except InputError as exc:
+        error = exc
+    f, c = rig.focal, rig.principal_point
+    for name, K in (
+        ("focal", [[1.0, 0.0, c], [0.0, 1.0, c], [0.0, 0.0, 1.0]]),
+        ("principal_point", [[f, 0.0, 0.0], [0.0, f, 0.0], [0.0, 0.0, 1.0]]),
+    ):
+        try:
+            reproject(truth, [replace(fr, intrinsics=np.array(K)) for fr in frames])
+        except InputError:
+            continue
+        raise InputError(
+            f"{name} = {getattr(rig, name)!r} overflows the projected pixels"
+        ) from error
+    raise error
+
+
 # huge finite rig or motion values overflow the camera geometry or the pixels
 # to inf or NaN, which validate_frames and ObservationSet reject
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -346,13 +369,17 @@ def generate(motion, rig, corruption, block_length=None):
     truth_order = np.argsort(np.argsort(frame_times))
 
     truth = structure_from_points(pts[frame_times].transpose(1, 0, 2))
-    clean = reproject(truth, frames)
+    clean = _clean_projection(truth, frames, rig)
 
     # common-random-numbers corruption: the unit noise draw and the miss
     # uniforms are fixed by the seed, independent of sigma and rate
     unit = noise_rng.standard_normal(clean.measures.shape)
     miss_u = miss_rng.uniform(size=clean.present.shape)
     measures = clean.measures + corruption.noise_sigma * unit
+    if not np.isfinite(measures[clean.present]).all():
+        raise InputError(
+            f"noise_sigma = {corruption.noise_sigma!r} overflows the measurements"
+        )
     present = clean.present & ~(miss_u < corruption.miss_rate)
     measures = np.where(present[:, :, None], measures, np.nan)
     observations = ObservationSet(measures=measures, present=present)

@@ -310,6 +310,21 @@ def test_simulate_rejects_nonpositive_distance_factor(tmp_path, capsys):
     assert not (tmp_path / "scene.json").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, field",
+    [("--focal", "focal"), ("--principal", "principal_point"), ("--noise-sigma", "noise_sigma")],
+)
+def test_simulate_names_the_overflowing_field(tmp_path, capsys, flag, field):
+    code, _, err = run(
+        capsys, "simulate", "--seed", "5", "--points", "3", "--samples", "12",
+        "--cameras", "3", f"{flag}=1e308", "--scene-out",
+        str(tmp_path / "scene.json"), "--truth-out", str(tmp_path / "truth.json"),
+    )
+    assert code == 3, err
+    assert f"{field} = 1e+308 overflows" in err
+    assert not (tmp_path / "scene.json").exists()
+
+
 def test_report_merges_eval_outputs(tmp_path, capsys):
     scene, truth = simulate_small(tmp_path, capsys, seed=11)
     result = tmp_path / "r.json"

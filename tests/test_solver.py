@@ -419,6 +419,102 @@ def test_minimize_structure_ridge_retries_only_the_singular_point():
         reference_point(Mc, rays, math.inf, 1)
 
 
+@st.composite
+def planned_x_steps(draw):
+    """A ray field, a hard or soft lambda3 and two positive definite couplings.
+
+    Each point sees 2 to F frames, two of them often; some draws are fully
+    observed, and some have F and P large enough that ``_STACK_ENTRIES``
+    splits the points into several stacks.
+    """
+    lambda3 = draw(st.sampled_from([math.inf, 30.0]))
+    width = 1 if math.isinf(lambda3) else 3
+    if draw(st.booleans()):
+        # several stacks: 16 points per stack at F = 64 with hard rays, 2 at
+        # F = 48 with soft rays
+        F = 64 if width == 1 else 48
+        step = solver._STACK_ENTRIES // (width * F) ** 2
+        P = draw(st.integers(step + 1, 3 * step))
+    else:
+        F = draw(st.integers(3, 12))
+        P = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    present = np.ones((P, F), dtype=bool)
+    if not draw(st.booleans()):
+        two = draw(st.floats(0.0, 1.0))
+        for p in range(P):
+            seen = 2 if rng.uniform() < two else rng.integers(2, F + 1)
+            present[p] = False
+            present[p, rng.choice(F, seen, replace=False)] = True
+    directions = rng.normal(size=(P, F, 3))
+    directions /= np.linalg.norm(directions, axis=2, keepdims=True)
+    directions[~present] = np.nan
+    rays = RayField(
+        directions=directions, centers=rng.normal(size=(F, 3)), present=present
+    )
+    couplings = []
+    for _ in range(2):
+        B = rng.normal(size=(F, F))
+        couplings.append(B @ B.T / F + 0.5 * np.eye(F))
+    return rays, lambda3, couplings
+
+
+def fresh(rays):
+    return RayField(
+        directions=rays.directions.copy(),
+        centers=rays.centers.copy(),
+        present=rays.present.copy(),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(planned_x_steps())
+def test_planned_minimize_structure_matches_reference_and_never_goes_stale(case):
+    rays, lambda3, (Ma, Mb) = case
+    # every point against the dense per-point solve
+    _, _, flags = check_matches_reference(Ma, rays, lambda3)
+    assert flags == []
+    # the plan kept on the field for Ma also serves Mb, and the other
+    # lambda3 builds its own: each call gives the bytes of a fresh field
+    other = 30.0 if math.isinf(lambda3) else math.inf
+    for Mc, lam in ((Mb, lambda3), (Ma, other), (Mb, lambda3)):
+        kept = solver.minimize_structure(Mc, rays, lam)
+        new = solver.minimize_structure(Mc, fresh(rays), lam)
+        for a, b in zip(kept, new):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_solve_plans_x_step_and_video_pairs_once(monkeypatch):
+    """The passes of a solve reuse its X-step plan and video pairs.
+
+    ``_slots`` runs once per stack with a missing observation and
+    ``video_pairs`` once per solve, however many passes the solve takes.
+    """
+    scene = make_scene(points=4, samples=24, cameras=4, seed=19, miss_rate=0.2)
+    present = scene.observations.present
+    # two points per stack, so the solve has two stacks
+    monkeypatch.setattr(solver, "_STACK_ENTRIES", 2 * 24**2)
+    stacks = [present[p : p + 2] for p in (0, 2)]
+    assert all(not s.all() for s in stacks)
+    calls = {}
+
+    def counted(name):
+        fn = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, wrapper)
+
+    for name in ("_slots", "video_pairs", "x_step"):
+        counted(name)
+    solve(scene.observations, scene.frames, SolverConfig(outer_max=5))
+    assert calls["x_step"] >= 10
+    assert calls["_slots"] == len(stacks)
+    assert calls["video_pairs"] == 1
+
+
 def test_x_step_never_increases_objective():
     scene = make_scene(points=3, samples=16, cameras=3, seed=9, noise_sigma=1.0)
     scaled, _ = normalize_scale(scene.frames)

@@ -252,6 +252,19 @@ def test_generate_single_camera_needs_exclusion_off():
     assert (scene.assignment == 0).all()
 
 
+@pytest.mark.parametrize("name", ["focal", "principal_point", "noise_sigma"])
+def test_generate_names_the_field_that_overflows(name):
+    # finite, so validation passes, but the pixels overflow
+    motion = procedural_motion(3, 12, seed=1)
+    rig, corr = RigSpec(), CorruptionSpec(seed=1)
+    if name == "noise_sigma":
+        corr = CorruptionSpec(seed=1, noise_sigma=1e308)
+    else:
+        rig = RigSpec(**{name: 1e308})
+    with pytest.raises(InputError, match=f"^{name} = 1e\\+308 overflows"):
+        generate(motion, rig, corr)
+
+
 def test_sweep_axes_and_unknown_axis():
     motion = procedural_motion(2, 24, seed=18)
     rig = RigSpec(camera_count=3)
