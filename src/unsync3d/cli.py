@@ -351,8 +351,6 @@ def _cmd_baseline(args):
         structure=structure,
         depths=depths,
         weights=weights,
-        dual=np.zeros((F, F)),
-        auxiliary=np.zeros((F, F)),
         objective_trace=[cost],
         flags=["baseline"] + flags,
         scale_factor=1.0,

@@ -38,7 +38,6 @@ __all__ = [
     "frame_video_ids",
     "compute_rays",
     "assemble_structure",
-    "project_depth",
     "reproject",
     "structure_to_points",
     "structure_from_points",
@@ -258,21 +257,6 @@ def assemble_structure(depths, rays):
         raise InputError("undefined depth at a present ray")
     points = rays.centers[None, :, :] + depths[:, :, None] * rays.directions
     return structure_from_points(points)
-
-
-def project_depth(structure, rays):
-    """Signed scalar projection of each point onto its viewing ray.
-
-    Returns the (P, F) depth matrix d = (X - C)^T r with NaN at absent
-    entries.  For points exactly on their rays this inverts
-    assemble_structure.
-    """
-    P, F = rays.present.shape
-    points = structure_to_points(structure, P)
-    rel = points - rays.centers[None, :, :]
-    depths = np.einsum("pfa,pfa->pf", rel, rays.directions)
-    depths[~rays.present] = np.nan
-    return depths
 
 
 def reproject(structure, frames):

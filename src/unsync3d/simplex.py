@@ -9,7 +9,7 @@ least the diagonal (a shape never represents itself) and optionally all atoms
 from the same video.  The constraint set is a masked probability simplex; it
 induces sparsity without any explicit l1 term.
 
-Such QPs are solved three ways.  The exact one, ``minimize_on_simplex``, is
+Such QPs are solved two ways.  The exact one, ``minimize_on_simplex``, is
 an active-set solver on the quadratic form phi(w) = w^T H w + c^T w (for
 coding, H = D^T D and c = -2 D^T t), so the gradient 2 H w + c matches the
 optimality conditions used in the tests.  It codes many columns against one
@@ -19,12 +19,10 @@ one), then takes every column's accept / add-atom / drop-blocker decision as
 an array operation.  Masked atoms never enter the linear algebra, which
 keeps off-mask zeros exact, and each column only ever reduces along its own
 row, so its result has the same bytes however many columns share the call.
-``self_express`` (the warm-up and the first W-step) and the polish in
-``solver.admm_w_step`` are single calls.  The one projected-gradient loop,
-``_projected_gradient``, is the engine's fallback for a column that exhausts
-its iteration budget or cannot move, and runs step 1 of
-``solver.admm_w_step`` unless ``solver._dual_newton`` (semismooth Newton on
-the dual, when 12 P < F and (3P)^2 <= 6F) does.
+``self_express`` (the warm-up's coder) is a single call.  The one
+projected-gradient loop, ``_projected_gradient``, solves the proximal
+W-step of ``solver.admm_w_step``, and is the engine's fallback for a column
+that exhausts its iteration budget or cannot move.
 """
 
 from dataclasses import dataclass
@@ -37,7 +35,6 @@ __all__ = [
     "SupportMask",
     "support_mask",
     "validate_mask",
-    "project_to_simplex",
     "project_to_masked_simplex",
     "minimize_on_simplex",
     "simplex_code",
@@ -114,14 +111,8 @@ def project_to_masked_simplex(V, allowed):
     return W
 
 
-def project_to_simplex(v):
-    """Euclidean projection of a vector onto the probability simplex."""
-    column = np.asarray(v, dtype=float)[:, None]
-    return project_to_masked_simplex(column, np.ones(column.shape, dtype=bool))[:, 0]
-
-
-# projected-gradient steps per call: ADMM step 1 stops far earlier on the
-# benchmark scenes, the engine's fallback on a rank-deficient block may not
+# projected-gradient steps per call: the proximal W-step stops far earlier on
+# the benchmark scenes, the engine's fallback on a rank-deficient block may not
 _PG_STEPS = 2000
 
 
@@ -167,22 +158,24 @@ def _project_near(V, allowed, support, count=None):
 
 
 def _projected_gradient(step_map, W, const, allowed, L):
-    """Minimize a convex QP per column over its masked simplex.
+    """Minimize a convex QP in W over the product of its columns' simplices.
 
-    Column f's gradient is g(w) + const_f, with g linear and L >= its
-    largest curvature.  Each step is W <- Pi(W - (g(W) + const) / L), which
-    never raises a column's objective; ``step_map(W, out)`` writes
-    W - g(W) / L into out, so the step is that map and one subtraction.
-    Pi is tried on the previous iterate's support first (``_project_near``),
-    so only the columns whose support changed are sorted.  Stops once no
-    entry moves by more than 1e-13, or after ``_PG_STEPS`` steps, and
-    returns the last projected iterate.  Overwrites W.
+    The gradient is g(W) + const, with g linear and L >= its largest
+    curvature; g may couple the columns.  Each step is
+    W <- Pi(W - (g(W) + const) / L), which never raises the objective;
+    ``step_map(W, out)`` writes W - g(W) / L into out, so the step is that
+    map and one subtraction.  Pi projects each column onto its masked
+    simplex, tried on the previous iterate's support first
+    (``_project_near``), so only the columns whose support changed are
+    sorted.  Stops once no entry moves by more than 1e-13, or after
+    ``_PG_STEPS`` steps.  Returns (the last projected iterate, the steps
+    taken, whether it stopped before the cap).  Overwrites W.
     """
     shift = const / L
     support = W > 0.0
     count = support.sum(axis=0).astype(float)
     V = np.empty_like(W)
-    for _ in range(_PG_STEPS):
+    for steps in range(1, _PG_STEPS + 1):
         step_map(W, V)
         V -= shift
         _project_near(V, allowed, support, count)
@@ -192,8 +185,8 @@ def _projected_gradient(step_map, W, const, allowed, L):
         delta = W.max()
         W, V = V, W
         if delta <= 1e-13:
-            break
-    return W
+            return W, steps, True
+    return W, _PG_STEPS, False
 
 
 def minimize_on_simplex(H, c, w0=None, max_iter=None, allowed=None):
@@ -307,7 +300,7 @@ def minimize_on_simplex(H, c, w0=None, max_iter=None, allowed=None):
 
         W[f, idx] = _projected_gradient(
             step, W[f, idx][:, None], C[f, idx][:, None], A[f, idx][:, None], L
-        )[:, 0]
+        )[0][:, 0]
     return W[0] if vector else np.ascontiguousarray(W.T)
 
 

@@ -13,16 +13,15 @@ lambda3 infinite each observed point is pinned to its viewing ray,
 X = C + d r, and the free variables are the depths d (plus fully free 3D
 points where observations are missing).
 
-Both block updates are exact descent steps, so the objective trace is
-non-increasing across X-steps and W-steps.  The W update runs ADMM with a
-closed-form auxiliary step.  Its per-column simplex QPs have a data term of
-rank 3P: when 12 P < F and (3P)^2 <= 6F they are solved by semismooth
-Newton on the 3P-dimensional dual variable X w, else by the projected-
-gradient loop of ``simplex`` (whose projections then cost less than
-Newton's F Jacobians), one product with a step map per step.  Both try
-each projection on the previous support before sorting, and the exact
-active-set engine finishes any column either leaves with an open KKT gap.
-The X update eliminates each point's unobserved frames in closed form (a
+Both block updates are descent steps, so the objective trace is
+non-increasing across X-steps and W-steps.  The W update is one proximal
+step: it minimizes the W-terms plus (rho/2) ||W - W_prev||^2, which is
+strongly convex, with the projected-gradient loop of ``simplex``, one
+product with a step map per step, each projection tried on the previous
+support before sorting.  A step that lowers that proximal objective cannot
+raise the coupled one; it is the block step that proximal alternating
+minimization analyses (Attouch, Bolte, Redont & Soubeyran 2010).  The X
+update eliminates each point's unobserved frames in closed form (a
 Schur complement of the coupling) and solves what remains, one small linear
 system per point on its observed frames, in bounded stacks.  Its geometry
 (slot layout, gather and scatter indices, observed rays) is planned once per
@@ -53,8 +52,9 @@ from .geometry import (
     structure_to_points,
     validate_frames,
 )
+# minimize_on_simplex has no caller here; it stays a module global because
+# the benchmark's tracer wraps solver.minimize_on_simplex by name
 from .simplex import (
-    _project_near,
     _projected_gradient,
     minimize_on_simplex,
     self_express,
@@ -66,7 +66,6 @@ __all__ = [
     "SolverConfig",
     "SolveState",
     "video_pairs",
-    "smoothness_operator",
     "psi1",
     "psi2",
     "soft_ray_cost",
@@ -88,7 +87,9 @@ class SolverConfig:
 
     lambda3 is the soft-ray weight; ``math.inf`` (the default) keeps points
     exactly on their viewing rays, while a finite value (100 is the usual
-    choice for noisy pixels) lets them move off the rays.
+    choice for noisy pixels) lets them move off the rays.  rho is the weight
+    of the proximal term (rho/2) ||W - W_prev||^2 of each coupled W-step
+    (``admm_w_step``): the larger it is, the less one step moves W.
     """
 
     lambda1: float = 0.05
@@ -97,7 +98,6 @@ class SolverConfig:
     rho: float = 1.0
     outer_max: int = 100
     outer_rel_tol: float = 1e-6
-    admm_max_iter: int = 500
     same_video_exclusion: bool = True
     second_stage: bool = True
 
@@ -126,25 +126,26 @@ class SolverConfig:
             raise InputError("rho must be positive")
         if not self.outer_rel_tol > 0:
             raise InputError("outer_rel_tol must be positive")
-        if self.outer_max < 1 or self.admm_max_iter < 1:
-            raise InputError("iteration caps must be at least 1")
+        if self.outer_max < 1:
+            raise InputError("outer_max must be at least 1")
 
 
 @dataclass
 class SolveState:
-    """Result of a solver run, and the state its alternation loop works on."""
+    """Result of a solver run, and the state its alternation loop works on.
+
+    ``admm_iterations`` counts the projected-gradient steps of every coupled
+    W-step; the name is the result files' key.
+    """
 
     structure: np.ndarray
     depths: np.ndarray
     weights: np.ndarray = None
-    dual: np.ndarray = None
-    auxiliary: np.ndarray = None
     objective_trace: list = field(default_factory=list)
     flags: list = field(default_factory=list)
     scale_factor: float = 1.0
     outer_iterations: int = 0
     admm_iterations: int = 0
-    admm_cap_hits: int = 0
     converged: bool = False
 
 
@@ -186,17 +187,6 @@ class _SolveFrames(tuple):
 
 def _with_pairs(frames):
     return frames if isinstance(frames, _SolveFrames) else _SolveFrames(frames)
-
-
-def smoothness_operator(frames):
-    """F x M difference operator T with columns e_a - e_b per video pair."""
-    pairs = video_pairs(frames)
-    F = len(frames)
-    T = np.zeros((F, pairs.shape[0]))
-    for m, (a, b) in enumerate(pairs):
-        T[a, m] = 1.0
-        T[b, m] = -1.0
-    return T
 
 
 def psi1(weights):
@@ -579,116 +569,35 @@ def x_step(structure, weights, config, rays, frames, flags=None):
     return new_structure, depths, flags
 
 
-# Newton steps per ADMM iteration on the W-step's dual; a column still open
-# at the cap is left to the KKT-gap test and the active-set polish
-_NEWTON_STEPS = 30
+def admm_w_step(structure, mask, config, weights=None):
+    """One proximal step on the weight matrix for fixed structure.
 
-# ADMM stop rule: primal and dual residuals under F * abs + rel * scale
-# (Boyd et al. 2011, sec. 3.3.1), and the largest |W - Z| under consensus
-_ADMM_ABS_TOL = 1e-5
-_ADMM_REL_TOL = 1e-4
-_CONSENSUS_TOL = 1e-4
+    Minimizes the coupled W-objective plus a proximal term,
 
+        (1/FP) ||X - X W||^2 + lambda1 psi1(W) + (rho/2) ||W - W_prev||^2,
 
-def _dual_newton(X, outer, W, const, allowed, scale, rho):
-    """Solve step 1 of ``admm_w_step`` by semismooth Newton on y = X w.
+    over the masked simplex columns, from W_prev = ``weights``, or from the
+    decoupled coding ``self_express(X, mask)`` when None.  The problem is
+    rho-strongly convex, and the package's one projected-gradient loop
+    (``simplex._projected_gradient``) solves it on all columns at once at
+    step 1/L, L = (2/FP) lambda_max(G) + 8 lambda1 / F + rho with G = X^T X:
+    psi1's gradient (4 lambda1 / F)(W - W^T) adds at most 8 lambda1 / F of
+    curvature.  lambda_max is read from the smaller of X X^T (3P x 3P) and
+    G.  Each step lowers the proximal objective, which starts at the coupled
+    objective of W_prev, so the step never raises the coupled objective.  At
+    the default rho the proximal term dominates L, and each step shrinks the
+    error by about (L - rho) / L (0.03 on a 16-point, 48-frame scene).  When
+    12 P >= F a step is one product with the F x F step map
+    M = (1 - (rho + 4 lambda1 / F) / L) I - (2/FP) G / L, built once per
+    call, plus psi1's W^T term; when 12 P < F the data part goes through
+    X^T (X W), since M would cost F^3.
 
-    Column f minimizes (scale/2) ||X w||^2 + (rho/2) ||w||^2 + const_f^T w
-    over its masked simplex.  With kappa = scale / rho its optimum is
-    w = Pi(-(const_f + scale X^T y) / rho) at the root y of
-    r(y) = y - X w(y), a system in 3P unknowns (Li, Sun & Toh 2018).  The
-    generalized Jacobian I + kappa X J X^T, with J = diag(s) - s s^T / |s|
-    for the support s of Pi, is symmetric positive definite, so one stacked
-    3P x 3P solve per open column gives the Newton step; ``outer`` holds
-    x_j x_j^T in row j, so X J X^T comes from products of the support
-    matrix with it, over chunks of columns whose Jacobian stacks hold at
-    most F x F entries.  Once a support stops changing r is affine and the
-    step is exact, so Pi is first tried on the last support
-    (``_project_near``).  Starts from y = X W and stops a column when
-    |r|_inf <= 1e-13 (1 + |y|_inf).  Overwrites W with the projected
-    iterate, feasible whether or not every column closed within
-    ``_NEWTON_STEPS``, and returns it.
-    """
-    n, F = X.shape
-    kappa = scale / rho
-    y = X @ W
-    cols = np.arange(F)
-    for _ in range(_NEWTON_STEPS):
-        # a slice while every column is open: no gathered copies
-        sel = slice(None) if cols.size == F else cols
-        V = X.T @ y[:, sel]
-        V *= scale
-        V += const[:, sel]
-        V *= -1.0 / rho
-        Wc = _project_near(V, allowed[:, sel], W[:, sel] > 0.0)
-        W[:, sel] = Wc
-        r = y[:, sel] - X @ Wc
-        open_ = np.abs(r).max(axis=0) > 1e-13 * (1.0 + np.abs(y[:, sel]).max(axis=0))
-        if not open_.any():
-            break
-        cols, r = cols[open_], r[:, open_]
-        support = Wc[:, open_] > 0.0
-        del Wc
-        # the Jacobians go in chunks of at most F x F entries
-        step = max(1, F * F // (n * n))
-        for start in range(0, cols.size, step):
-            part = slice(start, start + step)
-            s = support[:, part].astype(float)
-            xs = X @ s
-            # X J X^T per column: the support's outer products minus the
-            # rank-one term of its sum
-            M = (s.T @ outer).reshape(-1, n, n)
-            M -= (xs.T[:, :, None] * xs.T[:, None, :]) / s.sum(axis=0)[:, None, None]
-            del s
-            M *= kappa
-            M += np.eye(n)
-            y[:, cols[part]] -= np.linalg.solve(M, r[:, part].T[:, :, None])[:, :, 0].T
-            del M
-    return W
-
-
-def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None):
-    """ADMM update of the weight matrix for fixed structure.
-
-    Splits the masked-simplex data term (carried by W) from the asymmetry
-    penalty (carried by the auxiliary Z) under the consensus W = Z.  Step 1
-    solves one masked simplex QP per column, step 2 has the closed form
-
-        Z = sym(B)/rho + skew(B)/(8 lambda1 / F + rho),   B = Y + rho W,
-
-    and step 3 is the dual ascent Y += rho (W - Z).  On the first call
-    (weights None) W and Z start from the decoupled per-column coding
-    (``self_express``) and Y = 0; later calls hot-start from the previous
-    triplet.
-
-    Step 1 solves every column's masked-simplex QP with data Hessian
-    (2/FP) G, G = X^T X, and proximal term (rho/2) ||w||^2, one of two
-    ways.  G has rank at most 3P, so when 12 P < F and (3P)^2 <= 6F
-    (P <= 12 at F = 240) it runs semismooth Newton on the 3P-dimensional
-    dual variable y = X w of each column (``_dual_newton``): from the warm
-    start it takes about two projections, whatever rho is.  Otherwise it
-    runs the package's one projected-gradient loop
-    (``simplex._projected_gradient``) on all columns at once, with the
-    step length 1/L from G's largest eigenvalue, read from the smaller of
-    X X^T (3P x 3P) and G.  The proximal Hessian is dominated by its rho I
-    part at the default rho, so each step shrinks the error by about
-    (L - rho) / L (0.03 on a 16-point, 48-frame scene).  When 12 P >= F a
-    step is one product with the step map M = (1 - rho/L) I - (2/FP) G / L,
-    built once per call; when 12 P < F it goes through X^T (X W), since M
-    would cost F^3.  Both paths are capped, try each projection on the
-    previous support before sorting, and return a feasible iterate.  The
-    columns whose KKT gap stays above tolerance afterwards are polished
-    together, warm started from the iterate, by one ``minimize_on_simplex``
-    call on (1/FP) G + (rho/2) I (the exact active set; as the inner solver
-    for every column it is much slower, since the iterate's supports are
-    dense).
-
-    Returns (weights, auxiliary, dual, info).  The returned weights are the
-    best feasible iterate by the coupled objective (never worse than the
-    start), while Z and Y always carry the last iterate so the next hot
-    start resumes the ADMM sequence.  info holds iteration count and a
-    convergence flag; hitting the cap returns the best iterate with
-    converged False.
+    The name and the 4-tuple return are kept from the ADMM step this
+    replaced, whose two middle entries were its auxiliary and dual blocks:
+    the solver loop, the tests and the benchmark's tracer (which reads the
+    info dict at index 3) call it so.  Returns (weights, None, None, info),
+    with info's ``iterations`` the projected-gradient steps taken and
+    ``converged`` whether they settled before the loop's cap.
     """
     X = np.asarray(structure, dtype=float)
     F = X.shape[1]
@@ -696,121 +605,42 @@ def admm_w_step(structure, mask, config, weights=None, auxiliary=None, dual=None
     validate_mask(mask, min_allowed=1)
     inv_fp = 1.0 / (F * P)
     rho = config.rho
-    alpha = config.lambda1 / F
-    allowed = mask.allowed
-    # X^T (X W) costs 6 P F^2 flops against F^3 for G W; measured on one
-    # core it wins once 3P is under about F / 4 (from F = 96 up; below that
-    # both take a few microseconds)
-    factored = 12 * P < F
-    # a dual Newton step builds F Jacobians from F x (3P)^2 rows, so its cost
-    # grows with P^2 while projected gradient's sorts do not.  Per ADMM
-    # iteration on two cores (F = 96-480) Newton measured 9-59% faster at
-    # (3P)^2 <= 8.2F and 15-35% slower at 9.6F and 13.5F
-    newton = factored and (3 * P) ** 2 <= 6 * F
-    # the data term's Hessian (2/FP) G, scaled in place from G = X^T X
-    A2 = X.T @ X
-    if newton:
-        # row j holds x_j x_j^T (3P x 3P, flattened) for the Newton Jacobians
-        outer = (X.T[:, :, None] * X.T[:, None, :]).reshape(F, -1)
-    else:
-        lam_max = float(np.linalg.eigvalsh(X @ X.T if X.shape[0] < F else A2)[-1])
-        L = 2.0 * inv_fp * lam_max + rho
-    A2 *= 2.0 * inv_fp
-
-    def data_gradient(Wc):
-        return (2.0 * inv_fp) * (X.T @ (X @ Wc)) if factored else A2 @ Wc
-
-    # projected gradient's step map W - (data_gradient(W) + rho W) / L: one
-    # F x F matrix M = (1 - rho/L) I - A2/L, built once, unless factored,
-    # where forming M would cost F^3
-    if factored and not newton:
+    # psi1's gradient is skew * (W - W^T)
+    skew = 4.0 * config.lambda1 / F
+    G = X.T @ X
+    lam_max = float(np.linalg.eigvalsh(X @ X.T if X.shape[0] < F else G)[-1])
+    L = 2.0 * inv_fp * lam_max + 2.0 * skew + rho
+    keep = 1.0 - (rho + skew) / L
+    # the step map W - g(W) / L for the gradient's linear part
+    # g(W) = (2/FP) G W + skew (W - W^T) + rho W.  X^T (X W) costs 6 P F^2
+    # flops against F^3 for M W; measured on one core it wins once 3P is
+    # under about F / 4 (from F = 96 up; below that both take a few
+    # microseconds)
+    if 12 * P < F:
         XL = X.T * (-2.0 * inv_fp / L)
 
         def step_map(Wc, out):
             np.matmul(XL, X @ Wc, out=out)
-            out += (1.0 - rho / L) * Wc
+            out += keep * Wc
+            if skew:
+                out += (skew / L) * Wc.T
 
-    elif not factored:
-        M = A2 * (-1.0 / L)
-        M.flat[:: F + 1] += 1.0 - rho / L
+    else:
+        M = G * (-2.0 * inv_fp / L)
+        M.flat[:: F + 1] += keep
 
         def step_map(Wc, out):
             np.matmul(M, Wc, out=out)
+            if skew:
+                out += (skew / L) * Wc.T
 
-    if weights is None:
-        W = self_express(X, mask)
-        Z = W.copy()
-        Y = np.zeros((F, F))
-    else:
-        W = np.array(weights, dtype=float, copy=True)
-        Z = np.array(auxiliary, dtype=float, copy=True)
-        Y = np.array(dual, dtype=float, copy=True)
-
-    def coupled(Wc):
-        return inv_fp * float(np.sum((X - X @ Wc) ** 2)) + config.lambda1 * psi1(Wc)
-
-    best_W = W.copy()
-    best_val = coupled(W)
-    converged = False
-    iterations = 0
-    for _ in range(config.admm_max_iter):
-        iterations += 1
-        const = Y - rho * Z - A2
-        if newton:
-            W = _dual_newton(X, outer, W, const, allowed, 2.0 * inv_fp, rho)
-        else:
-            W = _projected_gradient(step_map, W, const, allowed, L)
-        grad = data_gradient(W)
-        grad += rho * W
-        grad += const
-        # the KKT gap: on each column's support, how far the gradient rises
-        # above its least allowed entry
-        work = np.where(allowed, grad, np.inf)
-        mu = work.min(axis=0)
-        np.subtract(grad, mu, out=work)
-        work *= W > 1e-12
-        viol = work.max(axis=0)
-        np.abs(grad, out=work)
-        work *= allowed
-        tol = 1e-9 * (1.0 + work.max(axis=0))
-        del grad, work
-        polish = np.flatnonzero(viol > tol)
-        if polish.size:
-            # 0.5 A2 has the bytes of (1/FP) G: halving undoes an exact doubling
-            W[:, polish] = minimize_on_simplex(
-                0.5 * A2 + (rho / 2.0) * np.eye(F),
-                const[:, polish],
-                w0=W[:, polish],
-                allowed=allowed[:, polish],
-            )
-        del const
-        B = Y + rho * W
-        Z_new = 0.5 * ((B + B.T) / rho + (B - B.T) / (8.0 * alpha + rho))
-        gap = W - Z_new
-        Y += rho * gap
-        r_pri = np.linalg.norm(gap)
-        s_dual = rho * np.linalg.norm(Z_new - Z)
-        Z = Z_new
-
-        val = coupled(W)
-        if val < best_val:
-            best_val = val
-            best_W = W.copy()
-
-        eps_pri = F * _ADMM_ABS_TOL + _ADMM_REL_TOL * max(
-            np.linalg.norm(W), np.linalg.norm(Z)
-        )
-        eps_dual = F * _ADMM_ABS_TOL + _ADMM_REL_TOL * np.linalg.norm(Y)
-        if (
-            r_pri <= eps_pri
-            and s_dual <= eps_dual
-            and np.abs(gap).max() <= _CONSENSUS_TOL
-        ):
-            converged = True
-            break
-        # not held through the next step 1, where the W-step peaks in memory
-        del gap
-    return best_W, Z, Y, {"iterations": iterations, "converged": converged}
+    W = self_express(X, mask) if weights is None else np.array(weights, dtype=float)
+    # the gradient's constant part, -(2/FP) G - rho W_prev, in G's place
+    const = G
+    const *= -2.0 * inv_fp
+    const -= rho * W
+    W, steps, settled = _projected_gradient(step_map, W, const, mask.allowed, L)
+    return W, None, None, {"iterations": steps, "converged": settled}
 
 
 def pair_distance_matrix(rays, video_ids):
@@ -991,14 +821,10 @@ def _code_step(state, cfg, mask):
     state.weights = self_express(state.structure, mask, warm_start=state.weights)
 
 
-def _admm_step(state, cfg, mask):
-    # coupled W-step: cold until there is an auxiliary, then hot started
-    W = None if state.auxiliary is None else state.weights
-    state.weights, state.auxiliary, state.dual, info = admm_w_step(
-        state.structure, mask, cfg, W, state.auxiliary, state.dual
-    )
+def _proximal_step(state, cfg, mask):
+    # coupled W-step: one proximal step from the current weights
+    state.weights, _, _, info = admm_w_step(state.structure, mask, cfg, state.weights)
     state.admm_iterations += info["iterations"]
-    state.admm_cap_hits += not info["converged"]
 
 
 def _alternate(state, cfg, problem, w_step, stop_term=None, code_first=False):
@@ -1037,8 +863,8 @@ def _alternate(state, cfg, problem, w_step, stop_term=None, code_first=False):
 
 
 def _coupled_stage(state, index, cfg, problem):
-    # X-step, then ADMM W-step; the last stage decides ``converged``
-    passes, state.converged = _alternate(state, cfg, problem, _admm_step)
+    # X-step, then proximal W-step; the last stage decides ``converged``
+    passes, state.converged = _alternate(state, cfg, problem, _proximal_step)
     state.outer_iterations += passes
     if not state.converged:
         state.flags.append(f"stage{index}-outer-cap")
@@ -1049,13 +875,14 @@ def solve(obs, frames, config=None):
 
     After depth initialization one alternation loop runs every phase on one
     ``SolveState``: the decoupled warm-up (exact coding, then a penalty-free
-    X refit, stopping on the self-expression term), a cold bootstrap W-step,
-    then the coupled stage (exact X-step, then ADMM W-step, stopping on the
-    traced objective).  Each loop stops once its stop quantity changes by at
-    most ``outer_rel_tol`` (relative) in a pass, or at ``outer_max`` passes.
+    X refit, stopping on the self-expression term), then the coupled stage
+    (exact X-step, then a proximal W-step from the current weights, stopping
+    on the traced objective), whose first W-step starts from the warm-up's
+    code.  Each loop stops once its stop quantity changes by at most
+    ``outer_rel_tol`` (relative) in a pass, or at ``outer_max`` passes.
     With ``second_stage`` the coupled stage repeats with lambda2 = 0, warm
     started; the trace stays non-increasing across the switch.  ``flags``
-    records ``warmup-N``, ``stageK-outer-cap`` and ``admm-cap-hit-Nx``.
+    records ``warmup-N`` and ``stageK-outer-cap``.
     Outputs are in input units; ``scale_factor`` scaled the camera centers.
     """
     if config is None:
@@ -1109,13 +936,9 @@ def solve(obs, frames, config=None):
         state, flat_cfg, problem, _code_step, "self_expression", code_first=True
     )
     state.flags.append(f"warmup-{passes}")
-    # cold, not warm started from the warm-up's code: the coding QP can tie
-    _admm_step(state, config, mask)
     _coupled_stage(state, 0, config, problem)
     if config.second_stage and config.lambda2 > 0:
         _coupled_stage(state, 1, flat_cfg, problem)
-    if state.admm_cap_hits:
-        state.flags.append(f"admm-cap-hit-{state.admm_cap_hits}x")
     state.structure = state.structure / factor
     state.depths = state.depths / factor
     return state

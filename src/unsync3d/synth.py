@@ -28,7 +28,6 @@ __all__ = [
     "SyntheticScene",
     "procedural_motion",
     "load_mocap",
-    "save_mocap",
     "decimate",
     "generate",
     "sweep",
@@ -204,16 +203,6 @@ def load_mocap(path):
             f"mocap data must be T >= 2 rows of 3P columns, got {rows.shape}"
         )
     return MotionSource(points=rows.reshape(rows.shape[0], -1, 3), hz=hz)
-
-
-def save_mocap(path, motion):
-    """Write a MotionSource in the text format load_mocap reads."""
-    T, P, _ = motion.points.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"hz {motion.hz!r}\n")
-        flat = motion.points.reshape(T, 3 * P)
-        for row in flat:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 def decimate(motion, step):

@@ -362,7 +362,7 @@ def test_solve_rejects_nan_lambda1(tmp_path, capsys):
     scene, _ = simulate_small(tmp_path, capsys, seed=3)
     code, _, err = run(
         capsys, "solve", "--scene", str(scene), "--out", str(tmp_path / "r.json"),
-        "--lambda1", "nan", "--outer-max", "1", "--admm-max-iter", "5",
+        "--lambda1", "nan", "--outer-max", "1", "--rho", "5",
     )
     assert code == 3
     msg = json.loads(err.strip().split("\n")[-1])

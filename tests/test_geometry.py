@@ -11,12 +11,20 @@ from unsync3d.geometry import (
     compute_rays,
     frame_centers,
     frame_video_ids,
-    project_depth,
     reproject,
     structure_from_points,
     structure_to_points,
     validate_frames,
 )
+
+
+def project_depth(structure, rays):
+    """(X - C) . r per present observation, NaN elsewhere."""
+    P = rays.present.shape[0]
+    rel = structure_to_points(structure, P) - rays.centers[None, :, :]
+    depths = np.einsum("pfa,pfa->pf", rel, rays.directions)
+    depths[~rays.present] = np.nan
+    return depths
 
 
 def toy_frames(n=4, radius=5.0):

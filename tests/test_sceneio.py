@@ -79,6 +79,7 @@ def test_config_round_trip_with_infinite_lambda3(tmp_path):
         ("admm_abs_tol", 1e-5),
         ("admm_rel_tol", 1e-4),
         ("consensus_tol", 1e-4),
+        ("admm_max_iter", 500),
     ):
         sceneio.save_config(p, soft)
         doc = json.loads(p.read_text())

@@ -15,13 +15,18 @@ from unsync3d.simplex import (
     coding_kkt,
     minimize_on_simplex,
     project_to_masked_simplex,
-    project_to_simplex,
     self_express,
     simplex_code,
     sparsity_profile,
     support_mask,
     validate_mask,
 )
+
+
+def project_to_simplex(v):
+    """``project_to_masked_simplex`` of one vector, every entry allowed."""
+    column = np.asarray(v, dtype=float)[:, None]
+    return project_to_masked_simplex(column, np.ones(column.shape, dtype=bool))[:, 0]
 
 
 def grid_minimum(H, c, steps):

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -40,7 +40,6 @@ from unsync3d.solver import (
     pair_distance_matrix,
     psi1,
     psi2,
-    smoothness_operator,
     soft_ray_cost,
     solve,
     video_pairs,
@@ -100,7 +99,6 @@ def test_config_defaults_and_validation():
         ("outer_max", 2.5),
         ("outer_max", "3"),
         ("outer_max", True),
-        ("admm_max_iter", None),
         ("second_stage", "no"),
         ("same_video_exclusion", 1),
     ]
@@ -123,27 +121,36 @@ def test_video_pairs_follow_within_video_order():
         assert pos[b] == pos[a] + 1
 
 
+def _difference_operator(pairs, F):
+    """F x M operator T with one column e_a - e_b per video pair."""
+    T = np.zeros((F, pairs.shape[0]))
+    for m, (a, b) in enumerate(pairs):
+        T[a, m] = 1.0
+        T[b, m] = -1.0
+    return T
+
+
 def test_smoothness_operator_columns():
     scene = make_scene(samples=10, cameras=2)
-    T = smoothness_operator(scene.frames)
+    F = len(scene.frames)
     pairs = video_pairs(scene.frames)
-    assert T.shape == (len(scene.frames), pairs.shape[0])
-    for m, (a, b) in enumerate(pairs):
-        col = np.zeros(len(scene.frames))
-        col[a], col[b] = 1.0, -1.0
-        assert np.array_equal(T[:, m], col)
+    T = _difference_operator(pairs, F)
+    assert T.shape == (F, pairs.shape[0])
     # X T stacks exactly the per-pair differences
-    X = np.random.default_rng(0).normal(size=(6, len(scene.frames)))
+    X = np.random.default_rng(0).normal(size=(6, F))
     diffs = X[:, pairs[:, 0]] - X[:, pairs[:, 1]]
     assert np.allclose(X @ T, diffs)
+    # so the Laplacian's quadratic form sums the squared pair differences
+    L = _smoothness_laplacian(pairs, F)
+    assert np.isclose(np.trace(X @ L @ X.T), np.sum(diffs ** 2))
 
 
 def test_smoothness_laplacian_is_operator_product():
     scene = make_scene(samples=10, cameras=3)
     frames = scene.frames
     F = len(frames)
-    T = smoothness_operator(frames)
     pairs = video_pairs(frames)
+    T = _difference_operator(pairs, F)
     assert np.array_equal(video_pairs(frames[::-1]), pairs)
     assert np.array_equal(_smoothness_laplacian(pairs, F), T @ T.T)
     # the coupling matrix carries it bit for bit
@@ -534,106 +541,79 @@ def test_x_step_never_increases_objective():
         assert after <= before + 1e-9 * (1 + abs(before))
 
 
+def coupled_objective(X, W, cfg):
+    F, P = X.shape[1], X.shape[0] // 3
+    return np.sum((X - X @ W) ** 2) / (F * P) + cfg.lambda1 * psi1(W)
+
+
 def test_admm_w_step_feasible_and_descends():
     scene = make_scene(points=3, samples=20, cameras=4, seed=11)
     X, mask = bootstrap_structure(scene)
     cfg = SolverConfig()
-    W, Z, Y, info = admm_w_step(X, mask, cfg)
+    W, _, _, info = admm_w_step(X, mask, cfg)
     F = X.shape[1]
     assert W.shape == (F, F)
     assert np.allclose(W.sum(axis=0), 1.0, atol=1e-8)
     assert W.min() >= -1e-12
     assert np.abs(W[~mask.allowed]).max() == 0.0
     assert info["iterations"] >= 1
-    # consensus between the two blocks
-    assert np.abs(W - Z).max() < 10 * solver._CONSENSUS_TOL
-
-    # a second, hot-started call never worsens the coupled objective
-    def coupled(Wc):
-        return np.sum((X - X @ Wc) ** 2) / (F * 3) + cfg.lambda1 * psi1(Wc)
-
-    W2, Z2, Y2, info2 = admm_w_step(X, mask, cfg, W, Z, Y)
-    assert coupled(W2) <= coupled(W) + 1e-9 * (1 + coupled(W))
-
-
-def test_admm_w_step_polish_keeps_feasibility_and_descent(monkeypatch):
-    # a small rho weakens the proximal term, so projected gradient leaves
-    # KKT gaps open and the active-set polish has to close them
-    calls = []
-    original = solver.minimize_on_simplex
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "minimize_on_simplex", counting)
-    scene = make_scene(points=3, samples=20, cameras=4, seed=11)
-    X, mask = bootstrap_structure(scene)
-    F = X.shape[1]
-    cfg = SolverConfig(rho=1e-3)
-
-    def coupled(Wc):
-        return np.sum((X - X @ Wc) ** 2) / (F * 3) + cfg.lambda1 * psi1(Wc)
-
-    W, Z, Y, info = admm_w_step(X, mask, cfg)
-    assert calls
     assert info["converged"]
-    assert np.allclose(W.sum(axis=0), 1.0, atol=1e-8)
-    assert W.min() >= 0.0
-    assert np.abs(W[~mask.allowed]).max() == 0.0
-    start = coupled(self_express(X, mask))
-    assert coupled(W) <= start + 1e-9 * (1 + start)
-    W2 = admm_w_step(X, mask, cfg, W, Z, Y)[0]
-    assert coupled(W2) <= coupled(W) + 1e-9 * (1 + coupled(W))
+
+    # a hot-started call never worsens the coupled objective, here after the
+    # structure moved as an X-step would move it
+    before = coupled_objective(X, W, cfg)
+    W2 = admm_w_step(X, mask, cfg, W)[0]
+    assert coupled_objective(X, W2, cfg) <= before + 1e-9 * (1 + before)
+    X = X + 1e-2 * np.sin(np.arange(X.size)).reshape(X.shape)
+    before = coupled_objective(X, W2, cfg)
+    W3 = admm_w_step(X, mask, cfg, W2)[0]
+    assert coupled_objective(X, W3, cfg) <= before + 1e-9 * (1 + before)
 
 
-def newton_scene():
-    """A bootstrapped structure with 12 P < F, where step 1 runs dual Newton."""
-    scene = make_scene(points=3, samples=60, cameras=4, seed=11)
-    X, mask = bootstrap_structure(scene)
-    assert 12 * (X.shape[0] // 3) < X.shape[1]
-    return X, mask
-
-
-def step_one_kkt_gap(X, W, const, allowed, rho):
-    # worst stationarity violation of each column of step 1's masked-simplex
-    # QP, relative to its gradient's size (0 at an exact minimizer)
+def proximal_kkt_gap(X, W, W_prev, allowed, cfg):
+    # worst stationarity violation of each column of the W-step's proximal
+    # problem, psi1's gradient included, relative to its gradient's size
+    # (0 at the exact minimizer)
     F, P = X.shape[1], X.shape[0] // 3
-    grad = (2.0 / (F * P)) * (X.T @ (X @ W)) + rho * W + const
+    G = X.T @ X
+    grad = (2.0 / (F * P)) * (G @ W - G)
+    grad += (4.0 * cfg.lambda1 / F) * (W - W.T)
+    grad += cfg.rho * (W - W_prev)
     mu = np.where(allowed, grad, np.inf).min(axis=0)
     viol = np.where(W > 1e-12, grad - mu, 0.0).max(axis=0)
     return viol / (1.0 + np.abs(np.where(allowed, grad, 0.0)).max(axis=0))
 
 
-@pytest.mark.parametrize("rho", [1.0, 1e-2, 1e-3])
-def test_admm_w_step_dual_newton_solves_each_column(monkeypatch, rho):
-    # every step-1 solve of a cold and a hot-started call, against the
-    # active-set engine on the same QP: (1/FP) G + (rho/2) I, linear term
-    # const = Y - rho Z - (2/FP) G
-    solves = []
-    original = solver._dual_newton
-
-    def recording(X, outer, W, const, allowed, scale, rho_):
-        out = original(X, outer, W, const, allowed, scale, rho_)
-        solves.append((const.copy(), out.copy()))
-        return out
-
-    monkeypatch.setattr(solver, "_dual_newton", recording)
-    X, mask = newton_scene()
-    F, P = X.shape[1], X.shape[0] // 3
-    cfg = SolverConfig(rho=rho)
-    W, Z, Y, _ = admm_w_step(X, mask, cfg)
-    admm_w_step(X, mask, cfg, W, Z, Y)
-    assert solves
-    H = (X.T @ X) / (F * P) + (rho / 2.0) * np.eye(F)
-    allowed = mask.allowed
-    for const, W1 in solves[:6]:
-        assert np.allclose(W1.sum(axis=0), 1.0, atol=1e-12)
-        assert W1.min() >= 0.0
-        assert np.abs(W1[~allowed]).max() == 0.0
-        assert step_one_kkt_gap(X, W1, const, allowed, rho).max() <= 1e-9
+@pytest.mark.parametrize("rho", [1.0, 1e-2])
+def test_admm_w_step_projected_gradient_solves_each_column(rho):
+    # the W-step's projected gradient closes every column's KKT gap of the
+    # proximal problem, through the factored step map X^T (X W) (12 P < F)
+    # and the F x F one (12 P >= F); at lambda1 = 0 the columns decouple,
+    # and each must match the active-set engine on (1/FP) G + (rho/2) I
+    # with linear term -(2/FP) G - rho W_prev
+    for points, samples in ((3, 60), (16, 48)):
+        scene = make_scene(points=points, samples=samples, cameras=4, seed=11)
+        X, mask = bootstrap_structure(scene)
+        F, P = X.shape[1], X.shape[0] // 3
+        allowed = mask.allowed
+        # a feasible start away from the optimum: the decoupled code, half
+        # of it moved to the uniform weights over each column's atoms
+        uniform = allowed / allowed.sum(axis=0)
+        W_prev = 0.5 * (self_express(X, mask) + uniform)
+        for lambda1 in (0.05, 0.0):
+            cfg = SolverConfig(lambda1=lambda1, rho=rho)
+            W, _, _, info = admm_w_step(X, mask, cfg, W_prev)
+            assert info["converged"]
+            assert np.allclose(W.sum(axis=0), 1.0, atol=1e-12)
+            assert W.min() >= 0.0
+            assert np.abs(W[~allowed]).max() == 0.0
+            assert proximal_kkt_gap(X, W, W_prev, allowed, cfg).max() <= 1e-9
+        # W is the lambda1 = 0 step
+        G = X.T @ X
+        H = G / (F * P) + (rho / 2.0) * np.eye(F)
+        const = -(2.0 / (F * P)) * G - rho * W_prev
         ref = minimize_on_simplex(H, const, allowed=allowed)
-        assert np.abs(W1 - ref).max() <= 1e-9
+        assert np.abs(W - ref).max() <= 1e-9
 
 
 def _count_sorts(monkeypatch):
@@ -649,109 +629,27 @@ def _count_sorts(monkeypatch):
     return calls
 
 
-def test_admm_w_step_dual_newton_projects_at_most_three_times(monkeypatch):
-    # projected gradient took about 8 full projections per ADMM iteration
-    calls = _count_sorts(monkeypatch)
-    X, mask = newton_scene()
-    cfg = SolverConfig()
-    W, Z, Y, info = admm_w_step(X, mask, cfg)
-    iterations = info["iterations"]
-    for _ in range(3):
-        X = X + 1e-3 * np.sin(np.arange(X.size)).reshape(X.shape)
-        W, Z, Y, info = admm_w_step(X, mask, cfg, W, Z, Y)
-        iterations += info["iterations"]
-    assert 0 < len(calls) <= 3 * iterations
-
-
-def test_admm_w_step_newton_cap_falls_back_to_polish(monkeypatch):
-    # one Newton evaluation leaves step 1 at the projection of its warm
-    # start; the KKT-gap test must send the open columns to the polish
-    polished = []
-    original = solver.minimize_on_simplex
-
-    def recording(H, c, **kwargs):
-        out = original(H, c, **kwargs)
-        polished.append((c, kwargs["allowed"], out))
-        return out
-
-    X, mask = newton_scene()
-    F, P = X.shape[1], X.shape[0] // 3
-    cfg = SolverConfig(rho=1e-2)
-
-    def coupled(Wc):
-        return np.sum((X - X @ Wc) ** 2) / (F * P) + cfg.lambda1 * psi1(Wc)
-
-    W_ref = admm_w_step(X, mask, cfg)[0]
-    monkeypatch.setattr(solver, "_NEWTON_STEPS", 1)
-    monkeypatch.setattr(solver, "minimize_on_simplex", recording)
-    W, Z, Y, info = admm_w_step(X, mask, cfg)
-    assert polished
-    for c, allowed, out in polished:
-        assert step_one_kkt_gap(X, out, c, allowed, cfg.rho).max() <= 1e-9
-    assert np.allclose(W.sum(axis=0), 1.0, atol=1e-12)
-    assert W.min() >= 0.0
-    assert np.abs(W[~mask.allowed]).max() == 0.0
-    start = coupled(self_express(X, mask))
-    assert coupled(W) <= start + 1e-9 * (1 + start)
-    # with every column closed the ADMM sequence follows the uncapped one,
-    # up to the KKT tolerance over rho
-    assert np.abs(W - W_ref).max() <= 1e-6
-
-
-def pg_scene():
-    """A bootstrapped structure with 12 P >= F, where step 1 runs projected
-    gradient on the F x F step map."""
-    scene = make_scene(points=16, samples=48, cameras=4, seed=11)
-    X, mask = bootstrap_structure(scene)
-    assert 12 * (X.shape[0] // 3) >= X.shape[1]
-    return X, mask
-
-
-@pytest.mark.parametrize("rho", [1.0, 1e-2])
-def test_admm_w_step_projected_gradient_solves_each_column(monkeypatch, rho):
-    # the projected-gradient twin of the dual Newton check above
-    solves = []
-    original = solver._projected_gradient
-
-    def recording(step_map, W, const, allowed, L):
-        out = original(step_map, W, const, allowed, L)
-        solves.append((const.copy(), out.copy()))
-        return out
-
-    monkeypatch.setattr(solver, "_projected_gradient", recording)
-    X, mask = pg_scene()
-    F, P = X.shape[1], X.shape[0] // 3
-    cfg = SolverConfig(rho=rho)
-    W, Z, Y, _ = admm_w_step(X, mask, cfg)
-    admm_w_step(X, mask, cfg, W, Z, Y)
-    assert solves
-    H = (X.T @ X) / (F * P) + (rho / 2.0) * np.eye(F)
-    allowed = mask.allowed
-    for const, W1 in solves[:6]:
-        assert np.allclose(W1.sum(axis=0), 1.0, atol=1e-12)
-        assert W1.min() >= 0.0
-        assert np.abs(W1[~allowed]).max() == 0.0
-        assert step_one_kkt_gap(X, W1, const, allowed, rho).max() <= 1e-9
-        ref = minimize_on_simplex(H, const, allowed=allowed)
-        assert np.abs(W1 - ref).max() <= 1e-9
-
-
 def test_admm_w_step_projected_gradient_sorts_under_once_per_iteration(
     monkeypatch,
 ):
-    # each step tries the previous support first, so only columns whose
-    # support changed are sorted; sorting every step took about 8 full
-    # projections per ADMM iteration
+    # each step tries the previous support first, so only the columns whose
+    # support changed are sorted: over four W-steps of about 9 steps each,
+    # fewer columns than one full projection per W-step, where sorting
+    # every step would sort F columns per step
     calls = _count_sorts(monkeypatch)
-    X, mask = pg_scene()
+    scene = make_scene(points=16, samples=48, cameras=4, seed=11)
+    X, mask = bootstrap_structure(scene)
+    F = X.shape[1]
+    assert 12 * (X.shape[0] // 3) >= F
     cfg = SolverConfig()
-    W, Z, Y, info = admm_w_step(X, mask, cfg)
+    W, _, _, info = admm_w_step(X, mask, cfg)
     iterations = info["iterations"]
     for _ in range(3):
         X = X + 1e-3 * np.sin(np.arange(X.size)).reshape(X.shape)
-        W, Z, Y, info = admm_w_step(X, mask, cfg, W, Z, Y)
+        W, _, _, info = admm_w_step(X, mask, cfg, W)
         iterations += info["iterations"]
-    assert 0 < len(calls) <= iterations
+    assert iterations >= 4 * 4
+    assert 0 < len(calls) and sum(calls) <= 4 * F
 
 
 @st.composite
@@ -782,7 +680,7 @@ def test_project_near_matches_sorted_projection(problem):
     V, allowed, support = problem
     ref = project_to_masked_simplex(V, allowed)
     count = support.sum(axis=0).astype(float)
-    out = solver._project_near(V.copy(), allowed, support, count)
+    out = simplex._project_near(V.copy(), allowed, support, count)
     assert np.abs(out - ref).max() <= 1e-12
     assert out.min() >= 0.0
     assert np.abs(out.sum(axis=0) - 1.0).max() <= 1e-12
@@ -811,38 +709,11 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize(
-    "points, frames, newton",
-    [(3, 60, True), (5, 80, True), (9, 120, False), (16, 240, False), (16, 48, False)],
-)
-def test_admm_w_step_runs_dual_newton_only_where_it_pays(
-    monkeypatch, points, frames, newton
-):
-    # Newton's Jacobians cost F^2 (3P)^2 flops per step, so it runs only
-    # when 12 P < F and (3P)^2 <= 6F; projected gradient covers the rest
-    calls = []
-    original = solver._dual_newton
-
-    def recording(*args):
-        calls.append(True)
-        return original(*args)
-
-    monkeypatch.setattr(solver, "_dual_newton", recording)
-    rng = np.random.default_rng(points)
-    X = rng.standard_normal((3 * points, frames))
-    mask = support_mask(np.arange(frames) % 4)
-    W = admm_w_step(X, mask, SolverConfig(admm_max_iter=2))[0]
-    assert bool(calls) == newton
-    assert np.allclose(W.sum(axis=0), 1.0, atol=1e-12)
-    assert W.min() >= 0.0
-    assert np.abs(W[~mask.allowed]).max() == 0.0
-
-
 def test_admm_w_step_lambda1_zero_matches_decoupled_coding():
     scene = make_scene(points=3, samples=16, cameras=4, seed=12)
     X, mask = bootstrap_structure(scene)
     cfg = SolverConfig(lambda1=0.0)
-    W, Z, Y, info = admm_w_step(X, mask, cfg)
+    W = admm_w_step(X, mask, cfg)[0]
     W_ref = self_express(X, mask)
     r_admm = np.sum((X - X @ W) ** 2)
     r_ref = np.sum((X - X @ W_ref) ** 2)
@@ -1016,8 +887,8 @@ def test_solve_loop_calls_and_flags(monkeypatch):
     """The warm-up and both coupled stages run the one alternation loop.
 
     Per solve: x_step = warm-up passes + outer iterations, admm_w_step =
-    outer + 1 (the cold bootstrap), self_express = warm-up passes + 1 (the
-    bootstrap codes cold), objective = warm-up passes + 2 outer + stages.
+    outer (the first starts from the warm-up's code), self_express =
+    warm-up passes, objective = warm-up passes + 2 outer + stages.
     """
     scene = make_scene(points=3, samples=12, cameras=3, seed=20)
     calls = {}
@@ -1044,23 +915,21 @@ def test_solve_loop_calls_and_flags(monkeypatch):
         (passes,) = [int(f.removeprefix("warmup-")) for f in warmup]
         outer = state.outer_iterations
         assert calls["x_step"] == passes + outer
-        assert calls["admm_w_step"] == outer + 1
-        assert calls["self_express"] == passes + 1
+        assert calls["admm_w_step"] == outer
+        assert calls["self_express"] == passes
         assert calls["objective"] == passes + 2 * outer + 2
         assert len(state.objective_trace) == 2 * outer + 2
         assert state.admm_iterations == sum(i["iterations"] for i in infos)
-        assert state.admm_cap_hits == sum(not i["converged"] for i in infos)
+        assert all(i["converged"] for i in infos)
         return state, passes
 
-    capped, passes = run(SolverConfig(outer_max=3, admm_max_iter=1))
+    capped, passes = run(SolverConfig(outer_max=3))
     assert passes == 3 and capped.outer_iterations == 6
     assert not capped.converged
-    assert capped.admm_cap_hits > 0
     assert [f for f in capped.flags if not f.startswith("ridge:")] == [
         "warmup-3",
         "stage0-outer-cap",
         "stage1-outer-cap",
-        f"admm-cap-hit-{capped.admm_cap_hits}x",
     ]
 
     # a loose tolerance stops every loop on it, before the cap
@@ -1112,3 +981,68 @@ def test_solve_handles_missing_data():
     ref = structure_to_points(scene.truth, 4)
     errs = np.linalg.norm(pts - ref, axis=2).ravel()
     assert np.median(errs) < 5.0
+
+
+@st.composite
+def small_hard_scenes(draw):
+    """A small hard-ray scene, some with missing data, and a seeded rng."""
+    scene = make_scene(
+        points=draw(st.integers(3, 4)),
+        samples=draw(st.integers(12, 18)),
+        cameras=draw(st.integers(3, 4)),
+        seed=draw(st.integers(0, 10_000)),
+        miss_rate=draw(st.sampled_from([0.0, 0.1])),
+    )
+    # solve rejects a point seen in fewer than two frames
+    assume((scene.observations.present.sum(axis=1) >= 2).all())
+    return scene, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+# a capped solve keeps the examples fast; the property holds at any cap.
+# Measured over 100 such scenes at the default cap, W moved by at most
+# 4e-9 and X by at most 3e-10 of its scale
+EQUIVARIANT_CFG = SolverConfig(outer_max=20)
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_hard_scenes())
+def test_solve_commutes_with_a_relabelling_of_frames(case):
+    # a permutation of the global frame list that keeps every frame's
+    # (video_id, frame_in_video) permutes the weights and the structure
+    scene, rng = case
+    base = solve(scene.observations, scene.frames, EQUIVARIANT_CFG)
+    perm = rng.permutation(len(scene.frames))
+    frames = [replace(scene.frames[p], global_index=i) for i, p in enumerate(perm)]
+    obs = ObservationSet(
+        scene.observations.measures[:, perm], scene.observations.present[:, perm]
+    )
+    moved = solve(obs, frames, EQUIVARIANT_CFG)
+    scale = np.abs(base.structure).max()
+    assert np.abs(moved.weights - base.weights[np.ix_(perm, perm)]).max() <= 1e-6
+    assert np.abs(moved.structure - base.structure[:, perm]).max() <= 1e-6 * scale
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_hard_scenes())
+def test_solve_commutes_with_a_rigid_motion(case):
+    # rotating and translating the cameras with the world leaves every
+    # pixel in place: the weights stay, and the structure moves along
+    scene, rng = case
+    base = solve(scene.observations, scene.frames, EQUIVARIANT_CFG)
+    Q, R = np.linalg.qr(rng.normal(size=(3, 3)))
+    Q *= np.sign(np.diag(R))
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] *= -1.0
+    scale = np.abs(base.structure).max()
+    t = rng.uniform(-2.0, 2.0, 3) * scale
+    # world-to-camera rotations: R_f (x - C_f) = (R_f Q^T)(Q x + t - (Q C_f + t))
+    frames = [
+        replace(f, center=Q @ f.center + t, rotation=f.rotation @ Q.T)
+        for f in scene.frames
+    ]
+    moved = solve(scene.observations, frames, EQUIVARIANT_CFG)
+    P = scene.observations.point_count
+    expected = structure_to_points(base.structure, P) @ Q.T + t
+    assert np.abs(moved.weights - base.weights).max() <= 1e-6
+    got = structure_to_points(moved.structure, P)
+    assert np.abs(got - expected).max() <= 1e-6 * scale

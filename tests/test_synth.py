@@ -17,7 +17,6 @@ from unsync3d.synth import (
     generate,
     load_mocap,
     procedural_motion,
-    save_mocap,
     sweep,
 )
 
@@ -64,6 +63,15 @@ def test_motion_source_validation():
     for hz in (math.nan, math.inf):
         with pytest.raises(InputError, match="sample rate"):
             MotionSource(points=np.zeros((5, 2, 3)), hz=hz)
+
+
+def save_mocap(path, motion):
+    """Write a MotionSource in the text format load_mocap reads."""
+    T, P, _ = motion.points.shape
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"hz {motion.hz!r}\n")
+        for row in motion.points.reshape(T, 3 * P):
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 def test_mocap_round_trip(tmp_path):
