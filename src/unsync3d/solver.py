@@ -23,10 +23,13 @@ raise the coupled one; it is the block step that proximal alternating
 minimization analyses (Attouch, Bolte, Redont & Soubeyran 2010).  The X
 update eliminates each point's unobserved frames in closed form (a
 Schur complement of the coupling) and solves what remains, one small linear
-system per point on its observed frames, in bounded stacks.  Its geometry
-(slot layout, gather and scatter indices, observed rays) is planned once per
-ray field, and a solve builds its video pairs once, so each pass only
-gathers the new coupling, solves and scatters.  One loop
+system per point on its observed frames, in bounded stacks.  Both ray modes
+solve the same depth system, soft rays on the filtered coupling
+S (I + S / lambda3)^-1, whose points the filter then maps off the rays
+(``minimize_structure``).  Its geometry (slot layout, gather and scatter
+indices, observed rays) is planned once per ray field for both modes, and a
+solve builds its video pairs once, so each pass only gathers the new
+coupling, solves and scatters.  One loop
 alternates them in every phase of a solve: a decoupled warm-up (exact
 coding, then X refits) pulls the depth initialization into the
 self-expressive basin; a coupled stage, then one with lambda2 = 0, let the
@@ -284,22 +287,20 @@ def coupling_matrix(weights, config, frames, point_count):
 
 
 # matrix entries one stacked solve may hold: bounds the stacks' memory (one
-# point per stack at F = 240 with hard rays, every point in one at F = 48)
+# point per stack at F = 240, every point in one at F = 48); both ray modes
+# solve one F x F system per point
 _STACK_ENTRIES = 1 << 16
 
 
 def _accepted(H, rhs, sol):
-    # the direct solve's residual test, for one system or a stack of them
+    # the direct solve's residual test, for one system or a stack of them;
+    # einsum sums the squares without the copy np.linalg.norm makes
     scale = np.trace(H, axis1=-2, axis2=-1) / H.shape[-1]
     resid = H @ sol
     resid -= rhs
-    resid = np.linalg.norm(resid, axis=(-2, -1))
-    bound = 1e-8 * (
-        1.0
-        + np.linalg.norm(rhs, axis=(-2, -1))
-        + np.abs(scale) * np.linalg.norm(sol, axis=(-2, -1))
-    )
-    return np.isfinite(sol).all(axis=(-2, -1)) & (resid <= bound)
+    r2, b2, x2 = (np.einsum("...ij,...ij->...", a, a) for a in (resid, rhs, sol))
+    bound = 1e-8 * (1.0 + np.sqrt(b2) + np.abs(scale) * np.sqrt(x2))
+    return np.isfinite(sol).all(axis=(-2, -1)) & (np.sqrt(r2) <= bound)
 
 
 def _solve_regularized(H, rhs):
@@ -375,63 +376,51 @@ class _StackPlan:
     """What the X-step of one stack of points needs from its rays alone.
 
     Every X-step of a solve couples the same rays, so ``minimize_structure``
-    builds these once per ray field and each pass only gathers the new
-    coupling Mc, solves and scatters.  A stack whose points see every frame
-    keeps views of the rays: S = Mc, and nothing to gather or eliminate.
-    Otherwise the plan holds the slot layout of ``_slots``, the observed
-    centres C and directions R (padding slots read a zero centre and the
-    unit direction e_x), flat indices of Mc_mm, Mc_mo and Mc_oo in one
-    padded copy of Mc that it reuses, and each frame's slot for the
-    scatter.  With finite lambda3 it also holds the ray projectors and
-    their right-hand side.
+    builds these once per ray field, for both ray modes, and each pass only
+    gathers the new coupling Mc, solves and scatters.  A stack whose points
+    see every frame keeps views of the rays: S = Mc, and nothing to gather
+    or eliminate.  Otherwise the plan holds the slot layout of ``_slots``,
+    the observed centres C and directions R (padding slots read a zero
+    centre and the unit direction e_x), flat indices of Mc_mm, Mc_mo and
+    Mc_oo in one padded copy of Mc that it reuses, and each frame's slot for
+    the scatter.
     """
 
-    def __init__(self, rays, part, lambda3):
+    def __init__(self, rays, part):
         present = rays.present[part]
         size, F = present.shape
         self.part = part
         self.present = present
-        self.hard = math.isinf(lambda3)
         self.full = bool(present.all())
         if self.full:
-            self.n_obs, self.No = np.full(size, F), F
+            self.n_obs = np.full(size, F)
             self.R = rays.directions[part]
             self.C = np.broadcast_to(rays.centers, self.R.shape)
-        else:
-            slot, self.n_obs, No = _slots(present)
-            self.No = No
-            T = slot.shape[1]
-            obs = slot[:, :No]
-            self.C = np.concatenate([rays.centers, np.zeros((T, 3))])[obs]
-            pad_dirs = np.broadcast_to(np.eye(3)[0], (size, T, 3))
-            dirs = np.concatenate([rays.directions[part], pad_dirs], axis=1)
-            self.R = np.take_along_axis(dirs, obs[:, :, None], axis=1)
-            # flat indices of Mc_mm, Mc_mo and Mc_oo in Mc.ravel() followed
-            # by a 0 and a 1: a padding slot reads 1 on its own diagonal
-            # and 0 elsewhere, which keeps it decoupled
-            self.buffer = np.zeros(F * F + 2)
-            self.buffer[-1] = 1.0
-            o, m = slot[:, :No], slot[:, No:]
-            self.mm = _entry_index(m[:, :, None], m[:, None, :], F)
-            self.mo = _entry_index(m[:, :, None], o[:, None, :], F)
-            self.oo = _entry_index(o[:, :, None], o[:, None, :], F)
-            self.n_unobs = F - self.n_obs
-            # the scatter back to frame order gathers each frame's slot
-            # (row i lists every frame once, then padding) from the stacked
-            # slots; an absent frame's depth reads slot 0, then NaN
-            where = np.argsort(slot, axis=1)[:, :F]
-            member = np.arange(size)[:, None]
-            self.rows = where + T * member
-            self.depth_rows = np.where(present, where + No * member, 0)
-        if not self.hard:
-            No = self.No
-            eye = np.eye(3)
-            R = self.R
-            self.proj = lambda3 * (eye - R[:, :, :, None] * R[:, :, None, :])
-            rhs = np.einsum("psab,psb->psa", self.proj, self.C)
-            self.rhs = rhs.reshape(size, 3 * No, 1)
-            block = 3 * np.arange(No)[:, None] + np.arange(3)
-            self.block = (block[:, :, None], block[:, None, :])
+            return
+        slot, self.n_obs, No = _slots(present)
+        T = slot.shape[1]
+        obs = slot[:, :No]
+        self.C = np.concatenate([rays.centers, np.zeros((T, 3))])[obs]
+        pad_dirs = np.broadcast_to(np.eye(3)[0], (size, T, 3))
+        dirs = np.concatenate([rays.directions[part], pad_dirs], axis=1)
+        self.R = np.take_along_axis(dirs, obs[:, :, None], axis=1)
+        # flat indices of Mc_mm, Mc_mo and Mc_oo in Mc.ravel() followed by a
+        # 0 and a 1: a padding slot reads 1 on its own diagonal and 0
+        # elsewhere, which keeps it decoupled
+        self.buffer = np.zeros(F * F + 2)
+        self.buffer[-1] = 1.0
+        o, m = slot[:, :No], slot[:, No:]
+        self.mm = _entry_index(m[:, :, None], m[:, None, :], F)
+        self.mo = _entry_index(m[:, :, None], o[:, None, :], F)
+        self.oo = _entry_index(o[:, :, None], o[:, None, :], F)
+        self.n_unobs = F - self.n_obs
+        # the scatter back to frame order gathers each frame's slot (row i
+        # lists every frame once, then padding) from the stacked slots; an
+        # absent frame's depth reads slot 0, then NaN
+        where = np.argsort(slot, axis=1)[:, :F]
+        member = np.arange(size)[:, None]
+        self.rows = where + T * member
+        self.depth_rows = np.where(present, where + No * member, 0)
 
     def eliminate(self, Mc):
         """Eliminate each member's unobserved frames m from the coupling.
@@ -451,39 +440,32 @@ class _StackPlan:
         np.subtract(buffer.take(self.oo), S, out=S)
         return S, K, ridged
 
-    def solve(self, Mc):
+    def solve(self, Mc, lambda3):
         """This stack's part of ``minimize_structure`` for coupling Mc.
 
         Returns (points (size, F, 3), depths (size, F), ridged members).
         """
-        R, C, No = self.R, self.C, self.No
+        R, C = self.R, self.C
         if self.full:
             S, ridged = Mc, []
         else:
             S, K, ridged = self.eliminate(Mc)
-        if self.hard:
-            # in place: S * (R @ R^T) allocates a second stack, which
-            # measured several times slower than the product itself at
-            # F = 240
-            H = R @ R.transpose(0, 2, 1)
-            H *= S
-            rhs = -np.einsum("pia,pia->pi", R, S @ C)
-            # S is not held through the solve, where the X-step peaks in
-            # memory
-            del S
-            d, bad = _solve_stack(H, rhs[:, :, None], self.n_obs)
-            x_obs = C + d * R
-        else:
-            size = R.shape[0]
-            n = 3 * No
-            eye = np.eye(3)
-            kron = (S[..., :, None, :, None] * eye[:, None, :]).reshape(-1, n, n)
-            H = np.broadcast_to(kron, (size, n, n)).copy()
-            del S, kron
-            rows, cols = self.block
-            H[:, rows, cols] += self.proj
-            z, bad = _solve_stack(H, self.rhs, 3 * self.n_obs)
-            x_obs = z.reshape(size, No, 3)
+        if lambda3 < math.inf:
+            # soft rays solve the hard-ray depth system on the filtered
+            # coupling S J, J = (I + S / lambda3)^-1, then x = J (C + d R)
+            J = np.linalg.inv(np.eye(S.shape[-1]) + S / lambda3)
+            S = S @ J
+        # in place: S * (R @ R^T) allocates a second stack, which measured
+        # several times slower than the product itself at F = 240
+        H = R @ R.transpose(0, 2, 1)
+        H *= S
+        rhs = -np.einsum("pia,pia->pi", R, S @ C)
+        # S is not held through the solve, where the X-step peaks in memory
+        del S
+        d, bad = _solve_stack(H, rhs[:, :, None], self.n_obs)
+        x_obs = C + d * R
+        if lambda3 < math.inf:
+            x_obs = J @ x_obs
         along = np.einsum("psa,psa->ps", x_obs - C, R)
         if self.full:
             return x_obs, along, bad
@@ -493,21 +475,19 @@ class _StackPlan:
         return points, depths, ridged + bad
 
 
-def _stack_plans(rays, lambda3):
-    # the stack plans of a ray field for lambda3, built on its first X-step
-    # and kept on it: a solve never changes its rays
+def _stack_plans(rays):
+    # the stack plans of a ray field, built on its first X-step and kept on
+    # it: a solve never changes its rays
     kept = getattr(rays, "_stack_plans", None)
-    if kept is not None and kept[0] == lambda3:
-        return kept[1]
+    if kept is not None:
+        return kept
     P, F = rays.present.shape
-    width = 1 if math.isinf(lambda3) else 3
-    step = max(1, _STACK_ENTRIES // (width * F) ** 2)
-    plans = [
-        _StackPlan(rays, slice(start, min(start + step, P)), lambda3)
+    step = max(1, _STACK_ENTRIES // F**2)
+    rays._stack_plans = [
+        _StackPlan(rays, slice(start, min(start + step, P)))
         for start in range(0, P, step)
     ]
-    rays._stack_plans = (lambda3, plans)
-    return plans
+    return rays._stack_plans
 
 
 def minimize_structure(coupling, rays, lambda3=math.inf, flags=None):
@@ -519,24 +499,28 @@ def minimize_structure(coupling, rays, lambda3=math.inf, flags=None):
     S = Mc_oo - Mc_om Mc_mm^-1 Mc_mo on the observed frames o (S = Mc when
     every frame is observed).  With infinite lambda3 an observed frame is
     pinned to its ray, x_f = C_f + d_f r_f, and the depths solve
-    (S o (R R^T)) d = -sum_a R[:, a] o (S C)[:, a].  With finite lambda3 each
-    observed frame is a free 3D point, and the system is kron(S, I3) plus
-    the ray penalty lambda3 (I - r r^T) on each frame's diagonal block, with
-    lambda3 (I - r r^T) C_f on the right-hand side.
+    (S o (R R^T)) d = -sum_a R[:, a] o (S C)[:, a].  A finite lambda3 (which
+    must be positive) solves the same system with S replaced by S J,
+    J = (I + S / lambda3)^-1, and returns x_o = J (C + d o R): the
+    stationarity condition (S + lambda3 I) X = lambda3 (I - r r^T) C +
+    diag(y) R, with Woodbury applied to its ray term and r . r = 1, is the
+    hard-ray system on that filtered coupling (Hager 1989).
 
     The points are solved in stacks of consecutive points, as many as fit
     ``_STACK_ENTRIES`` matrix entries at a point's full system size (F
-    unknowns, 3F with finite lambda3).  Each member is padded to the stack's
-    largest system with decoupled identity rows and zero right-hand sides.
-    What a stack needs from the rays alone is planned on the first call for
-    a ray field and kept on it (``_StackPlan``), so a ray field must not be
-    changed in place once solved on.  A member whose direct solve fails the
-    residual test is solved alone with a trace-scaled ridge (then least
-    squares) and flagged ``ridge:point-<p>``, once per point.
+    unknowns).  Each member is padded to the stack's largest system with
+    decoupled identity rows and zero right-hand sides.  What a stack needs
+    from the rays alone is planned on the first call for a ray field, in
+    either ray mode, and kept on it (``_StackPlan``), so a ray field must
+    not be changed in place once solved on.  A member whose direct solve
+    fails the residual test is solved alone with a trace-scaled ridge (then
+    least squares) and flagged ``ridge:point-<p>``, once per point.
 
     Returns (structure, depths) with depths (x_f - C_f) . r_f on observed
     frames; ``flags`` collects ridge warnings.
     """
+    if not lambda3 > 0:
+        raise InputError(f"lambda3 must be positive (inf = hard rays), got {lambda3}")
     if flags is None:
         flags = []
     Mc = np.asarray(coupling, dtype=float)
@@ -544,9 +528,9 @@ def minimize_structure(coupling, rays, lambda3=math.inf, flags=None):
     points = np.empty((P, F, 3))
     depths = np.empty((P, F))
     ridged = set()
-    for plan in _stack_plans(rays, lambda3):
+    for plan in _stack_plans(rays):
         part = plan.part
-        points[part], depths[part], bad = plan.solve(Mc)
+        points[part], depths[part], bad = plan.solve(Mc, lambda3)
         ridged.update(part.start + i for i in bad)
     flags.extend(f"ridge:point-{p}" for p in sorted(ridged))
     return structure_from_points(points), depths
@@ -883,7 +867,11 @@ def solve(obs, frames, config=None):
     With ``second_stage`` the coupled stage repeats with lambda2 = 0, warm
     started; the trace stays non-increasing across the switch.  ``flags``
     records ``warmup-N`` and ``stageK-outer-cap``.
-    Outputs are in input units; ``scale_factor`` scaled the camera centers.
+    The solve works on the frames relabelled in (video_id, frame_in_video)
+    order, and maps structure, depths, weights and frame flags back to the
+    input's global indices: no labelling or list order of the frames, down
+    to how exact ties break, changes the result.  Outputs are in input
+    units; ``scale_factor`` scaled the camera centers.
     """
     if config is None:
         config = SolverConfig()
@@ -896,6 +884,11 @@ def solve(obs, frames, config=None):
         )
     if F < 3:
         raise InputError(f"need at least 3 frames, got {F}")
+    # relabel in (video_id, frame_in_video) order: frame k is input frame order[k]
+    by_index = sorted(frames, key=lambda frame: frame.global_index)
+    order = np.lexsort(np.array([(f.frame_in_video, f.video_id) for f in by_index]).T)
+    frames = [replace(by_index[g], global_index=k) for k, g in enumerate(order)]
+    obs = replace(obs, measures=obs.measures[:, order], present=obs.present[:, order])
     if obs.point_count == 0:
         raise InputError("scene has no points")
     seen = obs.present.sum(axis=1)
@@ -923,6 +916,10 @@ def solve(obs, frames, config=None):
     scaled_frames = _SolveFrames(scaled)
     rays = compute_rays(scaled_frames, obs)
     depths, flags = initialize_depths(rays, scaled_frames)
+    # init-unit-depth-frame-<f> flags name the input's frame labels
+    for i, flag in enumerate(flags):
+        if flag.startswith("init-unit-depth-frame-"):
+            flags[i] = f"init-unit-depth-frame-{order[int(flag.rsplit('-', 1)[1])]}"
     structure = assemble_structure(depths, rays)
     structure = _fill_missing(structure, rays.present, scaled_frames)
     state = SolveState(structure, depths, flags=flags, scale_factor=factor)
@@ -939,6 +936,8 @@ def solve(obs, frames, config=None):
     _coupled_stage(state, 0, config, problem)
     if config.second_stage and config.lambda2 > 0:
         _coupled_stage(state, 1, flat_cfg, problem)
-    state.structure = state.structure / factor
-    state.depths = state.depths / factor
+    back = np.argsort(order)
+    state.structure = state.structure[:, back] / factor
+    state.depths = state.depths[:, back] / factor
+    state.weights = state.weights[np.ix_(back, back)]
     return state

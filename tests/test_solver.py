@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -373,32 +373,47 @@ def check_matches_reference(Mc, rays, lambda3, skip=()):
     return points, depths, flags
 
 
-def test_minimize_structure_matches_dense_per_point_solve():
-    for lambda3, points in ((math.inf, 4), (50.0, 13)):
-        for miss_rate in (0.0, 0.3):
-            scene = make_scene(
-                points=points, samples=24, cameras=3, seed=4, miss_rate=miss_rate
-            )
-            scaled, _ = normalize_scale(scene.frames)
-            rays = compute_rays(scaled, scene.observations)
-            F = len(scaled)
-            W = offdiag_weights(F, np.random.default_rng(5))
-            Mc = coupling_matrix(W, SolverConfig(lambda2=0.2), scaled, points)
-            counts = rays.present.sum(axis=1)
-            # unequal observed counts, so the stacks carry padding
-            assert (np.unique(counts).size > 1) == (miss_rate > 0)
-            if not math.isinf(lambda3):
-                # the soft-ray points span more than one stack
-                assert points * (3 * F) ** 2 > solver._STACK_ENTRIES
-            _, _, flags = check_matches_reference(Mc, rays, lambda3)
-            assert flags == []
-            # a point observed in a single frame; it would slide along that
-            # ray at no cost under a coupling with Mc 1 = 0, so this one is
-            # positive definite
-            lone = without(rays, 1, np.flatnonzero(rays.present[1])[1:])
-            Mpd = Mc + np.eye(F)
-            _, depths, flags = check_matches_reference(Mpd, lone, lambda3)
-            assert np.isfinite(depths[1]).sum() == 1 and flags == []
+def test_minimize_structure_matches_dense_per_point_solve(monkeypatch):
+    # three points per stack, so the points span several stacks in both ray
+    # modes
+    monkeypatch.setattr(solver, "_STACK_ENTRIES", 3 * 24**2)
+    # soft rays from a weak to a stiff ray term
+    for lambda3 in (math.inf, 0.01, 1.0, 50.0, 1000.0):
+        check_matches_dense_solve(lambda3, 4 if math.isinf(lambda3) else 13)
+
+
+def check_matches_dense_solve(lambda3, points):
+    for miss_rate in (0.0, 0.3):
+        scene = make_scene(
+            points=points, samples=24, cameras=3, seed=4, miss_rate=miss_rate
+        )
+        scaled, _ = normalize_scale(scene.frames)
+        rays = compute_rays(scaled, scene.observations)
+        F = len(scaled)
+        assert points * F**2 > solver._STACK_ENTRIES
+        W = offdiag_weights(F, np.random.default_rng(5))
+        Mc = coupling_matrix(W, SolverConfig(lambda2=0.2), scaled, points)
+        counts = rays.present.sum(axis=1)
+        # unequal observed counts, so the stacks carry padding
+        assert (np.unique(counts).size > 1) == (miss_rate > 0)
+        _, _, flags = check_matches_reference(Mc, rays, lambda3)
+        assert flags == []
+        # a point observed in a single frame; it would slide along that ray
+        # at no cost under a coupling with Mc 1 = 0, so this one is positive
+        # definite
+        lone = without(rays, 1, np.flatnonzero(rays.present[1])[1:])
+        Mpd = Mc + np.eye(F)
+        _, depths, flags = check_matches_reference(Mpd, lone, lambda3)
+        assert np.isfinite(depths[1]).sum() == 1 and flags == []
+
+
+@pytest.mark.parametrize("lambda3", [0.0, -1.0, math.nan, -math.inf])
+def test_minimize_structure_rejects_nonpositive_lambda3(lambda3):
+    scene = make_scene(points=2, samples=12, cameras=3, seed=4)
+    scaled, _ = normalize_scale(scene.frames)
+    rays = compute_rays(scaled, scene.observations)
+    with pytest.raises(InputError, match="lambda3"):
+        solver.minimize_structure(np.eye(len(scaled)), rays, lambda3)
 
 
 def test_minimize_structure_ridge_retries_only_the_singular_point():
@@ -435,12 +450,10 @@ def planned_x_steps(draw):
     splits the points into several stacks.
     """
     lambda3 = draw(st.sampled_from([math.inf, 30.0]))
-    width = 1 if math.isinf(lambda3) else 3
     if draw(st.booleans()):
-        # several stacks: 16 points per stack at F = 64 with hard rays, 2 at
-        # F = 48 with soft rays
-        F = 64 if width == 1 else 48
-        step = solver._STACK_ENTRIES // (width * F) ** 2
+        # several stacks: 16 points per stack at F = 64
+        F = 64
+        step = solver._STACK_ENTRIES // F**2
         P = draw(st.integers(step + 1, 3 * step))
     else:
         F = draw(st.integers(3, 12))
@@ -481,8 +494,8 @@ def test_planned_minimize_structure_matches_reference_and_never_goes_stale(case)
     # every point against the dense per-point solve
     _, _, flags = check_matches_reference(Ma, rays, lambda3)
     assert flags == []
-    # the plan kept on the field for Ma also serves Mb, and the other
-    # lambda3 builds its own: each call gives the bytes of a fresh field
+    # the plan kept on the field for Ma also serves Mb and the other ray
+    # mode: each call gives the bytes of a fresh field
     other = 30.0 if math.isinf(lambda3) else math.inf
     for Mc, lam in ((Mb, lambda3), (Ma, other), (Mb, lambda3)):
         kept = solver.minimize_structure(Mc, rays, lam)
@@ -495,7 +508,9 @@ def test_solve_plans_x_step_and_video_pairs_once(monkeypatch):
     """The passes of a solve reuse its X-step plan and video pairs.
 
     ``_slots`` runs once per stack with a missing observation and
-    ``video_pairs`` once per solve, however many passes the solve takes.
+    ``video_pairs`` once per solve, however many passes the solve takes, in
+    either ray mode; a ray field solved with hard, then soft rays keeps one
+    plan for both.
     """
     scene = make_scene(points=4, samples=24, cameras=4, seed=19, miss_rate=0.2)
     present = scene.observations.present
@@ -516,10 +531,22 @@ def test_solve_plans_x_step_and_video_pairs_once(monkeypatch):
 
     for name in ("_slots", "video_pairs", "x_step"):
         counted(name)
-    solve(scene.observations, scene.frames, SolverConfig(outer_max=5))
-    assert calls["x_step"] >= 10
+    for lambda3 in (math.inf, 30.0):
+        calls.clear()
+        cfg = SolverConfig(outer_max=5, lambda3=lambda3)
+        solve(scene.observations, scene.frames, cfg)
+        assert calls["x_step"] >= 10
+        assert calls["_slots"] == len(stacks)
+        assert calls["video_pairs"] == 1
+
+    calls.clear()
+    scaled, _ = normalize_scale(scene.frames)
+    rays = compute_rays(scaled, scene.observations)
+    W = offdiag_weights(len(scaled), np.random.default_rng(19))
+    Mc = coupling_matrix(W, SolverConfig(), scaled, 4)
+    for lambda3 in (math.inf, 30.0):
+        solver.minimize_structure(Mc, rays, lambda3)
     assert calls["_slots"] == len(stacks)
-    assert calls["video_pairs"] == 1
 
 
 def test_x_step_never_increases_objective():
@@ -984,8 +1011,12 @@ def test_solve_handles_missing_data():
 
 
 @st.composite
-def small_hard_scenes(draw):
-    """A small hard-ray scene, some with missing data, and a seeded rng."""
+def small_scenes(draw):
+    """A small scene, some with missing data, a config and a seeded rng.
+
+    The config caps the solve to keep the examples fast (the properties
+    hold at any cap) and runs hard rays or soft rays at lambda3 = 100.
+    """
     scene = make_scene(
         points=draw(st.integers(3, 4)),
         samples=draw(st.integers(12, 18)),
@@ -995,54 +1026,77 @@ def small_hard_scenes(draw):
     )
     # solve rejects a point seen in fewer than two frames
     assume((scene.observations.present.sum(axis=1) >= 2).all())
-    return scene, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lambda3 = draw(st.sampled_from([math.inf, 100.0]))
+    config = SolverConfig(outer_max=20, lambda3=lambda3)
+    return scene, config, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
 
-# a capped solve keeps the examples fast; the property holds at any cap.
-# Measured over 100 such scenes at the default cap, W moved by at most
-# 4e-9 and X by at most 3e-10 of its scale
-EQUIVARIANT_CFG = SolverConfig(outer_max=20)
+# two frames of video 1 miss complementary points, so the gap filling gives
+# them identical columns and the warm-up coder meets an exact tie; it used to
+# break it toward the smaller global index, and this relabelling moved W by
+# 0.95 in both ray modes
+TIED = make_scene(points=3, samples=12, cameras=3, seed=3, miss_rate=0.1)
 
 
 @settings(max_examples=10, deadline=None)
-@given(small_hard_scenes())
+@given(small_scenes())
+@example((TIED, SolverConfig(outer_max=20), np.random.default_rng(3)))
+@example((TIED, SolverConfig(outer_max=20, lambda3=100.0), np.random.default_rng(3)))
 def test_solve_commutes_with_a_relabelling_of_frames(case):
     # a permutation of the global frame list that keeps every frame's
     # (video_id, frame_in_video) permutes the weights and the structure
-    scene, rng = case
-    base = solve(scene.observations, scene.frames, EQUIVARIANT_CFG)
+    # exactly: solve works in that order
+    scene, config, rng = case
+    base = solve(scene.observations, scene.frames, config)
     perm = rng.permutation(len(scene.frames))
     frames = [replace(scene.frames[p], global_index=i) for i, p in enumerate(perm)]
     obs = ObservationSet(
         scene.observations.measures[:, perm], scene.observations.present[:, perm]
     )
-    moved = solve(obs, frames, EQUIVARIANT_CFG)
-    scale = np.abs(base.structure).max()
-    assert np.abs(moved.weights - base.weights[np.ix_(perm, perm)]).max() <= 1e-6
-    assert np.abs(moved.structure - base.structure[:, perm]).max() <= 1e-6 * scale
+    moved = solve(obs, frames, config)
+    assert np.array_equal(moved.weights, base.weights[np.ix_(perm, perm)])
+    assert np.array_equal(moved.structure, base.structure[:, perm])
+    assert np.array_equal(moved.depths, base.depths[:, perm], equal_nan=True)
+
+
+def test_solve_does_not_depend_on_the_frame_list_order():
+    # the same frames, listed backwards with their labels kept; the gap
+    # filling used to read frame_in_video by list position, and this moved
+    # W by 0.25
+    scene = make_scene(points=4, samples=18, cameras=3, seed=3, miss_rate=0.2)
+    config = SolverConfig(outer_max=20)
+    base = solve(scene.observations, scene.frames, config)
+    moved = solve(scene.observations, list(reversed(scene.frames)), config)
+    assert np.array_equal(moved.weights, base.weights)
+    assert np.array_equal(moved.structure, base.structure)
+    assert moved.flags == base.flags
 
 
 @settings(max_examples=10, deadline=None)
-@given(small_hard_scenes())
+@given(small_scenes())
 def test_solve_commutes_with_a_rigid_motion(case):
-    # rotating and translating the cameras with the world leaves every
-    # pixel in place: the weights stay, and the structure moves along
-    scene, rng = case
-    base = solve(scene.observations, scene.frames, EQUIVARIANT_CFG)
+    # rotating, translating and uniformly scaling the cameras with the world
+    # leaves every pixel in place: the weights stay, and the structure moves
+    # along.  Measured over 20 scenes in each ray mode, W moved by at most
+    # 4e-10 and X by at most 1.2e-11 of its scale
+    scene, config, rng = case
+    base = solve(scene.observations, scene.frames, config)
     Q, R = np.linalg.qr(rng.normal(size=(3, 3)))
     Q *= np.sign(np.diag(R))
     if np.linalg.det(Q) < 0:
         Q[:, 0] *= -1.0
-    scale = np.abs(base.structure).max()
+    s = math.exp(rng.uniform(math.log(0.01), math.log(100.0)))
+    scale = s * np.abs(base.structure).max()
     t = rng.uniform(-2.0, 2.0, 3) * scale
-    # world-to-camera rotations: R_f (x - C_f) = (R_f Q^T)(Q x + t - (Q C_f + t))
+    # world-to-camera rotations:
+    # R_f (x - C_f) = (R_f Q^T)(s Q x + t - (s Q C_f + t)) / s
     frames = [
-        replace(f, center=Q @ f.center + t, rotation=f.rotation @ Q.T)
+        replace(f, center=s * Q @ f.center + t, rotation=f.rotation @ Q.T)
         for f in scene.frames
     ]
-    moved = solve(scene.observations, frames, EQUIVARIANT_CFG)
+    moved = solve(scene.observations, frames, config)
     P = scene.observations.point_count
-    expected = structure_to_points(base.structure, P) @ Q.T + t
+    expected = s * structure_to_points(base.structure, P) @ Q.T + t
     assert np.abs(moved.weights - base.weights).max() <= 1e-6
     got = structure_to_points(moved.structure, P)
     assert np.abs(got - expected).max() <= 1e-6 * scale
