@@ -1,16 +1,18 @@
 """Reconstructability analysis: when does a capture setup pin down motion?
 
-For a single moving point observed once per frame, perturbing every depth by
-l_f and requiring the perturbed structure to keep the same self-expression
-residual leads to a linear system A l = b with
+For a single moving point, perturbing its depth l_f in each frame f that
+observes it, so that the self-expression residual stays the same, leads to
+a linear system A l = b on those frames o:
 
-    A[f, j] = (Q Q^T)[f, j] * (r_j . r_f),      Q = I - W,
-    b[f]    = r_f^T  X* Q Q^T e_f,
+    A = S o (R R^T),      b[f] = r_f^T (X* S)[:, f],      Q = I - W,
 
-so A is the Hadamard product of two positive semidefinite matrices (hence
-symmetric PSD itself).  The magnitude of l and the conditioning of A say how
-strongly the viewing geometry and the weight pattern constrain the
-reconstruction; 1/sigma_min(A) is reported as the system condition.
+with R the point's rays on o, X* its true positions, and S the Schur
+complement of Q Q^T over the frames that miss the point (S = Q Q^T when
+every frame sees it).  A, the solver's hard-ray depth system for coupling
+Q Q^T, is a Hadamard product of two positive semidefinite matrices, hence
+PSD.  The magnitude of l and the conditioning of A say how strongly the
+viewing geometry and the weight pattern constrain the reconstruction;
+1/sigma_min(A) is reported as the system condition.
 
 The filter view: fixing W to the pattern of a high-pass filter bank turns
 the self-expression residual into a classic temporal-smoothness objective,
@@ -23,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .geometry import RayField, structure_to_points
+from .solver import _stack_plans
 
 __all__ = [
     "ReconstructabilityReport",
@@ -51,7 +55,7 @@ class ErrorSolution:
 
 @dataclass
 class ReconstructabilityReport:
-    """Per-point analysis output."""
+    """Per-point analysis output; A, b and l run over the observed frames."""
 
     a_matrix: np.ndarray
     b_vector: np.ndarray
@@ -63,51 +67,57 @@ class ReconstructabilityReport:
 
 
 def build_system(ray_dirs, weights, ground_truth=None):
-    """Assemble the analysis system (A, b) for a single point.
+    """The analysis system (A, b) of one point seen in every frame.
 
-    Parameters
-    ----------
-    ray_dirs : (F, 3) array
-        Unit viewing-ray direction of the point in every frame.
-    weights : (F, F) array
-        Coefficient matrix W.
-    ground_truth : (3, F) array, optional
-        True positions of the point per frame.  Without them only A can be
-        formed and b comes back None (conditioning-only analysis).
-
-    Returns
-    -------
-    (A, b) with A of shape (F, F) and b of shape (F,) or None.
+    ``ray_dirs`` (F, 3) are its unit rays, ``weights`` the F x F W and
+    ``ground_truth`` its (3, F) true positions; without them only A is
+    formed and b comes back None (conditioning-only analysis).
     """
     R = np.asarray(ray_dirs, dtype=float)
-    W = np.asarray(weights, dtype=float)
     F = R.shape[0]
     if R.shape != (F, 3):
         raise InputError(f"ray_dirs must be (F, 3), got {R.shape}")
-    if W.shape != (F, F):
-        raise InputError(f"weights shape {W.shape} does not match F={F}")
     if not np.isfinite(R).all():
         raise InputError("ray directions must be finite for every frame")
-    if not np.isfinite(W).all():
-        raise InputError("weights must be finite")
+    rays = RayField(R[None], np.zeros((F, 3)), np.ones((1, F), dtype=bool))
+    return _point_systems(rays, weights, ground_truth)[0]
+
+
+def _point_systems(rays, weights, truth):
+    # each point's (A, b) on its observed frames, from the X-step's stack
+    # plans with coupling Q Q^T; b is None without the 3P x F truth
+    P, F = rays.present.shape
+    W = np.asarray(weights, dtype=float)
+    if W.shape != (F, F):
+        raise InputError(f"weights shape {W.shape} does not match F={F}")
     Q = np.eye(F) - W
     with np.errstate(over="ignore", invalid="ignore"):
-        S = Q @ Q.T
-        A = S * (R @ R.T)
-    if not np.isfinite(A).all():
-        raise InputError("weights overflow Q Q^T in the analysis system")
-    if ground_truth is None:
-        return A, None
-    X = np.asarray(ground_truth, dtype=float)
-    if X.shape != (3, F):
-        raise InputError(
-            f"ground_truth must be (3, F) for single-point analysis, got {X.shape}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = np.einsum("fa,af->f", R, X @ S)
-    if not np.isfinite(b).all():
-        raise InputError("ground truth and weights give a non-finite X S")
-    return A, b
+        M = Q @ Q.T
+    if not np.isfinite(M).all():
+        raise InputError("weights must be finite and keep Q Q^T finite")
+    if truth is not None:
+        truth = np.asarray(truth, dtype=float)
+        if truth.shape != (3 * P, F):
+            raise InputError(f"ground truth shape {truth.shape} is not ({3 * P}, {F})")
+        if not np.isfinite(truth).all():
+            raise InputError("ground truth must be finite")
+    systems = []
+    for plan in _stack_plans(rays):
+        Y = None
+        if truth is not None:
+            # a padding slot reads frame F - 1; S couples it to no observed slot
+            frames = np.minimum(plan.frames, F - 1)[:, :, None]
+            Y = structure_to_points(truth, P)[plan.part]
+            Y = np.take_along_axis(Y, frames, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            A, b = plan.system(M if plan.full else plan.eliminate(M)[0], Y)
+        if b is not None and not np.isfinite(b).all():
+            raise InputError("ground truth and weights give a non-finite X S")
+        systems += [
+            (A[i, :n, :n], None if b is None else b[i, :n])
+            for i, n in enumerate(plan.n_obs)
+        ]
+    return systems
 
 
 def system_condition(a_matrix):
@@ -215,25 +225,19 @@ def analyze_point(ray_dirs, weights, ground_truth_point=None):
     (b, l, bound and residual come back None).
     """
     A, b = build_system(ray_dirs, weights, ground_truth_point)
-    if b is None:
-        return ReconstructabilityReport(
-            a_matrix=A,
-            b_vector=None,
-            error_vector=None,
-            system_condition=system_condition(A),
-            error_bound=None,
-            residual_per_point=None,
-            least_norm=False,
-        )
-    sol = error_vector(A, b)
+    return _report(A, b, weights, ground_truth_point)
+
+
+def _report(A, b, weights, truth):
+    sol = None if b is None else error_vector(A, b)
     return ReconstructabilityReport(
         a_matrix=A,
         b_vector=b,
-        error_vector=sol.l,
-        system_condition=sol.condition,
-        error_bound=sol.error_bound,
-        residual_per_point=residual(ground_truth_point, weights),
-        least_norm=sol.least_norm,
+        error_vector=None if sol is None else sol.l,
+        system_condition=system_condition(A) if sol is None else sol.condition,
+        error_bound=None if sol is None else sol.error_bound,
+        residual_per_point=None if sol is None else residual(truth, weights),
+        least_norm=sol is not None and sol.least_norm,
     )
 
 
@@ -241,26 +245,18 @@ def analyze_scene(rays, weights, ground_truth=None):
     """Per-point reconstructability reports for a multi-point scene.
 
     The analysis contract is one point per shape, so a P-point scene is
-    analyzed point by point against the shared weight matrix.  Every
-    analyzed point must be observed in all frames.
+    analyzed point by point against the shared weight matrix, each point on
+    the frames that observe it.  Its unobserved frames are eliminated from
+    Q Q^T as the X-step eliminates them (``solver._StackPlan``, ridge retry
+    included).  ``ground_truth`` is the 3P x F true structure.
     """
-    P = rays.present.shape[0]
-    if P == 0:
+    if rays.present.shape[0] == 0:
         raise InputError("scene has no points")
-    X = None
-    if ground_truth is not None:
-        X = np.asarray(ground_truth, dtype=float)
-        if X.shape[0] != 3 * P:
-            raise InputError(
-                f"ground truth rows {X.shape[0]} do not match {P} points"
-            )
-    reports = []
-    for p in range(P):
-        if not rays.present[p].all():
-            raise InputError(
-                f"point {p} is not observed in every frame; analysis needs "
-                "complete rays"
-            )
-        point_truth = None if X is None else X[3 * p : 3 * p + 3, :]
-        reports.append(analyze_point(rays.directions[p], weights, point_truth))
-    return reports
+    unseen = np.flatnonzero(~rays.present.any(axis=1))
+    if unseen.size:
+        raise InputError(f"points {unseen.tolist()[:8]} have no observations")
+    X = None if ground_truth is None else np.asarray(ground_truth, dtype=float)
+    return [
+        _report(A, b, weights, None if X is None else X[3 * p : 3 * p + 3])
+        for p, (A, b) in enumerate(_point_systems(rays, weights, X))
+    ]

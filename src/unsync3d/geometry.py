@@ -129,46 +129,75 @@ class RayField:
     present: np.ndarray
 
 
+def _stacked(arrays, default):
+    # (arrays stacked, shape flags, finiteness flags); an array of the wrong
+    # shape is stacked as ``default``, which passes every later check
+    shaped = np.array([a.shape == default.shape for a in arrays])
+    stack = np.stack([a if ok else default for a, ok in zip(arrays, shaped)])
+    finite = np.isfinite(stack).reshape(len(arrays), -1).all(axis=1)
+    for k in np.flatnonzero(~shaped):
+        finite[k] = np.isfinite(arrays[k]).all()
+    return stack, shaped, finite
+
+
+def _first_repeats(keys):
+    # True at each key equal to an earlier one in the list
+    first = {}
+    return np.array([first.setdefault(key, k) != k for k, key in enumerate(keys)])
+
+
 def validate_frames(frames):
-    """Check frame-list invariants, raising InputError on the first failure."""
+    """Check frame-list invariants, raising InputError on the first failure.
+
+    All frames are checked at once; the error names the first frame in list
+    order that fails, and the first check it fails, in this order: finite
+    rotation, center and intrinsics; a 3 x 3 rotation, orthonormal, with a
+    positive determinant; a 3-vector center; 3 x 3 intrinsics, upper
+    triangular, with a positive diagonal; a new global index; a new
+    (video_id, frame_in_video).  Then the global indices must cover 0..F-1.
+    """
     if len(frames) == 0:
         raise InputError("empty frame list")
-    seen_global = set()
-    seen_pair = set()
-    for frame in frames:
-        f = frame.global_index
-        # the range tests below all pass on NaN
-        for name in ("rotation", "center", "intrinsics"):
-            if not np.isfinite(getattr(frame, name)).all():
-                raise InputError(f"frame {f}: {name} has a non-finite entry")
-        if frame.rotation.shape != (3, 3):
-            raise InputError(f"frame {f}: rotation must be 3x3")
-        # a huge entry overflows R^T R to inf or NaN, both rejected here
-        with np.errstate(over="ignore", invalid="ignore"):
-            err = np.abs(frame.rotation.T @ frame.rotation - np.eye(3)).max()
-        if not err <= 1e-9:
-            raise InputError(
-                f"frame {f}: rotation not orthonormal (|R^T R - I| = {err:.2e})"
-            )
-        if np.linalg.det(frame.rotation) < 0:
-            raise InputError(f"frame {f}: rotation has negative determinant")
-        if frame.center.shape != (3,):
-            raise InputError(f"frame {f}: center must be a 3-vector")
-        K = frame.intrinsics
-        if K.shape != (3, 3):
-            raise InputError(f"frame {f}: intrinsics must be 3x3")
-        if np.abs(K[np.tril_indices(3, k=-1)]).max() > 0:
-            raise InputError(f"frame {f}: intrinsics not upper triangular")
-        if K.diagonal().min() <= 0:
-            raise InputError(f"frame {f}: intrinsics diagonal must be positive")
-        if f in seen_global:
-            raise InputError(f"duplicate global index {f}")
-        seen_global.add(f)
-        pair = (frame.video_id, frame.frame_in_video)
-        if pair in seen_pair:
-            raise InputError(f"duplicate (video_id, frame_in_video) {pair}")
-        seen_pair.add(pair)
-    if seen_global != set(range(len(frames))):
+    R, r_shaped, r_finite = _stacked([f.rotation for f in frames], np.eye(3))
+    _, c_shaped, c_finite = _stacked([f.center for f in frames], np.zeros(3))
+    K, k_shaped, k_finite = _stacked([f.intrinsics for f in frames], np.eye(3))
+    index = [f.global_index for f in frames]
+    pairs = [(f.video_id, f.frame_in_video) for f in frames]
+    # non-finite frames fail first, whatever their products give here; a
+    # huge entry overflows R^T R to inf or NaN, both rejected
+    with np.errstate(all="ignore"):
+        err = np.abs(R.transpose(0, 2, 1) @ R - np.eye(3)).max(axis=(1, 2))
+        det = np.linalg.det(R)
+    checks = [
+        (~r_finite, "frame {f}: rotation has a non-finite entry"),
+        (~c_finite, "frame {f}: center has a non-finite entry"),
+        (~k_finite, "frame {f}: intrinsics has a non-finite entry"),
+        (~r_shaped, "frame {f}: rotation must be 3x3"),
+        (
+            ~(err <= 1e-9),
+            "frame {f}: rotation not orthonormal (|R^T R - I| = {err:.2e})",
+        ),
+        (det < 0, "frame {f}: rotation has negative determinant"),
+        (~c_shaped, "frame {f}: center must be a 3-vector"),
+        (~k_shaped, "frame {f}: intrinsics must be 3x3"),
+        (
+            np.abs(K[:, [1, 2, 2], [0, 0, 1]]).max(axis=1) > 0,
+            "frame {f}: intrinsics not upper triangular",
+        ),
+        (
+            K.diagonal(axis1=1, axis2=2).min(axis=1) <= 0,
+            "frame {f}: intrinsics diagonal must be positive",
+        ),
+        (_first_repeats(index), "duplicate global index {f}"),
+        (_first_repeats(pairs), "duplicate (video_id, frame_in_video) {pair}"),
+    ]
+    failed = np.array([fails for fails, _ in checks])
+    if failed.any():
+        # the first failing frame in list order, then its first failing check
+        k = int(np.flatnonzero(failed.any(axis=0))[0])
+        message = checks[int(np.argmax(failed[:, k]))][1]
+        raise InputError(message.format(f=index[k], err=err[k], pair=pairs[k]))
+    if set(index) != set(range(len(frames))):
         raise InputError("global indices must cover 0..F-1")
 
 

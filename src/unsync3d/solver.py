@@ -383,7 +383,7 @@ class _StackPlan:
     the observed centres C and directions R (padding slots read a zero
     centre and the unit direction e_x), flat indices of Mc_mm, Mc_mo and
     Mc_oo in one padded copy of Mc that it reuses, and each frame's slot for
-    the scatter.
+    the scatter.  ``frames`` holds each observed slot's frame (padding: F + s).
     """
 
     def __init__(self, rays, part):
@@ -394,12 +394,13 @@ class _StackPlan:
         self.full = bool(present.all())
         if self.full:
             self.n_obs = np.full(size, F)
+            self.frames = np.broadcast_to(np.arange(F), (size, F))
             self.R = rays.directions[part]
             self.C = np.broadcast_to(rays.centers, self.R.shape)
             return
         slot, self.n_obs, No = _slots(present)
         T = slot.shape[1]
-        obs = slot[:, :No]
+        obs = self.frames = slot[:, :No]
         self.C = np.concatenate([rays.centers, np.zeros((T, 3))])[obs]
         pad_dirs = np.broadcast_to(np.eye(3)[0], (size, T, 3))
         dirs = np.concatenate([rays.directions[part], pad_dirs], axis=1)
@@ -440,29 +441,32 @@ class _StackPlan:
         np.subtract(buffer.take(self.oo), S, out=S)
         return S, K, ridged
 
-    def solve(self, Mc, lambda3):
-        """This stack's part of ``minimize_structure`` for coupling Mc.
+    def system(self, S, Y=None):
+        """(S o R R^T, sum_a R[..., a] o (S Y)[..., a]) on the observed slots.
 
-        Returns (points (size, F, 3), depths (size, F), ridged members).
+        Y holds positions (size, No, 3) on them; without it b is None.
         """
-        R, C = self.R, self.C
-        if self.full:
-            S, ridged = Mc, []
-        else:
-            S, K, ridged = self.eliminate(Mc)
-        if lambda3 < math.inf:
-            # soft rays solve the hard-ray depth system on the filtered
-            # coupling S J, J = (I + S / lambda3)^-1, then x = J (C + d R)
-            J = np.linalg.inv(np.eye(S.shape[-1]) + S / lambda3)
-            S = S @ J
+        R = self.R
         # in place: S * (R @ R^T) allocates a second stack, which measured
         # several times slower than the product itself at F = 240
         H = R @ R.transpose(0, 2, 1)
         H *= S
-        rhs = -np.einsum("pia,pia->pi", R, S @ C)
+        return H, None if Y is None else np.einsum("pia,pia->pi", R, S @ Y)
+
+    def solve(self, Mc, lambda3, full_filter):
+        """This stack's part of ``minimize_structure`` for coupling Mc.
+
+        A fully observed stack takes the soft-ray ``full_filter`` of Mc.
+        Returns (points (size, F, 3), depths (size, F), ridged members).
+        """
+        R, C = self.R, self.C
+        S, K, ridged = (Mc, None, []) if self.full else self.eliminate(Mc)
+        if lambda3 < math.inf:
+            S, J = full_filter if self.full else _soft_filter(S, lambda3)
+        H, rhs = self.system(S, C)
         # S is not held through the solve, where the X-step peaks in memory
         del S
-        d, bad = _solve_stack(H, rhs[:, :, None], self.n_obs)
+        d, bad = _solve_stack(H, -rhs[:, :, None], self.n_obs)
         x_obs = C + d * R
         if lambda3 < math.inf:
             x_obs = J @ x_obs
@@ -473,6 +477,13 @@ class _StackPlan:
         points = x.take(self.rows, axis=0)
         depths = np.where(self.present, along.take(self.depth_rows), np.nan)
         return points, depths, ridged + bad
+
+
+def _soft_filter(S, lambda3):
+    # soft rays solve the hard-ray depth system on the filtered coupling
+    # S J, J = (I + S / lambda3)^-1, then map x = J (C + d R); returns (S J, J)
+    J = np.linalg.inv(np.eye(S.shape[-1]) + S / lambda3)
+    return S @ J, J
 
 
 def _stack_plans(rays):
@@ -528,9 +539,13 @@ def minimize_structure(coupling, rays, lambda3=math.inf, flags=None):
     points = np.empty((P, F, 3))
     depths = np.empty((P, F))
     ridged = set()
-    for plan in _stack_plans(rays):
+    plans = _stack_plans(rays)
+    # the fully observed stacks share one soft-ray filter of Mc per call
+    soft_full = lambda3 < math.inf and any(plan.full for plan in plans)
+    full_filter = _soft_filter(Mc, lambda3) if soft_full else None
+    for plan in plans:
         part = plan.part
-        points[part], depths[part], bad = plan.solve(Mc, lambda3)
+        points[part], depths[part], bad = plan.solve(Mc, lambda3, full_filter)
         ridged.update(part.start + i for i in bad)
     flags.extend(f"ridge:point-{p}" for p in sorted(ridged))
     return structure_from_points(points), depths
@@ -564,13 +579,13 @@ def admm_w_step(structure, mask, config, weights=None):
     decoupled coding ``self_express(X, mask)`` when None.  The problem is
     rho-strongly convex, and the package's one projected-gradient loop
     (``simplex._projected_gradient``) solves it on all columns at once at
-    step 1/L, L = (2/FP) lambda_max(G) + 8 lambda1 / F + rho with G = X^T X:
-    psi1's gradient (4 lambda1 / F)(W - W^T) adds at most 8 lambda1 / F of
-    curvature.  lambda_max is read from the smaller of X X^T (3P x 3P) and
-    G.  Each step lowers the proximal objective, which starts at the coupled
+    step 1/L, L = (2/FP) trace(G) + 8 lambda1 / F + rho with G = X^T X:
+    trace(G) = ||X||_F^2 bounds lambda_max(G) without an eigensolve, and
+    psi1's gradient (4 lambda1 / F)(W - W^T) adds at most 8 lambda1 / F.
+    Each step lowers the proximal objective, which starts at the coupled
     objective of W_prev, so the step never raises the coupled objective.  At
     the default rho the proximal term dominates L, and each step shrinks the
-    error by about (L - rho) / L (0.03 on a 16-point, 48-frame scene).  When
+    error by about (L - rho) / L (0.03-0.04 on 16-point, 48-frame scenes).  When
     12 P >= F a step is one product with the F x F step map
     M = (1 - (rho + 4 lambda1 / F) / L) I - (2/FP) G / L, built once per
     call, plus psi1's W^T term; when 12 P < F the data part goes through
@@ -592,8 +607,8 @@ def admm_w_step(structure, mask, config, weights=None):
     # psi1's gradient is skew * (W - W^T)
     skew = 4.0 * config.lambda1 / F
     G = X.T @ X
-    lam_max = float(np.linalg.eigvalsh(X @ X.T if X.shape[0] < F else G)[-1])
-    L = 2.0 * inv_fp * lam_max + 2.0 * skew + rho
+    # a longer L than (2/FP) lambda_max(G) + ... only shortens the step
+    L = 2.0 * inv_fp * float(np.trace(G)) + 2.0 * skew + rho
     keep = 1.0 - (rho + skew) / L
     # the step map W - g(W) / L for the gradient's linear part
     # g(W) = (2/FP) G W + skew (W - W^T) + rho W.  X^T (X W) costs 6 P F^2
@@ -627,6 +642,30 @@ def admm_w_step(structure, mask, config, weights=None):
     return W, None, None, {"iterations": steps, "converged": settled}
 
 
+def _pair_rows(rays, f, js):
+    # closed-form closest points of the rays of frame f and of each frame j
+    # of js: (P, J) shared-point mask, (J,) mean squared distance, (P, J)
+    # depths along f, and (P, J) mask of the shared points that make a pair
+    # unusable (near-parallel rays or a negative depth)
+    shared = rays.present[:, f, None] & rays.present[:, js]
+    a = rays.directions[:, f]
+    b = rays.directions[:, js]
+    u = rays.centers[f] - rays.centers[js]
+    c = np.einsum("pa,pja->pj", a, b)
+    au = a @ u.T
+    bu = np.einsum("pja,ja->pj", b, u)
+    # absent points carry NaN directions; shared masks them out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = 1.0 - c**2
+        tf = (-au + c * bu) / denom
+        tj = (bu - c * au) / denom
+        resid = u + tf[:, :, None] * a[:, None, :] - tj[:, :, None] * b
+        sq = np.where(shared, np.einsum("pja,pja->pj", resid, resid), 0.0)
+        cost = sq.sum(axis=0) / shared.sum(axis=0)
+        bad = shared & ((denom < 1e-12) | (tf < -1e-12) | (tj < -1e-12))
+    return shared, cost, tf, bad
+
+
 def pair_distance_matrix(rays, video_ids):
     """Symmetric F x F matrix of mean two-ray triangulation costs.
 
@@ -636,60 +675,20 @@ def pair_distance_matrix(rays, video_ids):
     pairs and pairs whose minimizing depth is negative are all infinite.
 
     Each row f is solved for all its later partners j at once, by the
-    closed form of ``_pair_depths`` over the (point, partner) grid.
+    closed form of ``_pair_rows`` over the (point, partner) grid.
     """
     ids = np.asarray(video_ids)
-    present = rays.present
-    dirs = rays.directions
-    F = present.shape[1]
+    F = rays.present.shape[1]
     D = np.full((F, F), np.inf)
     for f in range(F - 1):
         js = f + 1 + np.flatnonzero(ids[f + 1 :] != ids[f])
         if js.size == 0:
             continue
-        shared = present[:, f, None] & present[:, js]
-        a = dirs[:, f]
-        b = dirs[:, js]
-        u = rays.centers[f] - rays.centers[js]
-        c = np.einsum("pa,pja->pj", a, b)
-        au = a @ u.T
-        bu = np.einsum("pja,ja->pj", b, u)
-        # absent points carry NaN directions; shared masks them out
-        with np.errstate(divide="ignore", invalid="ignore"):
-            denom = 1.0 - c**2
-            tf = (-au + c * bu) / denom
-            tj = (bu - c * au) / denom
-            resid = u + tf[:, :, None] * a[:, None, :] - tj[:, :, None] * b
-            sq = np.where(shared, np.einsum("pja,pja->pj", resid, resid), 0.0)
-            cost = sq.sum(axis=0) / shared.sum(axis=0)
-            bad = shared & ((denom < 1e-12) | (tf < -1e-12) | (tj < -1e-12))
+        shared, cost, _, bad = _pair_rows(rays, f, js)
         ok = shared.any(axis=0) & ~bad.any(axis=0)
         D[f, js[ok]] = cost[ok]
         D[js[ok], f] = cost[ok]
     return D
-
-
-def _pair_depths(rays, f, j):
-    # closed-form closest points between the ray bundles of frames f and j;
-    # returns (shared point rows, depths along f, depths along j) or None
-    # when the pair is unusable
-    shared = rays.present[:, f] & rays.present[:, j]
-    if not shared.any():
-        return None
-    a = rays.directions[shared, f]
-    b = rays.directions[shared, j]
-    u = rays.centers[f] - rays.centers[j]
-    c = np.einsum("na,na->n", a, b)
-    denom = 1.0 - c**2
-    if (denom < 1e-12).any():
-        return None
-    au = a @ u
-    bu = b @ u
-    tf = (-au + c * bu) / denom
-    tj = (bu - c * au) / denom
-    if (tf < -1e-12).any() or (tj < -1e-12).any():
-        return None
-    return np.flatnonzero(shared), tf, tj
 
 
 def initialize_depths(rays, frames):
@@ -718,13 +717,12 @@ def initialize_depths(rays, frames):
             depths[pres_f, f] = 1.0
             flags.append(f"init-unit-depth-frame-{f}")
             continue
-        j = int(np.argmin(row))
-        rows, tf, _ = _pair_depths(rays, f, j)
-        depths[rows, f] = tf
-        rest = pres_f.copy()
-        rest[rows] = False
+        shared, _, tf, _ = _pair_rows(rays, f, [int(np.argmin(row))])
+        rows = shared[:, 0]
+        depths[rows, f] = tf[rows, 0]
+        rest = pres_f & ~rows
         if rest.any():
-            depths[rest, f] = float(np.median(tf))
+            depths[rest, f] = float(np.median(tf[rows, 0]))
     return depths, flags
 
 

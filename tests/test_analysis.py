@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unsync3d import solver
 from unsync3d.analysis import (
     analyze_point,
     analyze_scene,
@@ -15,7 +18,7 @@ from unsync3d.analysis import (
     system_condition,
 )
 from unsync3d.errors import InputError
-from unsync3d.geometry import compute_rays
+from unsync3d.geometry import RayField, compute_rays
 from unsync3d.synth import CorruptionSpec, RigSpec, generate, procedural_motion
 
 
@@ -241,13 +244,108 @@ def test_analyze_scene_per_point_and_completeness_check():
     with pytest.raises(InputError):
         analyze_scene(rays, W, scene.truth[:5])
 
+    # points with missing observations are analysed on their observed
+    # frames
     holed = generate(
         motion, RigSpec(camera_count=3), CorruptionSpec(seed=6, miss_rate=0.3)
     )
     holed_rays = compute_rays(holed.frames, holed.observations)
-    assert not holed_rays.present.all()
-    with pytest.raises(InputError):
-        analyze_scene(holed_rays, W)
+    assert not holed_rays.present.all(axis=1).any()
+    check_against_dense_reference(holed_rays, W, holed.truth)
+    # a point needs one observation at least
+    present = holed_rays.present.copy()
+    present[1] = False
+    directions = np.where(present[:, :, None], holed_rays.directions, np.nan)
+    unseen = RayField(directions, holed_rays.centers, present)
+    with pytest.raises(InputError, match=r"points \[1\] have no observations"):
+        analyze_scene(unseen, W)
+
+
+def dense_reference(rays, W, truth, p):
+    """Point p's (A, b) from the Schur complement of Q Q^T, built densely.
+
+    S = M_oo - M_om M_mm^-1 M_mo over the point's observed frames o and
+    unobserved frames m, M = Q Q^T; then A = S o (R R^T) and
+    b[f] = r_f^T (X S)[:, f] on o.
+    """
+    F = W.shape[0]
+    Q = np.eye(F) - W
+    M = Q @ Q.T
+    o = rays.present[p]
+    m = ~o
+    S = M[np.ix_(o, o)]
+    if m.any():
+        S = S - M[np.ix_(o, m)] @ np.linalg.solve(M[np.ix_(m, m)], M[np.ix_(m, o)])
+    R = rays.directions[p, o]
+    X = truth[3 * p : 3 * p + 3, o]
+    return S * (R @ R.T), np.einsum("fa,af->f", R, X @ S)
+
+
+def check_against_dense_reference(rays, W, truth):
+    reports = analyze_scene(rays, W, truth)
+    cond_only = analyze_scene(rays, W)
+    assert len(reports) == len(cond_only) == rays.present.shape[0]
+    F = W.shape[0]
+    Q = np.eye(F) - W
+    for p, rep in enumerate(reports):
+        A_ref, b_ref = dense_reference(rays, W, truth, p)
+        assert rep.a_matrix.shape == A_ref.shape
+        assert np.abs(rep.a_matrix - A_ref).max() <= 1e-10 * np.abs(A_ref).max()
+        assert np.abs(rep.b_vector - b_ref).max() <= 1e-10 * np.abs(b_ref).max()
+        assert np.array_equal(cond_only[p].a_matrix, rep.a_matrix)
+        assert cond_only[p].b_vector is None
+        if rays.present[p].all():
+            R = rays.directions[p]
+            assert np.array_equal(rep.a_matrix, (Q @ Q.T) * (R @ R.T))
+    return reports
+
+
+@st.composite
+def masked_scenes(draw):
+    """Random rays, truth and weights with each point seen in 2+ frames.
+
+    Some points see every frame.  P F^2 above ``solver._STACK_ENTRIES``
+    spreads the points over several stacks of the X-step's plan.
+    """
+    P = draw(st.integers(1, 10), label="points")
+    F = draw(st.integers(3, 100), label="frames")
+    miss = draw(st.floats(0.0, 0.9), label="miss rate")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    present = rng.uniform(size=(P, F)) >= miss
+    present[rng.uniform(size=P) < 0.3] = True
+    for p in range(P):
+        present[p, rng.choice(F, size=2, replace=False)] = True
+    directions = rng.normal(size=(P, F, 3))
+    directions /= np.linalg.norm(directions, axis=2, keepdims=True)
+    directions[~present] = np.nan
+    rays = RayField(directions, rng.normal(size=(F, 3)), present)
+    return rays, column_stochastic(F, rng), rng.normal(size=(3 * P, F))
+
+
+@settings(max_examples=60, deadline=None)
+@given(masked_scenes())
+def test_analyze_scene_matches_dense_schur_complement(scene):
+    rays, W, truth = scene
+    check_against_dense_reference(rays, W, truth)
+
+
+def test_analyze_scene_spans_stacks_and_mixes_complete_points():
+    # the masked_scenes draws this case needs: several stacks, complete and
+    # holed points in one stack
+    rng = np.random.default_rng(11)
+    P, F = 9, 96
+    present = rng.uniform(size=(P, F)) >= 0.4
+    present[[0, 3, 4, 8]] = True
+    directions = rng.normal(size=(P, F, 3))
+    directions /= np.linalg.norm(directions, axis=2, keepdims=True)
+    directions[~present] = np.nan
+    rays = RayField(directions, rng.normal(size=(F, 3)), present)
+    plans = solver._stack_plans(rays)
+    assert len(plans) == 2
+    assert [plan.full for plan in plans] == [False, False]
+    check_against_dense_reference(
+        rays, column_stochastic(F, rng), rng.normal(size=(3 * P, F))
+    )
 
 
 def test_true_weights_make_reconstruction_ambiguous_when_rays_align():

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 from dataclasses import fields, replace
 
@@ -203,6 +204,24 @@ def test_analyze_with_truth_weights(tmp_path, capsys):
     assert len(doc["per_point"]) == 3
     assert "mask:offdiag" in doc["flags"]
     assert doc["max_condition"] >= doc["mean_condition"]
+
+
+def test_analyze_covers_missing_observations(tmp_path, capsys):
+    extra = ("--miss-rate", "0.3")
+    scene, truth = simulate_small(tmp_path, capsys, seed=8, extra=extra)
+    frames, obs = sceneio.load_scene(scene)
+    assert not obs.present.all(axis=1).any()
+    out_path = tmp_path / "analysis.json"
+    code, out, err = run(
+        capsys, "analyze", "--scene", str(scene), "--truth", str(truth),
+        "--out", str(out_path),
+    )
+    assert code == 0, err
+    doc = sceneio.load_analysis(out_path)
+    assert len(doc["per_point"]) == 3
+    for row in doc["per_point"]:
+        assert math.isfinite(row["system_condition"])
+        assert math.isfinite(row["error_bound"])
 
 
 def test_analyze_rejects_non_finite_weights_file(tmp_path, capsys):

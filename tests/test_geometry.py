@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unsync3d.errors import GeometryError, InputError
 from unsync3d.geometry import (
@@ -88,6 +90,108 @@ def test_validate_frames_rejects_bad_intrinsics():
     frames = toy_frames(2)
     frames[1].intrinsics = np.zeros((3, 3))
     with pytest.raises(InputError):
+        validate_frames(frames)
+
+
+def loop_validate_frames(frames):
+    """The frame checks one frame at a time, the oracle of validate_frames."""
+    if len(frames) == 0:
+        raise InputError("empty frame list")
+    seen_global = set()
+    seen_pair = set()
+    for frame in frames:
+        f = frame.global_index
+        for name in ("rotation", "center", "intrinsics"):
+            if not np.isfinite(getattr(frame, name)).all():
+                raise InputError(f"frame {f}: {name} has a non-finite entry")
+        if frame.rotation.shape != (3, 3):
+            raise InputError(f"frame {f}: rotation must be 3x3")
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = np.abs(frame.rotation.T @ frame.rotation - np.eye(3)).max()
+        if not err <= 1e-9:
+            raise InputError(
+                f"frame {f}: rotation not orthonormal (|R^T R - I| = {err:.2e})"
+            )
+        if np.linalg.det(frame.rotation) < 0:
+            raise InputError(f"frame {f}: rotation has negative determinant")
+        if frame.center.shape != (3,):
+            raise InputError(f"frame {f}: center must be a 3-vector")
+        K = frame.intrinsics
+        if K.shape != (3, 3):
+            raise InputError(f"frame {f}: intrinsics must be 3x3")
+        if np.abs(K[np.tril_indices(3, k=-1)]).max() > 0:
+            raise InputError(f"frame {f}: intrinsics not upper triangular")
+        if K.diagonal().min() <= 0:
+            raise InputError(f"frame {f}: intrinsics diagonal must be positive")
+        if f in seen_global:
+            raise InputError(f"duplicate global index {f}")
+        seen_global.add(f)
+        pair = (frame.video_id, frame.frame_in_video)
+        if pair in seen_pair:
+            raise InputError(f"duplicate (video_id, frame_in_video) {pair}")
+        seen_pair.add(pair)
+    if seen_global != set(range(len(frames))):
+        raise InputError("global indices must cover 0..F-1")
+
+
+def _set_entry(name, index, value):
+    def fault(frame, other):
+        array = getattr(frame, name).copy()
+        # an earlier fault may have reshaped the array past the entry
+        if np.ndim(index) == array.ndim and (np.array(index) < array.shape).all():
+            array[index] = value
+            setattr(frame, name, array)
+
+    return fault
+
+
+# each fault breaks one frame (``other`` is another frame of the list)
+FRAME_FAULTS = {
+    "rotation-nan": _set_entry("rotation", (0, 1), np.nan),
+    "center-inf": _set_entry("center", 2, np.inf),
+    "intrinsics-nan": _set_entry("intrinsics", (1, 2), np.nan),
+    "rotation-shape": lambda fr, other: setattr(fr, "rotation", np.eye(2)),
+    "rotation-shape-nan": lambda fr, other: setattr(
+        fr, "rotation", np.full((2, 3), np.nan)
+    ),
+    "rotation-scaled": lambda fr, other: setattr(fr, "rotation", fr.rotation * 1.01),
+    "rotation-nudged": _set_entry("rotation", (2, 0), 1e-7),
+    "rotation-huge": _set_entry("rotation", (1, 1), 1e200),
+    "rotation-reflected": lambda fr, other: setattr(fr, "rotation", -fr.rotation),
+    "center-shape": lambda fr, other: setattr(fr, "center", np.zeros(4)),
+    "intrinsics-shape": lambda fr, other: setattr(fr, "intrinsics", np.eye(2)),
+    "intrinsics-lower": _set_entry("intrinsics", (2, 1), 1e-3),
+    "intrinsics-diagonal": _set_entry("intrinsics", (1, 1), 0.0),
+    "intrinsics-negative": _set_entry("intrinsics", (0, 0), -800.0),
+    "global-index-repeat": lambda fr, other: setattr(
+        fr, "global_index", other.global_index
+    ),
+    "global-index-gap": lambda fr, other: setattr(fr, "global_index", 99),
+    "pair-repeat": lambda fr, other: (
+        setattr(fr, "video_id", other.video_id),
+        setattr(fr, "frame_in_video", other.frame_in_video),
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_validate_frames_raises_the_frame_loops_message(data):
+    n = data.draw(st.integers(1, 6), label="frames")
+    frames = toy_frames(n)
+    order = data.draw(st.permutations(range(n)), label="list order")
+    frames = [frames[k] for k in order]
+    frame = st.integers(0, n - 1)
+    faults = st.tuples(frame, st.sampled_from(sorted(FRAME_FAULTS)), frame)
+    for k, name, other in data.draw(st.lists(faults, max_size=4), label="faults"):
+        FRAME_FAULTS[name](frames[k], frames[other])
+    try:
+        loop_validate_frames(frames)
+    except InputError as exc:
+        with pytest.raises(InputError) as raised:
+            validate_frames(frames)
+        assert str(raised.value) == str(exc)
+    else:
         validate_frames(frames)
 
 

@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from unsync3d import simplex, solver
 from unsync3d.errors import InfeasibleError, InputError
 from unsync3d.geometry import (
+    CameraFrame,
     ObservationSet,
     RayField,
     assemble_structure,
@@ -30,7 +31,6 @@ from unsync3d.simplex import (
 from unsync3d.solver import (
     SolverConfig,
     _fill_missing,
-    _pair_depths,
     _smoothness_laplacian,
     admm_w_step,
     coupling_matrix,
@@ -549,6 +549,33 @@ def test_solve_plans_x_step_and_video_pairs_once(monkeypatch):
     assert calls["_slots"] == len(stacks)
 
 
+def test_soft_rays_filter_the_coupling_once_per_call(monkeypatch):
+    # at F = 240 each of the five fully observed stacks holds one point;
+    # they share one F x F filter (I + Mc / lambda3)^-1 per call
+    scene = make_scene(points=5, samples=240, cameras=4, seed=1)
+    scaled, _ = normalize_scale(scene.frames)
+    rays = compute_rays(scaled, scene.observations)
+    F = len(scaled)
+    assert len(solver._stack_plans(rays)) == 5
+    W = offdiag_weights(F, np.random.default_rng(1))
+    Mc = coupling_matrix(W, SolverConfig(), scaled, 5)
+    expected = solver.minimize_structure(Mc, rays, 100.0)
+    calls = []
+    inv = np.linalg.inv
+
+    def counting(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    for _ in range(2):
+        calls.clear()
+        X, depths = solver.minimize_structure(Mc, rays, 100.0)
+        assert calls == [(F, F)]
+        assert np.array_equal(X, expected[0])
+        assert np.array_equal(depths, expected[1])
+
+
 def test_x_step_never_increases_objective():
     scene = make_scene(points=3, samples=16, cameras=3, seed=9, noise_sigma=1.0)
     scaled, _ = normalize_scale(scene.frames)
@@ -764,6 +791,32 @@ def test_initialize_depths_recovers_noise_free_geometry():
     assert np.median(errs) < 30.0
 
 
+def _pair_depths(rays, f, j):
+    """Closed-form closest points between the ray bundles of frames f and j.
+
+    The brute-force reference for ``solver._pair_rows``: returns (shared
+    point rows, depths along f, depths along j), or None when the pair is
+    unusable.
+    """
+    shared = rays.present[:, f] & rays.present[:, j]
+    if not shared.any():
+        return None
+    a = rays.directions[shared, f]
+    b = rays.directions[shared, j]
+    u = rays.centers[f] - rays.centers[j]
+    c = np.einsum("na,na->n", a, b)
+    denom = 1.0 - c**2
+    if (denom < 1e-12).any():
+        return None
+    au = a @ u
+    bu = b @ u
+    tf = (-au + c * bu) / denom
+    tj = (bu - c * au) / denom
+    if (tf < -1e-12).any() or (tj < -1e-12).any():
+        return None
+    return np.flatnonzero(shared), tf, tj
+
+
 def reference_pair_distances(rays, ids):
     """Pair-by-pair loop over _pair_depths, the brute-force reference."""
     F = rays.present.shape[1]
@@ -832,6 +885,53 @@ def test_pair_distance_matrix_matches_pairwise_reference():
         assert np.array_equal(
             np.argmin(D[usable], axis=1), np.argmin(ref[usable], axis=1)
         )
+
+
+def crafted_frames(rays, ids):
+    """Camera frames for a bare ray field: identity poses at its centers."""
+    return [
+        CameraFrame(np.eye(3), rays.centers[f], np.eye(3), int(v), f, f)
+        for f, v in enumerate(ids)
+    ]
+
+
+def test_initialize_depths_reads_the_argmin_partners_closed_form():
+    scene = make_scene(points=4, samples=20, cameras=4, seed=13, miss_rate=0.3)
+    scaled, _ = normalize_scale(scene.frames)
+    crafted, crafted_ids = crafted_rays()
+    # frame 2 sees point 0 alone; hidden from frames 0, 1 and 5, it leaves
+    # frame 2 no usable partner
+    present = crafted.present.copy()
+    present[0, [0, 1, 5]] = False
+    directions = np.where(present[:, :, None], crafted.directions, np.nan)
+    lonely = RayField(directions, crafted.centers, present)
+    cases = [
+        (crafted, crafted_frames(crafted, crafted_ids)),
+        (lonely, crafted_frames(lonely, crafted_ids)),
+        (compute_rays(scaled, scene.observations), scaled),
+    ]
+    for rays, frames in cases:
+        ids = np.array([f.video_id for f in frames])
+        depths, flags = initialize_depths(rays, frames)
+        D = pair_distance_matrix(rays, ids)
+        unit = []
+        for f in range(rays.present.shape[1]):
+            seen = rays.present[:, f]
+            if not np.isfinite(D[f]).any():
+                unit.append(f"init-unit-depth-frame-{f}")
+                assert (depths[seen, f] == 1.0).all()
+                continue
+            rows, tf, _ = _pair_depths(rays, f, int(np.argmin(D[f])))
+            np.testing.assert_allclose(depths[rows, f], tf, rtol=1e-12, atol=0.0)
+            rest = seen.copy()
+            rest[rows] = False
+            np.testing.assert_allclose(
+                depths[rest, f], np.median(tf), rtol=1e-12, atol=0.0
+            )
+        assert flags == unit
+        assert bool(unit) == (rays is lonely)
+        assert ("init-unit-depth-frame-2" in unit) == (rays is lonely)
+        assert np.isnan(depths[~rays.present]).all()
 
 
 def test_normalize_scale_unit_mean_distance_and_errors():
