@@ -247,8 +247,9 @@ def analyze_scene(rays, weights, ground_truth=None):
     The analysis contract is one point per shape, so a P-point scene is
     analyzed point by point against the shared weight matrix, each point on
     the frames that observe it.  Its unobserved frames are eliminated from
-    Q Q^T as the X-step eliminates them (``solver._StackPlan``, ridge retry
-    included).  ``ground_truth`` is the 3P x F true structure.
+    Q Q^T as the X-step eliminates them (``solver._StackPlan``, its
+    least-squares fallback included).  ``ground_truth`` is the 3P x F true
+    structure.
     """
     if rays.present.shape[0] == 0:
         raise InputError("scene has no points")

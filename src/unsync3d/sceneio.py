@@ -358,7 +358,7 @@ def save_report(path, report):
 def load_report(path):
     doc = _load(path, "unsync3d-report")
     try:
-        return EvalReport(
+        report = EvalReport(
             per_point_errors=np.array(doc["per_point_errors"], dtype=float),
             accuracy_at={int(k): float(v) for k, v in doc["accuracy_at"].items()},
             median_error=float(doc["median_error"]),
@@ -368,6 +368,15 @@ def load_report(path):
         )
     except _MALFORMED as exc:
         raise InputError(f"malformed report file {path}: {exc}") from exc
+    # the accuracy table reads every threshold
+    accuracy = report.accuracy_at
+    bad = [t for t in THRESHOLDS if not math.isfinite(accuracy.get(t, math.nan))]
+    if bad:
+        raise InputError(
+            f"malformed report file {path}: accuracy_at needs a finite value "
+            f"at thresholds {bad}"
+        )
+    return report
 
 
 def _encode_scalar(value):

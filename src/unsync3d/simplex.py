@@ -14,15 +14,22 @@ an active-set solver on the quadratic form phi(w) = w^T H w + c^T w (for
 coding, H = D^T D and c = -2 D^T t), so the gradient 2 H w + c matches the
 optimality conditions used in the tests.  It codes many columns against one
 shared H at once.  Each round groups the unfinished columns by support size
-and solves their KKT systems as one stack (least squares for a singular
-one), then takes every column's accept / add-atom / drop-blocker decision as
-an array operation.  Masked atoms never enter the linear algebra, which
-keeps off-mask zeros exact, and each column only ever reduces along its own
-row, so its result has the same bytes however many columns share the call.
-``self_express`` (the warm-up's coder) is a single call.  The one
-projected-gradient loop, ``_projected_gradient``, solves the proximal
-W-step of ``solver.admm_w_step``, and is the engine's fallback for a column
-that exhausts its iteration budget or cannot move.
+and solves their KKT systems as one stack, then takes every column's
+accept / add-atom / drop-blocker decision as an array operation.  Masked
+atoms never enter the linear algebra, which keeps off-mask zeros exact, and
+each column only ever reduces along its own row, so its result has the same
+bytes however many columns share the call.  ``self_express`` (the warm-up's
+coder) is a single call.  The one projected-gradient loop,
+``_projected_gradient``, solves the proximal W-step of
+``solver.admm_w_step``, and is the engine's fallback for a column that
+exhausts its iteration budget or cannot move.
+
+Every stack of small linear systems in the package goes through one
+guarded solve, ``_solve_stack``: these KKT faces, and the structure step's
+eliminations and depth systems (``solver``), which the reconstructability
+analysis reads too.  It has one residual test; a member that fails it is
+solved again alone, then by least squares, so a singular face (duplicate
+atoms) gets its least-norm optimum.
 """
 
 from dataclasses import dataclass
@@ -189,6 +196,50 @@ def _projected_gradient(step_map, W, const, allowed, L):
     return W, _PG_STEPS, False
 
 
+def _solved(H, rhs, sol):
+    # the residual test of a stack (or of one system): per member, the
+    # solution is finite and max |H x - b| <= 1e-8 (1 + max |b|)
+    with np.errstate(invalid="ignore", over="ignore"):
+        resid = np.abs(H @ sol - rhs).max(axis=(-2, -1))
+        bound = 1e-8 * (1.0 + np.abs(rhs).max(axis=(-2, -1)))
+    return np.isfinite(sol).all(axis=(-2, -1)) & (resid <= bound)
+
+
+def _solve_stack(H, rhs, sizes=None):
+    """Solve a stack of systems H[i] x = rhs[i]; rhs is (S, N, K).
+
+    Member i is its leading ``sizes[i]`` block (default N) padded with
+    decoupled identity rows and zero right-hand sides.  A member whose
+    stacked solution fails the residual test (``_solved``), or every member
+    when one singular system fails the whole stacked call, is solved again
+    alone, padding included, so a member that solves keeps the bytes it
+    has in a stack that solves.  A member that fails again takes least
+    squares on its leading block, with zero padding rows: for a consistent
+    singular system, the least-norm solution (Golub & Van Loan, Matrix
+    Computations, 5.5).  Returns (solutions, indices of the members solved
+    by least squares).
+    """
+    try:
+        sol = np.linalg.solve(H, rhs)
+        retry = np.flatnonzero(~_solved(H, rhs, sol))
+    except np.linalg.LinAlgError:
+        sol = np.empty_like(rhs)
+        retry = range(H.shape[0])
+    fell_back = []
+    for i in retry:
+        try:
+            sol[i] = np.linalg.solve(H[i], rhs[i])
+            if _solved(H[i], rhs[i], sol[i]):
+                continue
+        except np.linalg.LinAlgError:
+            pass
+        n = H.shape[-1] if sizes is None else sizes[i]
+        sol[i] = 0.0
+        sol[i, :n] = np.linalg.lstsq(H[i, :n, :n], rhs[i, :n], rcond=None)[0]
+        fell_back.append(i)
+    return sol, fell_back
+
+
 def minimize_on_simplex(H, c, w0=None, max_iter=None, allowed=None):
     """Minimize w^T H w + c^T w over the (masked) probability simplex.
 
@@ -208,7 +259,7 @@ def minimize_on_simplex(H, c, w0=None, max_iter=None, allowed=None):
     max_iter : int, optional
         Active-set steps per problem before the projected-gradient
         fallback, default 10 k + 20 for a problem with k allowed atoms.
-    allowed : (n, m) boolean array, optional
+    allowed : boolean array shaped like ``c``, optional
         Atoms column f may use, ``allowed[:, f]``; default all.
 
     Returns
@@ -219,14 +270,29 @@ def minimize_on_simplex(H, c, w0=None, max_iter=None, allowed=None):
         atom index.  A column's result has the same bytes whichever columns
         are coded with it.
 
-    Raises InfeasibleError if a column has no allowed atom.
+    Raises InputError if H is not n x n, a given ``w0`` or ``allowed`` is
+    not shaped like ``c``, or H or c is not finite, and InfeasibleError if
+    a column has no allowed atom.
     """
     H = np.asarray(H, dtype=float)
     c = np.asarray(c, dtype=float)
+    if c.ndim not in (1, 2):
+        raise InputError(f"c must be a vector or a matrix, got shape {c.shape}")
+    n = c.shape[0]
+    if H.shape != (n, n):
+        raise InputError(f"H must be {n} x {n} to match c, got shape {H.shape}")
+    for name, given in (("w0", w0), ("allowed", allowed)):
+        if given is not None and np.shape(given) != c.shape:
+            raise InputError(
+                f"{name} shape {np.shape(given)} does not match c {c.shape}"
+            )
+    if not (np.isfinite(H).all() and np.isfinite(c).all()):
+        raise InputError("H and c must be finite")
     vector = c.ndim == 1
     if vector:
         c = c[:, None]
-        w0 = None if w0 is None else np.asarray(w0, dtype=float)[..., None]
+        w0 = None if w0 is None else np.asarray(w0, dtype=float)[:, None]
+        allowed = None if allowed is None else np.asarray(allowed)[:, None]
     # problems are rows from here on, and every float reduction runs along
     # one contiguous row, so a row's bytes do not depend on the other rows
     C = c.T
@@ -240,7 +306,7 @@ def minimize_on_simplex(H, c, w0=None, max_iter=None, allowed=None):
         raise InfeasibleError("a coding problem has no allowed atom")
     budget = 10 * counts + 20 if max_iter is None else np.full(m, max_iter)
 
-    if w0 is not None and np.shape(w0) == c.shape:
+    if w0 is not None:
         W = np.where(A, np.asarray(w0, dtype=float).T, 0.0)
         finite = np.isfinite(W).all(axis=1)
         W[~finite] = 0.0
@@ -306,7 +372,9 @@ def minimize_on_simplex(H, c, w0=None, max_iter=None, allowed=None):
 
 def _face_optima(H, atoms, c_face):
     # equality-constrained optimum on each row's support, as one stack:
-    # [2 H_AA  1; 1^T  0] [w_A; mu] = [-c_A; 1]
+    # [2 H_AA  1; 1^T  0] [w_A; mu] = [-c_A; 1]; a singular face (duplicate
+    # atoms) takes least squares, whose least-norm optimum splits the
+    # weight evenly
     g, s = atoms.shape
     kkt = np.zeros((g, s + 1, s + 1))
     kkt[:, :s, :s] = 2.0 * H[atoms[:, :, None], atoms[:, None, :]]
@@ -315,25 +383,7 @@ def _face_optima(H, atoms, c_face):
     rhs = np.empty((g, s + 1, 1))
     rhs[:, :s, 0] = -c_face
     rhs[:, s, 0] = 1.0
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        # one singular system fails the whole stack; solve the rest alone
-        sol = np.full(rhs.shape, np.nan)
-        for i in range(g):
-            try:
-                sol[i] = np.linalg.solve(kkt[i], rhs[i])
-            except np.linalg.LinAlgError:
-                pass
-    with np.errstate(invalid="ignore", over="ignore"):
-        resid = np.abs(kkt @ sol - rhs).max(axis=(1, 2))
-        solved = np.isfinite(sol).all(axis=(1, 2)) & (
-            resid <= 1e-8 * (1.0 + np.abs(rhs).max(axis=(1, 2)))
-        )
-    # singular face (duplicate atoms); least-norm splits weight evenly
-    for i in np.flatnonzero(~solved):
-        sol[i] = np.linalg.lstsq(kkt[i], rhs[i], rcond=None)[0]
-    return sol[:, :s, 0]
+    return _solve_stack(kkt, rhs)[0][:, :s, 0]
 
 
 def _take_face(H, C, A, W, support, done, rows, atoms, face):
@@ -455,12 +505,6 @@ def self_express(dictionary, mask, warm_start=None):
         )
     if not np.isfinite(dictionary).all():
         raise InputError("non-finite dictionary")
-    if warm_start is not None:
-        warm_start = np.asarray(warm_start, dtype=float)
-        if warm_start.shape != (F, F):
-            raise InputError(
-                f"warm start shape {warm_start.shape} does not match F={F}"
-            )
     G = dictionary.T @ dictionary
     return minimize_on_simplex(G, -2.0 * G, w0=warm_start, allowed=mask.allowed)
 

@@ -41,7 +41,6 @@ import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +58,7 @@ from .geometry import (
 # the benchmark's tracer wraps solver.minimize_on_simplex by name
 from .simplex import (
     _projected_gradient,
+    _solve_stack,
     minimize_on_simplex,
     self_express,
     support_mask,
@@ -167,25 +167,17 @@ def video_pairs(frames):
 
 
 class _SolveFrames(tuple):
-    """A frame list carrying its video pairs and their Laplacian T T^T.
+    """A frame list carrying its video pairs.
 
     ``solve`` wraps its frames once, so ``psi2`` and ``coupling_matrix``,
     which run on every pass, do not rebuild them; they wrap any other
-    frame list per call (``_with_pairs``).  The Laplacian is built on first
-    use and kept as (flat indices, values) of its nonzero entries: an
-    F x F copy would stay alive through every W-step.
+    frame list per call (``_with_pairs``).
     """
 
     def __new__(cls, frames):
         self = super().__new__(cls, frames)
         self.pairs = video_pairs(self)
         return self
-
-    @cached_property
-    def laplacian(self):
-        L = _smoothness_laplacian(self.pairs, len(self))
-        index = np.flatnonzero(L)
-        return index, L.ravel()[index]
 
 
 def _with_pairs(frames):
@@ -252,37 +244,26 @@ def objective(structure, weights, config, frames, rays=None):
     return total, terms
 
 
-def _smoothness_laplacian(pairs, F):
-    # T T^T of the smoothness operator, summed pair by pair in O(M): +1 on
-    # both diagonal entries and -1 on both off-diagonal entries of a pair
-    L = np.zeros((F, F))
-    a, b = pairs[:, 0], pairs[:, 1]
-    np.add.at(L, (a, a), 1.0)
-    np.add.at(L, (b, b), 1.0)
-    np.add.at(L, (a, b), -1.0)
-    np.add.at(L, (b, a), -1.0)
-    return L
-
-
 def coupling_matrix(weights, config, frames, point_count):
     """F x F coupling Mc so the structure cost is sum_p tr(X_p Mc X_p^T).
 
     Mc = (1/FP) (I - W)(I - W)^T + (lambda2 / M) T T^T, with the smoothness
     part dropped when lambda2 = 0 or no video has consecutive frames.  T T^T
-    is the video pairs' graph Laplacian, built from the pairs directly and
-    added on its nonzero entries.
+    is the video pairs' graph Laplacian, read off the pairs: each frame's
+    pair count on the diagonal, -1 at (a, b) and (b, a) of each pair.
     """
     W = np.asarray(weights, dtype=float)
     F = W.shape[0]
     Q = np.eye(F) - W
     Mc = (Q @ Q.T) / (F * point_count)
     if config.lambda2 > 0:
-        frames = _with_pairs(frames)
-        M = frames.pairs.shape[0]
-        if M > 0:
-            index, values = frames.laplacian
-            # Mc is a new contiguous array, so ravel is a view of it
-            Mc.ravel()[index] += (config.lambda2 / M) * values
+        pairs = _with_pairs(frames).pairs
+        if pairs.shape[0] > 0:
+            scale = config.lambda2 / pairs.shape[0]
+            a, b = pairs.T
+            Mc.flat[:: F + 1] += scale * np.bincount(pairs.ravel(), minlength=F)
+            Mc[a, b] -= scale
+            Mc[b, a] -= scale
     return Mc
 
 
@@ -290,60 +271,6 @@ def coupling_matrix(weights, config, frames, point_count):
 # point per stack at F = 240, every point in one at F = 48); both ray modes
 # solve one F x F system per point
 _STACK_ENTRIES = 1 << 16
-
-
-def _accepted(H, rhs, sol):
-    # the direct solve's residual test, for one system or a stack of them;
-    # einsum sums the squares without the copy np.linalg.norm makes
-    scale = np.trace(H, axis1=-2, axis2=-1) / H.shape[-1]
-    resid = H @ sol
-    resid -= rhs
-    r2, b2, x2 = (np.einsum("...ij,...ij->...", a, a) for a in (resid, rhs, sol))
-    bound = 1e-8 * (1.0 + np.sqrt(b2) + np.abs(scale) * np.sqrt(x2))
-    return np.isfinite(sol).all(axis=(-2, -1)) & (np.sqrt(r2) <= bound)
-
-
-def _solve_regularized(H, rhs):
-    # direct solve with a trace-scaled ridge retry on singular systems;
-    # returns (solution, whether the ridge was needed)
-    n = H.shape[0]
-    try:
-        sol = np.linalg.solve(H, rhs)
-        if _accepted(H, rhs, sol):
-            return sol, False
-    except np.linalg.LinAlgError:
-        pass
-    eps = 1e-10 * max(abs(float(np.trace(H)) / n), 1e-300)
-    try:
-        return np.linalg.solve(H + eps * np.eye(n), rhs), True
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(H + eps * np.eye(n), rhs, rcond=None)[0], True
-
-
-def _solve_stack(H, rhs, sizes):
-    """Solve a stack of padded systems H[i] x = rhs[i] (rhs is (S, N, K)).
-
-    Member i is its leading ``sizes[i]`` block plus decoupled padding rows
-    with zero right-hand side.  A member that fails the residual test is
-    solved again alone, on its leading block, by ``_solve_regularized``.
-    Returns (solutions, indices of the members that needed the ridge).
-    """
-    try:
-        sol = np.linalg.solve(H, rhs)
-        retry = np.flatnonzero(~_accepted(H, rhs, sol))
-    except np.linalg.LinAlgError:
-        # one exactly singular member fails the whole call; a member with
-        # only padding rows solves to zero
-        sol = np.zeros_like(rhs)
-        retry = np.flatnonzero(sizes)
-    ridged = []
-    for i in retry:
-        n = sizes[i]
-        sol[i] = 0.0
-        sol[i, :n], needed = _solve_regularized(H[i, :n, :n], rhs[i, :n])
-        if needed:
-            ridged.append(i)
-    return sol, ridged
 
 
 def _slots(present):
@@ -426,20 +353,21 @@ class _StackPlan:
     def eliminate(self, Mc):
         """Eliminate each member's unobserved frames m from the coupling.
 
-        Returns (S, K, ridged members) with K = Mc_mm^-1 Mc_mo, so that
-        x_m = -K x_o, and the Schur complement S = Mc_oo - Mc_om K on the
-        observed slots [0, No).  Mc is symmetric, so Mc_om = Mc_mo^T.
+        Returns (S, K, members whose K took least squares) with
+        K = Mc_mm^-1 Mc_mo, so that x_m = -K x_o, and the Schur complement
+        S = Mc_oo - Mc_om K on the observed slots [0, No).  Mc is symmetric,
+        so Mc_om = Mc_mo^T.
         """
         buffer = self.buffer
         buffer[:-2] = Mc.ravel()
         Mmo = buffer.take(self.mo)
-        K, ridged = _solve_stack(buffer.take(self.mm), Mmo, self.n_unobs)
+        K, lstsq = _solve_stack(buffer.take(self.mm), Mmo, self.n_unobs)
         # Mc_om K, then Mc_oo minus it in its place: Mc_mo is not held
         # through the gather of Mc_oo
         S = Mmo.transpose(0, 2, 1) @ K
         del Mmo
         np.subtract(buffer.take(self.oo), S, out=S)
-        return S, K, ridged
+        return S, K, lstsq
 
     def system(self, S, Y=None):
         """(S o R R^T, sum_a R[..., a] o (S Y)[..., a]) on the observed slots.
@@ -457,10 +385,11 @@ class _StackPlan:
         """This stack's part of ``minimize_structure`` for coupling Mc.
 
         A fully observed stack takes the soft-ray ``full_filter`` of Mc.
-        Returns (points (size, F, 3), depths (size, F), ridged members).
+        Returns (points (size, F, 3), depths (size, F), members that took
+        least squares in either solve).
         """
         R, C = self.R, self.C
-        S, K, ridged = (Mc, None, []) if self.full else self.eliminate(Mc)
+        S, K, lstsq = (Mc, None, []) if self.full else self.eliminate(Mc)
         if lambda3 < math.inf:
             S, J = full_filter if self.full else _soft_filter(S, lambda3)
         H, rhs = self.system(S, C)
@@ -476,7 +405,7 @@ class _StackPlan:
         x = np.concatenate([x_obs, -K @ x_obs], axis=1).reshape(-1, 3)
         points = x.take(self.rows, axis=0)
         depths = np.where(self.present, along.take(self.depth_rows), np.nan)
-        return points, depths, ridged + bad
+        return points, depths, lstsq + bad
 
 
 def _soft_filter(S, lambda3):
@@ -523,12 +452,16 @@ def minimize_structure(coupling, rays, lambda3=math.inf, flags=None):
     decoupled identity rows and zero right-hand sides.  What a stack needs
     from the rays alone is planned on the first call for a ray field, in
     either ray mode, and kept on it (``_StackPlan``), so a ray field must
-    not be changed in place once solved on.  A member whose direct solve
-    fails the residual test is solved alone with a trace-scaled ridge (then
-    least squares) and flagged ``ridge:point-<p>``, once per point.
+    not be changed in place once solved on.  Both solves of a stack, the
+    elimination and the depths, go through ``simplex._solve_stack``: a
+    member that fails its residual test is solved again alone, and takes
+    least squares (for a singular system, the least-norm solution) when the
+    direct solve fails again.  Such a point is flagged ``ridge:point-<p>``,
+    once per point; the name is kept from the ridge retry this replaced,
+    because perfbench's ``solver.ridge_retries`` counts that prefix.
 
     Returns (structure, depths) with depths (x_f - C_f) . r_f on observed
-    frames; ``flags`` collects ridge warnings.
+    frames; ``flags`` collects the least-squares flags.
     """
     if not lambda3 > 0:
         raise InputError(f"lambda3 must be positive (inf = hard rays), got {lambda3}")
@@ -538,7 +471,7 @@ def minimize_structure(coupling, rays, lambda3=math.inf, flags=None):
     P, F = rays.present.shape
     points = np.empty((P, F, 3))
     depths = np.empty((P, F))
-    ridged = set()
+    lstsq = set()
     plans = _stack_plans(rays)
     # the fully observed stacks share one soft-ray filter of Mc per call
     soft_full = lambda3 < math.inf and any(plan.full for plan in plans)
@@ -546,8 +479,8 @@ def minimize_structure(coupling, rays, lambda3=math.inf, flags=None):
     for plan in plans:
         part = plan.part
         points[part], depths[part], bad = plan.solve(Mc, lambda3, full_filter)
-        ridged.update(part.start + i for i in bad)
-    flags.extend(f"ridge:point-{p}" for p in sorted(ridged))
+        lstsq.update(part.start + i for i in bad)
+    flags.extend(f"ridge:point-{p}" for p in sorted(lstsq))
     return structure_from_points(points), depths
 
 

@@ -368,6 +368,29 @@ def test_report_merges_eval_outputs(tmp_path, capsys):
     assert code == 3
 
 
+def test_report_rejects_a_report_missing_a_threshold(tmp_path, capsys):
+    scene, truth = simulate_small(tmp_path, capsys, seed=11)
+    result = tmp_path / "r.json"
+    rep = tmp_path / "rep.json"
+    assert run(capsys, "solve", "--scene", str(scene), "--out", str(result))[0] == 0
+    assert run(
+        capsys, "eval", "--result", str(result), "--truth", str(truth),
+        "--out", str(rep),
+    )[0] == 0
+    doc = json.loads(rep.read_text())
+    del doc["accuracy_at"]["100"]
+    rep.write_text(json.dumps(doc))
+    table = tmp_path / "table.csv"
+    code, _, err = run(
+        capsys, "report", "--axis", "noise", "--out", str(table), f"0.0={rep}"
+    )
+    assert code == 3, err
+    msg = json.loads(err.strip().split("\n")[-1])
+    assert msg["category"] == "input"
+    assert "accuracy_at" in msg["message"]
+    assert not table.exists()
+
+
 def test_solve_rejects_bad_lambda3(tmp_path, capsys):
     scene, _ = simulate_small(tmp_path, capsys, seed=12)
     code, out, err = run(

@@ -193,6 +193,23 @@ def test_report_round_trip(tmp_path, scene):
     assert np.array_equal(back.per_point_errors, rep.per_point_errors)
 
 
+@pytest.mark.parametrize("value", [None, "nan", "inf"])
+def test_load_report_requires_every_threshold(tmp_path, scene, value):
+    W = np.zeros((16, 16))
+    W[0, :] = 1.0
+    rep = evaluate(scene.truth, scene.truth, W, scene.truth_order, counters={})
+    p = tmp_path / "rep.json"
+    sceneio.save_report(p, rep)
+    doc = json.loads(p.read_text())
+    if value is None:
+        del doc["accuracy_at"]["100"]
+    else:
+        doc["accuracy_at"]["100"] = value
+    p.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=r"malformed.*thresholds \[100\]"):
+        sceneio.load_report(p)
+
+
 def test_load_rejects_wrong_format_and_garbage(tmp_path):
     p = tmp_path / "x.json"
     p.write_text('{"format":"unsync3d-scene","version":1}\n')

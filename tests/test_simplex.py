@@ -311,6 +311,112 @@ def test_minimize_on_simplex_properties(problem):
         assert alone[:, 0].tobytes() == W[:, f].tobytes()
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["w0 shape", "allowed shape", "H shape", "H not finite", "c not finite"],
+)
+def test_minimize_on_simplex_rejects_bad_input(case):
+    rng = np.random.default_rng(31)
+    D = rng.normal(size=(4, 5))
+    H = D.T @ D
+    c = -2.0 * (D.T @ rng.normal(size=(4, 3)))
+    # a vector problem takes a w0 and an allowed mask shaped like it
+    w = minimize_on_simplex(H, c[:, 0], w0=np.full(5, 0.2), allowed=np.ones(5, bool))
+    assert w.shape == (5,) and abs(w.sum() - 1.0) <= 1e-12
+    kwargs = {}
+    if case == "w0 shape":
+        kwargs["w0"] = np.full((5, 2), 0.2)
+    elif case == "allowed shape":
+        kwargs["allowed"] = np.ones((5, 2), dtype=bool)
+    elif case == "H shape":
+        c = np.vstack([c, c[:1]])
+    elif case == "H not finite":
+        H[1, 2] = np.inf
+    else:
+        c[3, 1] = np.nan
+    with pytest.raises(InputError):
+        minimize_on_simplex(H, c, **kwargs)
+
+
+@st.composite
+def padded_stacks(draw):
+    """Stacks of identity-padded systems, some members exactly singular.
+
+    A singular member's leading block has a zero row and column, with a
+    zero right-hand side there: its column stays exactly zero through any
+    LU elimination, so every LAPACK reports the zero pivot.
+    """
+    N = draw(st.integers(2, 6))
+    K = draw(st.integers(1, 3))
+    S = draw(st.integers(1, 5))
+    sizes = draw(hnp.arrays(int, S, elements=st.integers(0, N)))
+    singular = draw(hnp.arrays(bool, S)) & (sizes >= 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = np.tile(np.eye(N), (S, 1, 1))
+    rhs = np.zeros((S, N, K))
+    for m, n in enumerate(sizes):
+        G = rng.normal(size=(n, n))
+        A = G @ G.T + n * np.eye(n)
+        b = rng.normal(size=(n, K))
+        if singular[m]:
+            i = rng.integers(n)
+            A[i] = A[:, i] = b[i] = 0.0
+        H[m, :n, :n] = A
+        rhs[m, :n] = b
+    return H, rhs, sizes, singular
+
+
+@settings(max_examples=100, deadline=None)
+@given(padded_stacks())
+def test_solve_stack_direct_members_and_least_squares_fallback(stack):
+    H, rhs, sizes, singular = stack
+    sol, fell_back = simplex._solve_stack(H, rhs, sizes)
+    assert sorted(fell_back) == np.flatnonzero(singular).tolist()
+    for m, n in enumerate(sizes):
+        if singular[m]:
+            A, b = H[m, :n, :n], rhs[m, :n]
+            ref = np.linalg.lstsq(A, b, rcond=None)[0]
+            assert np.abs(sol[m, :n] - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert not sol[m, n:].any()
+        else:
+            assert sol[m].tobytes() == np.linalg.solve(H[m], rhs[m]).tobytes()
+    # a singular member leaves the others' bytes unchanged
+    regular = np.flatnonzero(~singular)
+    alone, _ = simplex._solve_stack(H[regular], rhs[regular], sizes[regular])
+    assert alone.tobytes() == sol[regular].tobytes()
+
+
+def test_solve_stack_replaces_a_huge_direct_solve_of_a_singular_face():
+    # a KKT face of duplicated atoms 0 and 2 on which LU returns a
+    # "solution" with entries above 1e6 instead of raising: its residual is
+    # small against |x|, so a test scaled by ||x|| accepts it, but it fails
+    # max |H x - b| <= 1e-8 (1 + max |b|), and the face takes least squares
+    D = np.array(
+        [
+            [-0.060879893177886564, 0.32036108433157906, -0.060879893177886564],
+            [0.5283223373819336, -1.7570776392083791, 0.5283223373819336],
+        ]
+    )
+    t = np.array([0.12526778470954586, -1.959356631764136])
+    kkt = np.zeros((4, 4))
+    kkt[:3, :3] = 2.0 * (D.T @ D)
+    kkt[:3, 3] = kkt[3, :3] = 1.0
+    rhs = np.append(2.0 * (D.T @ t), 1.0)[:, None]
+    direct = np.linalg.solve(kkt, rhs)
+    assert np.abs(direct).max() > 1e6
+    resid = np.linalg.norm(kkt @ direct - rhs)
+    scale = np.trace(kkt) / 4
+    bound = 1e-8 * (1.0 + np.linalg.norm(rhs) + scale * np.linalg.norm(direct))
+    assert resid <= bound
+    sol, fell_back = simplex._solve_stack(kkt[None], rhs[None])
+    assert fell_back == [0]
+    ref = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    assert np.array_equal(sol[0], ref)
+    # the least-norm face optimum splits the duplicated atom's weight evenly
+    assert abs(sol[0, 0, 0] - sol[0, 2, 0]) <= 1e-12
+    assert np.abs(kkt @ ref - rhs).max() <= 1e-8 * (1.0 + np.abs(rhs).max())
+
+
 def test_support_mask_diagonal_and_exclusion():
     ids = [0, 0, 1, 1, 2]
     mask = support_mask(ids, exclude_same_video=True)

@@ -31,7 +31,6 @@ from unsync3d.simplex import (
 from unsync3d.solver import (
     SolverConfig,
     _fill_missing,
-    _smoothness_laplacian,
     admm_w_step,
     coupling_matrix,
     initialize_depths,
@@ -128,6 +127,18 @@ def _difference_operator(pairs, F):
         T[a, m] = 1.0
         T[b, m] = -1.0
     return T
+
+
+def _smoothness_laplacian(pairs, F):
+    """T T^T of the smoothness operator, summed pair by pair: +1 on both
+    diagonal entries and -1 on both off-diagonal entries of a pair."""
+    L = np.zeros((F, F))
+    a, b = pairs[:, 0], pairs[:, 1]
+    np.add.at(L, (a, a), 1.0)
+    np.add.at(L, (b, b), 1.0)
+    np.add.at(L, (a, b), -1.0)
+    np.add.at(L, (b, a), -1.0)
+    return L
 
 
 def test_smoothness_operator_columns():
