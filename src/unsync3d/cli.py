@@ -42,6 +42,10 @@ from .synth import (
 
 # the solve flags: one --field-name option per numeric SolverConfig field
 _NUMERIC_FIELDS = [spec for spec in fields(SolverConfig) if spec.type is not bool]
+_FIELD_HELP = {
+    "rho": "weight of the anchor term (rho/2) ||W - W0||^2 that ties the "
+    "coupled weights to the warm-up's code W0 (default 0.02)",
+}
 
 
 def _fail(category, message):
@@ -130,7 +134,7 @@ def _build_parser():
                 flag, help="positive float, or 'inf' (100 suits noisy pixels)"
             )
         else:
-            sol.add_argument(flag, type=spec.type)
+            sol.add_argument(flag, type=spec.type, help=_FIELD_HELP.get(spec.name))
     sol.add_argument(
         "--allow-same-video",
         action="store_true",

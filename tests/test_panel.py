@@ -7,6 +7,8 @@ these checks pin its reading of perfbench's report lines.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 PANEL = Path(__file__).resolve().parents[1] / "tools" / "panel.py"
 
 # the lines of one perfbench run, in the layout of perfbench/bench.py's
@@ -71,3 +73,52 @@ def test_seeds_and_paired_tally():
     pairs = [(1.0, 0.5), (1.0, 2.0), (3.0, 3.0), (None, 1.0)]
     assert panel.tally(pairs, higher_better=False) == (1, 1, 1, 0.0)
     assert panel.tally(pairs, higher_better=True) == (1, 1, 1, 0.0)
+
+
+def test_parse_sweep_point_reads_its_line():
+    panel = load_panel()
+    text = (
+        "some warning\n"
+        "sweep miss value=0.3 acc30=0.962600 median_error_mm=0.574 "
+        "converged=7 solves=8\n"
+    )
+    assert panel.parse_sweep_point(text) == {
+        "sweep": "miss",
+        "value": 0.3,
+        "acc30": 0.9626,
+        "median_error_mm": 0.574,
+        "converged": 7,
+        "solves": 8,
+    }
+    with pytest.raises(ValueError):
+        panel.parse_sweep_point("sweep miss value=0.3 acc30=0.96\n")
+
+
+def test_sweeps_are_c08s_and_print_side_by_side():
+    panel = load_panel()
+    assert panel.SWEEPS["noise"][1] == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+    assert list(panel.SWEEPS["noise"][2]) == [1, 2, 3, 4, 5]
+    assert panel.SWEEPS["noise"][3] == {"lambda3": 100.0}
+    assert panel.SWEEPS["miss"][1] == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+    assert list(panel.SWEEPS["miss"][2]) == list(range(1, 9))
+    side = {"acc30": 0.9388, "median_error_mm": 11.3, "converged": 0, "solves": 5}
+    head = side | {"acc30": 0.9411, "median_error_mm": 10.7, "converged": 5}
+    point = {"sweep": "noise", "value": 5.0, "base": side, "head": head}
+    assert panel.sweep_summary([point]) == [
+        "noise 5: acc30 base 0.9388 head 0.9411 (+0.0023); median_error_mm "
+        "base 11.3 head 10.7; converged base 0/5 head 5/5"
+    ]
+
+
+def test_sweep_line_round_trips():
+    # the line a sweep point prints is the line the panel reads
+    panel = load_panel()
+    line = panel.sweep_line("noise", 2.0, 0.98854, 5.2361, 5, 5)
+    assert panel.parse_sweep_point(line) == {
+        "sweep": "noise",
+        "value": 2.0,
+        "acc30": 0.98854,
+        "median_error_mm": 5.2361,
+        "converged": 5,
+        "solves": 5,
+    }

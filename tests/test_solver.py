@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from unsync3d import simplex, solver
+from unsync3d import sceneio, simplex, solver
 from unsync3d.errors import InfeasibleError, InputError
 from unsync3d.geometry import (
     CameraFrame,
@@ -68,7 +68,7 @@ def test_config_defaults_and_validation():
     assert cfg.lambda1 == 0.05
     assert cfg.lambda2 == 0.1
     assert cfg.lambda3 == math.inf
-    assert cfg.rho == 1.0
+    assert cfg.rho == 0.02
     cfg.validate()
     with pytest.raises(InputError):
         replace(cfg, lambda1=-0.1).validate()
@@ -1025,7 +1025,7 @@ def test_solve_loop_calls_and_flags(monkeypatch):
     """The warm-up and both coupled stages run the one alternation loop.
 
     Per solve: x_step = warm-up passes + outer iterations, admm_w_step =
-    outer (the first starts from the warm-up's code), self_express =
+    outer (each starts at the warm-up's code), self_express =
     warm-up passes, objective = warm-up passes + 2 outer + stages.
     """
     scene = make_scene(points=3, samples=12, cameras=3, seed=20)
@@ -1061,7 +1061,8 @@ def test_solve_loop_calls_and_flags(monkeypatch):
         assert all(i["converged"] for i in infos)
         return state, passes
 
-    capped, passes = run(SolverConfig(outer_max=3))
+    # a tolerance no loop meets in 3 passes: every loop stops at the cap
+    capped, passes = run(SolverConfig(outer_max=3, outer_rel_tol=5e-324))
     assert passes == 3 and capped.outer_iterations == 6
     assert not capped.converged
     assert [f for f in capped.flags if not f.startswith("ridge:")] == [
@@ -1078,19 +1079,87 @@ def test_solve_loop_calls_and_flags(monkeypatch):
     assert 2 <= loose.outer_iterations < 200
 
 
-def test_solve_trace_monotone_and_flags():
+def test_solve_trace_monotone_and_flags(monkeypatch):
+    # the trace records Phi, which no block step and no stage switch raises;
+    # stage 1 runs at min(lambda2, FINAL_LAMBDA2), so a lambda2 below the
+    # final one is never raised
     scene = make_scene(points=3, samples=24, cameras=3, seed=17)
-    cfg = SolverConfig(outer_max=30)
-    state = solve(scene.observations, scene.frames, cfg)
-    trace = np.array(state.objective_trace)
-    assert trace.size >= 3
-    stage_drop = np.flatnonzero(np.diff(trace) > 1e-9 * (1 + np.abs(trace[:-1])))
-    # increases can only happen at the stage switch where lambda2 drops
-    assert stage_drop.size <= 1
-    assert any(flag.startswith("warmup-") for flag in state.flags)
-    assert state.outer_iterations >= 1
-    assert state.weights.shape == (24, 24)
-    assert np.allclose(state.weights.sum(axis=0), 1.0, atol=1e-8)
+    lambda2s = []
+    w_step = solver.admm_w_step
+
+    def recorded(structure, mask, config, weights=None):
+        lambda2s.append(config.lambda2)
+        return w_step(structure, mask, config, weights)
+
+    monkeypatch.setattr(solver, "admm_w_step", recorded)
+    for lambda2 in (0.1, 1e-5):
+        lambda2s.clear()
+        cfg = SolverConfig(outer_max=30, lambda2=lambda2)
+        state = solve(scene.observations, scene.frames, cfg)
+        trace = np.array(state.objective_trace)
+        assert trace.size >= 3
+        assert (np.diff(trace) <= 1e-9 * (1 + np.abs(trace[:-1]))).all()
+        assert max(lambda2s) == lambda2
+        assert lambda2s[-1] == min(lambda2, solver.FINAL_LAMBDA2)
+        assert any(flag.startswith("warmup-") for flag in state.flags)
+        assert state.outer_iterations >= 1
+        assert state.weights.shape == (24, 24)
+        assert np.allclose(state.weights.sum(axis=0), 1.0, atol=1e-8)
+
+
+def test_coupled_w_steps_share_the_warm_up_code_as_anchor(monkeypatch):
+    # every coupled W-step starts at, and is centred on, the warm-up's last
+    # code W0; the trace is Phi about that W0
+    scene = make_scene(points=3, samples=18, cameras=3, seed=21)
+    codes, starts, measured = [], [], []
+    coder, w_step, cost = solver.self_express, solver.admm_w_step, solver.objective
+
+    def coded(*args, **kwargs):
+        codes.append(coder(*args, **kwargs).copy())
+        return codes[-1].copy()
+
+    def stepped(structure, mask, config, weights=None):
+        starts.append(np.array(weights).tobytes())
+        return w_step(structure, mask, config, weights)
+
+    def costed(structure, weights, config, frames, rays=None, anchor=None):
+        out = cost(structure, weights, config, frames, rays, anchor)
+        if anchor is not None:
+            args = (structure.copy(), weights.copy(), config, frames, rays)
+            measured.append((args, anchor.copy(), out[0]))
+        return out
+
+    monkeypatch.setattr(solver, "self_express", coded)
+    monkeypatch.setattr(solver, "admm_w_step", stepped)
+    monkeypatch.setattr(solver, "objective", costed)
+    state = solve(scene.observations, scene.frames, SolverConfig())
+    W0 = codes[-1]
+    assert len(starts) == state.outer_iterations >= 2
+    assert set(starts) == {W0.tobytes()}
+    assert state.objective_trace == [total for _, _, total in measured]
+    for args, anchor, total in measured:
+        assert np.array_equal(anchor, W0)
+        assert cost(*args, anchor=W0)[0] == total
+
+
+@pytest.mark.parametrize(
+    "points, samples, cameras, seed", [(3, 30, 3, 2), (5, 80, 4, 1)]
+)
+def test_settled_solve_does_not_depend_on_outer_max(tmp_path, points, samples,
+                                                    cameras, seed):
+    # c03's scene and the desk scene: every loop settles before 100 passes,
+    # so a higher cap changes no byte of the result
+    motion = procedural_motion(points, samples, seed=seed)
+    scene = generate(motion, RigSpec(camera_count=cameras), CorruptionSpec(seed=seed))
+    saved = []
+    for outer_max in (100, 400):
+        state = solve(scene.observations, scene.frames, SolverConfig(outer_max=outer_max))
+        assert state.converged
+        assert not any(flag.endswith("-outer-cap") for flag in state.flags)
+        path = tmp_path / f"result-{outer_max}.json"
+        sceneio.save_result(path, state)
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
 
 
 def test_solve_deterministic_and_accurate_noise_free():
