@@ -37,7 +37,6 @@ __all__ = [
     "residual",
     "FilterBank",
     "filter_weights",
-    "analyze_point",
     "analyze_scene",
 ]
 
@@ -216,16 +215,6 @@ def filter_weights(filter_taps, frame_count):
             W[c - 1, c] = 0.5
             W[c + 1, c] = 0.5
     return FilterBank(taps=taps, g_matrix=G, w_matrix=W)
-
-
-def analyze_point(ray_dirs, weights, ground_truth_point=None):
-    """Full reconstructability report for one point.
-
-    Without ground truth the report carries the conditioning of A only
-    (b, l, bound and residual come back None).
-    """
-    A, b = build_system(ray_dirs, weights, ground_truth_point)
-    return _report(A, b, weights, ground_truth_point)
 
 
 def _report(A, b, weights, truth):

@@ -140,7 +140,11 @@ def _build_parser():
         action="store_true",
         help="keep same-video atoms in the support",
     )
-    sol.add_argument("--no-second-stage", action="store_true")
+    sol.add_argument(
+        "--no-second-stage",
+        action="store_true",
+        help="skip the second coupled stage at the small final lambda2",
+    )
     sol.add_argument("--xyz-out", default=None, help="point cloud text file")
     sol.set_defaults(func=_cmd_solve)
 

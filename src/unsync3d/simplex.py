@@ -22,7 +22,7 @@ bytes however many columns share the call.  ``self_express`` (the warm-up's
 coder) is a single call.  The one projected-gradient loop,
 ``_projected_gradient``, solves the proximal W-step of
 ``solver.admm_w_step``, and is the engine's fallback for a column that
-exhausts its iteration budget or cannot move.
+exhausts its iteration budget.
 
 Every stack of small linear systems in the package goes through one
 guarded solve, ``_solve_stack``: these KKT faces, and the structure step's
@@ -57,17 +57,13 @@ class SupportMask:
 
     allowed: np.ndarray
 
-    def column(self, f):
-        return np.flatnonzero(self.allowed[:, f])
 
-
-def support_mask(video_ids, exclude_same_video=True, forbid=None):
+def support_mask(video_ids, exclude_same_video=True):
     """Build the support mask for a frame list.
 
     The diagonal is always forbidden.  With ``exclude_same_video`` every atom
     from the represented frame's own video is forbidden too, which removes
-    near-duplicate captures from the dictionary.  ``forbid`` adds extra
-    forbidden entries.
+    near-duplicate captures from the dictionary.
 
     Raises InfeasibleError if any column ends up with no allowed atom.
     """
@@ -76,8 +72,6 @@ def support_mask(video_ids, exclude_same_video=True, forbid=None):
     allowed = ~np.eye(F, dtype=bool)
     if exclude_same_video:
         allowed &= ids[:, None] != ids[None, :]
-    if forbid is not None:
-        allowed &= ~np.asarray(forbid, dtype=bool)
     mask = SupportMask(allowed=allowed)
     validate_mask(mask, min_allowed=1)
     return mask
@@ -123,7 +117,7 @@ def project_to_masked_simplex(V, allowed):
 _PG_STEPS = 2000
 
 
-def _project_near(V, allowed, support, count=None):
+def _project_near(V, allowed, support, count):
     """``project_to_masked_simplex`` of V, in place, given its likely supports.
 
     A column whose threshold theta = (sum of V over its support - 1) / |support|
@@ -132,11 +126,9 @@ def _project_near(V, allowed, support, count=None):
     columns go through ``project_to_masked_simplex`` (a projection onto the
     simplex ignores a shift of its input by a constant).  Entries off the
     support come out +0.0.  ``support`` and ``count`` (its column sums as
-    floats, computed when not given) are updated in place to the supports of
-    the result, so a loop can pass them on to its next projection.
+    floats) are updated in place to the supports of the result, so a loop
+    can pass them on to its next projection.
     """
-    if count is None:
-        count = support.sum(axis=0).astype(float)
     # einsum costs less than a masked np.sum(where=) and, unlike
     # multiply-and-sum, allocates no F x F temporary; it adds the same terms
     # in the same order, except that numpy sums a single column pairwise
@@ -421,15 +413,12 @@ def _take_face(H, C, A, W, support, done, rows, atoms, face):
 
 def _drop_blocker(W, support, stuck, rows, atoms, face):
     # an infeasible face optimum: step toward it until the first weight
-    # reaches zero and drop that atom, the smallest index among ties
+    # reaches zero and drop that atom, the smallest index among ties; every
+    # row shrinks somewhere, as its face optimum has an entry below -1e-12
+    # where its weight is >= 0
     cur = W[rows[:, None], atoms]
     d = face - cur
     shrink = d < -1e-15
-    moves = shrink.any(axis=1)
-    stuck[rows[~moves]] = True
-    rows, atoms, cur, d, shrink = (
-        a[moves] for a in (rows, atoms, cur, d, shrink)
-    )
     ratios = np.divide(cur, -d, out=np.full(d.shape, np.inf), where=shrink)
     low = ratios.min(axis=1)
     drop = np.argmax(shrink & (ratios <= low[:, None] + 1e-15), axis=1)

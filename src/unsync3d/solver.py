@@ -97,10 +97,14 @@ __all__ = [
 # observed ones
 FINAL_LAMBDA2 = 1e-4
 
+# every alternation loop settles once its stop quantity changes by at most
+# this much, relative, in a pass
+_OUTER_REL_TOL = 1e-6
+
 
 @dataclass
 class SolverConfig:
-    """Weights, tolerances and switches for the alternating solver.
+    """Weights, the pass cap and switches for the alternating solver.
 
     lambda3 is the soft-ray weight; ``math.inf`` (the default) keeps points
     exactly on their viewing rays, while a finite value (100 is the usual
@@ -109,7 +113,9 @@ class SolverConfig:
     the cost, W0 being the warm-up's last code: the larger it is, the
     closer the coupled W stays to that code.  lambda2 weighs the smoothness
     prior of the first coupled stage; with ``second_stage`` a second one
-    runs at min(lambda2, ``FINAL_LAMBDA2``).
+    runs at min(lambda2, ``FINAL_LAMBDA2``).  Each loop runs at most
+    ``outer_max`` passes and settles earlier at the relative tolerance
+    ``_OUTER_REL_TOL``.
     """
 
     lambda1: float = 0.05
@@ -117,7 +123,6 @@ class SolverConfig:
     lambda3: float = math.inf
     rho: float = 0.02
     outer_max: int = 100
-    outer_rel_tol: float = 1e-6
     same_video_exclusion: bool = True
     second_stage: bool = True
 
@@ -144,8 +149,6 @@ class SolverConfig:
             raise InputError("lambda3 must be positive (inf = hard constraint)")
         if not self.rho > 0:
             raise InputError("rho must be positive")
-        if not self.outer_rel_tol > 0:
-            raise InputError("outer_rel_tol must be positive")
         if self.outer_max < 1:
             raise InputError("outer_max must be at least 1")
 
@@ -553,12 +556,24 @@ def admm_w_step(structure, mask, config, weights=None):
     the solver loop, the tests and the benchmark's tracer (which reads the
     info dict at index 3) call it so.  Returns (weights, None, None, info),
     with info's ``iterations`` the projected-gradient steps taken and
-    ``converged`` whether they settled before the loop's cap.
+    ``converged`` whether they settled before the loop's cap.  Raises
+    InputError for a non-finite structure, a mask that is not F x F or an
+    anchor that is not a finite F x F array.
     """
     X = np.asarray(structure, dtype=float)
     F = X.shape[1]
     P = X.shape[0] // 3
     validate_mask(mask, min_allowed=1)
+    if mask.allowed.shape != (F, F):
+        raise InputError(f"mask shape {mask.allowed.shape} does not match F={F}")
+    if not np.isfinite(X).all():
+        raise InputError("non-finite structure")
+    if weights is None:
+        W = self_express(X, mask)
+    else:
+        W = np.array(weights, dtype=float)
+        if W.shape != (F, F) or not np.isfinite(W).all():
+            raise InputError(f"anchor weights must be a finite {F} x {F} array")
     inv_fp = 1.0 / (F * P)
     rho = config.rho
     # psi1's gradient is skew * (W - W^T)
@@ -590,7 +605,6 @@ def admm_w_step(structure, mask, config, weights=None):
             if skew:
                 out += (skew / L) * Wc.T
 
-    W = self_express(X, mask) if weights is None else np.array(weights, dtype=float)
     # the gradient's constant part, -(2/FP) G - rho W0, in G's place
     const = G
     const *= -2.0 * inv_fp
@@ -766,7 +780,7 @@ def _alternate(
     """Alternate exact X-steps with ``w_step`` on ``state``; (passes, settled).
 
     A pass runs ``w_step`` before the X-step when ``code_first``, else after
-    it.  The loop settles once |prev - cur| <= outer_rel_tol |cur| between
+    it.  The loop settles once |prev - cur| <= _OUTER_REL_TOL |cur| between
     passes for the objective term ``stop_term``, or for the total if None
     (then traced at entry and after every half-step), else stops at
     ``outer_max`` passes.  The objective is Phi about ``anchor`` when given.
@@ -793,7 +807,7 @@ def _alternate(
             measure()
             w_step(state, cfg, mask)
         cur = measure()
-        if abs(prev - cur) <= cfg.outer_rel_tol * abs(cur):
+        if abs(prev - cur) <= _OUTER_REL_TOL * abs(cur):
             return passes, True
         prev = cur
     return cfg.outer_max, False
@@ -823,7 +837,7 @@ def solve(obs, frames, config=None):
     block coordinate descent on Phi = f + (rho/2) ||W - W0||^2 with W0 the
     warm-up's last code (exact X-step, then the exact W-step about W0,
     stopping on Phi, which the trace records).  Each loop stops once its
-    stop quantity changes by at most ``outer_rel_tol`` (relative) in a
+    stop quantity changes by at most ``_OUTER_REL_TOL`` (relative) in a
     pass, or at ``outer_max`` passes.  With ``second_stage`` the coupled
     stage repeats at lambda2 = min(lambda2, ``FINAL_LAMBDA2``), warm
     started and about the same W0; Phi only falls at the switch, so the

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from unsync3d import solver
 from unsync3d.analysis import (
-    analyze_point,
     analyze_scene,
     build_system,
     error_vector,
@@ -208,17 +207,18 @@ def test_filter_weights_unnamed_taps_and_errors():
             filter_weights([bad, 1.0], 5)
 
 
-def test_analyze_point_with_and_without_truth():
+def test_analyze_scene_one_point_with_and_without_truth():
     rng = np.random.default_rng(5)
     F = 8
     R = random_rays(F, rng)
     W = column_stochastic(F, rng)
     X = rng.normal(size=(3, F))
-    rep = analyze_point(R, W, X)
+    rays = RayField(R[None], rng.normal(size=(F, 3)), np.ones((1, F), dtype=bool))
+    (rep,) = analyze_scene(rays, W, X)
     assert rep.b_vector.shape == (F,)
     assert rep.error_vector.shape == (F,)
     assert rep.residual_per_point == pytest.approx(residual(X, W))
-    cond_only = analyze_point(R, W)
+    (cond_only,) = analyze_scene(rays, W)
     assert cond_only.b_vector is None
     assert cond_only.error_vector is None
     assert cond_only.error_bound is None

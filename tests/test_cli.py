@@ -438,6 +438,8 @@ def test_solve_rejects_mistyped_config_values(tmp_path, capsys):
         ("lambda1", "abc"),
         ("rho", None),
         ("second_stage", "no"),
+        # a removed field is an unknown key
+        ("outer_rel_tol", 1e-6),
     ):
         sceneio.save_config(config, SolverConfig())
         doc = json.loads(config.read_text())

@@ -423,7 +423,7 @@ def test_support_mask_diagonal_and_exclusion():
     assert not mask.allowed.diagonal().any()
     assert not mask.allowed[0, 1] and not mask.allowed[1, 0]
     assert mask.allowed[2, 0] and mask.allowed[4, 3]
-    assert mask.column(0).tolist() == [2, 3, 4]
+    assert np.flatnonzero(mask.allowed[:, 0]).tolist() == [2, 3, 4]
 
     loose = support_mask(ids, exclude_same_video=False)
     assert loose.allowed[0, 1] and not loose.allowed[1, 1]
@@ -432,14 +432,6 @@ def test_support_mask_diagonal_and_exclusion():
 def test_support_mask_single_video_with_exclusion_infeasible():
     with pytest.raises(InfeasibleError):
         support_mask([0, 0, 0], exclude_same_video=True)
-
-
-def test_support_mask_extra_forbid():
-    forbid = np.zeros((4, 4), dtype=bool)
-    forbid[2, 0] = True
-    mask = support_mask([0, 1, 0, 1], exclude_same_video=False, forbid=forbid)
-    assert not mask.allowed[2, 0]
-    assert mask.allowed[2, 1]
 
 
 def test_validate_mask_rejects_diagonal_and_empty_columns():
@@ -532,7 +524,7 @@ def test_self_express_warm_batch_matches_per_column_coder():
         # vertex warm starts, support size 1
         vertex = np.zeros((F, F))
         for f in range(F):
-            vertex[rng.choice(mask.column(f)), f] = 1.0
+            vertex[rng.choice(np.flatnonzero(mask.allowed[:, f])), f] = 1.0
         # a duplicate pair in one support makes its stack of KKT systems
         # singular
         dup = W.copy()
@@ -542,12 +534,12 @@ def test_self_express_warm_batch_matches_per_column_coder():
                 dup[[4, 9], f] = 0.5
         # invalid columns start cold: negative, off the mask, sum != 1, NaN
         bad = W.copy()
-        bad[mask.column(0)[:2], 0] = [1.5, -0.5]
+        bad[np.flatnonzero(mask.allowed[:, 0])[:2], 0] = [1.5, -0.5]
         bad[:, 1] = 0.0
         bad[1, 1] = 0.5
-        bad[mask.column(1)[0], 1] = 0.5
+        bad[np.flatnonzero(mask.allowed[:, 1])[0], 1] = 0.5
         bad[:, 2] *= 1.1
-        bad[mask.column(3)[0], 3] = np.nan
+        bad[np.flatnonzero(mask.allowed[:, 3])[0], 3] = np.nan
         cases = [
             ("converged", X, W),
             # W on a perturbed dictionary, so supports must move
@@ -587,7 +579,7 @@ def test_self_express_warm_start_validation():
             self_express(X, mask, warm_start=np.zeros(shape))
     # a non-finite or infeasible warm column falls back to a cold start
     warm = cold.copy()
-    warm[mask.column(2)[0], 2] = np.inf
+    warm[np.flatnonzero(mask.allowed[:, 2])[0], 2] = np.inf
     warm[:, 5] = 0.0
     out = self_express(X, mask, warm_start=warm)
     assert np.array_equal(out[:, [2, 5]], cold[:, [2, 5]])

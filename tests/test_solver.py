@@ -77,8 +77,6 @@ def test_config_defaults_and_validation():
     with pytest.raises(InputError):
         replace(cfg, rho=0.0).validate()
     with pytest.raises(InputError):
-        replace(cfg, outer_rel_tol=0.0).validate()
-    with pytest.raises(InputError):
         replace(cfg, outer_max=0).validate()
 
     # non-finite numbers (lambda3 alone may be inf) and wrong types
@@ -90,7 +88,6 @@ def test_config_defaults_and_validation():
         ("lambda3", math.nan),
         ("lambda3", -math.inf),
         ("rho", math.inf),
-        ("outer_rel_tol", math.nan),
         ("lambda1", 10**400),
         ("lambda1", "abc"),
         ("lambda1", True),
@@ -635,6 +632,35 @@ def test_admm_w_step_feasible_and_descends():
     assert coupled_objective(X, W3, cfg) <= before + 1e-9 * (1 + before)
 
 
+def test_admm_w_step_rejects_bad_inputs():
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(6, 8))
+    mask = support_mask(np.arange(8) % 2)
+    anchor = self_express(X, mask)
+    cfg = SolverConfig()
+    # a mask for 6 frames against an 8-frame structure and anchor
+    small = support_mask(np.arange(6) % 2)
+    for weights in (anchor, None):
+        with pytest.raises(InputError, match="mask shape"):
+            admm_w_step(X, small, cfg, weights)
+    # an anchor of the wrong shape, or with a non-finite entry
+    for bad in (anchor[:, :7], anchor[:6, :6], np.zeros(8)):
+        with pytest.raises(InputError, match="anchor"):
+            admm_w_step(X, mask, cfg, bad)
+    for value in (math.nan, math.inf):
+        bad = anchor.copy()
+        bad[1, 0] = value
+        with pytest.raises(InputError, match="anchor"):
+            admm_w_step(X, mask, cfg, bad)
+    # a non-finite structure, with or without an anchor
+    for value in (math.nan, math.inf):
+        bad = X.copy()
+        bad[2, 3] = value
+        for weights in (anchor, None):
+            with pytest.raises(InputError, match="non-finite structure"):
+                admm_w_step(bad, mask, cfg, weights)
+
+
 def proximal_kkt_gap(X, W, W_prev, allowed, cfg):
     # worst stationarity violation of each column of the W-step's proximal
     # problem, psi1's gradient included, relative to its gradient's size
@@ -1062,7 +1088,8 @@ def test_solve_loop_calls_and_flags(monkeypatch):
         return state, passes
 
     # a tolerance no loop meets in 3 passes: every loop stops at the cap
-    capped, passes = run(SolverConfig(outer_max=3, outer_rel_tol=5e-324))
+    monkeypatch.setattr(solver, "_OUTER_REL_TOL", 5e-324)
+    capped, passes = run(SolverConfig(outer_max=3))
     assert passes == 3 and capped.outer_iterations == 6
     assert not capped.converged
     assert [f for f in capped.flags if not f.startswith("ridge:")] == [
@@ -1072,7 +1099,8 @@ def test_solve_loop_calls_and_flags(monkeypatch):
     ]
 
     # a loose tolerance stops every loop on it, before the cap
-    loose, passes = run(SolverConfig(outer_rel_tol=0.5))
+    monkeypatch.setattr(solver, "_OUTER_REL_TOL", 0.5)
+    loose, passes = run(SolverConfig())
     assert loose.converged
     assert not any(f.endswith("-outer-cap") for f in loose.flags)
     assert 2 <= passes < 100
