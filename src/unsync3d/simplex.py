@@ -13,12 +13,15 @@ Such QPs are solved two ways.  The exact one, ``minimize_on_simplex``, is
 an active-set solver on the quadratic form phi(w) = w^T H w + c^T w (for
 coding, H = D^T D and c = -2 D^T t), so the gradient 2 H w + c matches the
 optimality conditions used in the tests.  It codes many columns against one
-shared H at once.  Each round groups the unfinished columns by support size
-and solves their KKT systems as one stack, then takes every column's
-accept / add-atom / drop-blocker decision as an array operation.  Masked
-atoms never enter the linear algebra, which keeps off-mask zeros exact, and
-each column only ever reduces along its own row, so its result has the same
-bytes however many columns share the call.  ``self_express`` (the warm-up's
+shared H at once, in one active-set round for all unfinished columns at a
+time.  The round sorts the columns by support size and solves their KKT
+faces one stack per size, since LAPACK's bytes depend on the system size;
+the gradient, the optimality test, the atom entry and the blocker drop are
+then one set of array operations over every column, its support padded to
+the largest.  Masked atoms never enter the linear algebra, which keeps
+off-mask zeros exact, and each column only ever reduces along its own row,
+in order, so its result has the same bytes however many columns share the
+call.  ``self_express`` (the warm-up's
 coder) is a single call.  The one projected-gradient loop,
 ``_projected_gradient``, solves the proximal W-step of
 ``solver.admm_w_step``, and is the engine's fallback for a column that
@@ -331,19 +334,38 @@ def minimize_on_simplex(H, c, w0=None, max_iter=None, allowed=None):
         rows = np.flatnonzero(~done & ~stuck)
         if rows.size == 0:
             break
+        # one round for every unfinished row, largest support first, so the
+        # rows whose support has more than t atoms are a prefix
         sizes = support[rows].sum(axis=1)
-        for s in np.unique(sizes):
-            group = rows[sizes == s]
-            atoms = np.nonzero(support[group])[1].reshape(group.size, s)
-            face = _face_optima(H, atoms, C[group[:, None], atoms])
-            bad = ~np.isfinite(face).all(axis=1)
-            stuck[group[bad]] = True
-            neg = ~bad & (face < -1e-12).any(axis=1)
-            ok = ~bad & ~neg
-            if ok.any():
-                _take_face(H, C, A, W, support, done, group[ok], atoms[ok], face[ok])
-            if neg.any():
-                _drop_blocker(W, support, stuck, group[neg], atoms[neg], face[neg])
+        order = np.argsort(-sizes, kind="stable")
+        rows, sizes = rows[order], sizes[order]
+        valid = np.arange(sizes[0]) < sizes[:, None]
+        # each row's atoms in ascending order, padded with its first atom
+        atoms = np.zeros(valid.shape, dtype=np.intp)
+        atoms[valid] = np.nonzero(support[rows])[1]
+        atoms = np.where(valid, atoms, atoms[:, :1])
+        face = np.zeros(valid.shape)
+        # the face LU stays per support size, on each size's run of rows:
+        # LAPACK's bytes depend on the system size, so a padded face would
+        # tie a row's bytes to the sizes it shares a call with
+        cuts = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1), rows.size]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            block = atoms[lo:hi, : sizes[lo]]
+            face[lo:hi, : sizes[lo]] = _face_optima(
+                H, block, C[rows[lo:hi, None], block]
+            )
+        bad = ~np.isfinite(face).all(axis=1)
+        stuck[rows[bad]] = True
+        neg = ~bad & (face < -1e-12).any(axis=1)
+        ok = ~bad & ~neg
+        if ok.any():
+            _take_face(
+                H, C, A, W, support, done, rows[ok], atoms[ok], valid[ok], face[ok]
+            )
+        if neg.any():
+            _drop_blocker(
+                W, support, stuck, rows[neg], atoms[neg], valid[neg], face[neg]
+            )
         steps[rows] += 1
 
     # projected gradient on each stuck row's gathered block (all allowed)
@@ -378,27 +400,35 @@ def _face_optima(H, atoms, c_face):
     return _solve_stack(kkt, rhs)[0][:, :s, 0]
 
 
-def _take_face(H, C, A, W, support, done, rows, atoms, face):
+def _row_sums(V, valid):
+    # each row's sum over its valid prefix, added in order: a sequential
+    # sum, unlike numpy's pairwise one, does not depend on the padding
+    return np.cumsum(V, axis=1)[np.arange(V.shape[0]), valid.sum(axis=1) - 1]
+
+
+def _take_face(H, C, A, W, support, done, rows, atoms, valid, face):
     # a feasible face optimum becomes the iterate; the row is done when no
     # allowed atom off the support (if any) has a gradient below the
-    # support's level, else the lowest such atom joins the support
-    s = atoms.shape[1]
+    # support's level, else the lowest such atom joins the support.  Rows
+    # come largest support first, padded (``valid``) with their first atom
+    # and a zero face entry
     w = np.clip(face, 0.0, None)
-    w /= w.sum(axis=1)[:, None]
-    W[rows[:, None], atoms] = w
-    # gradient 2 H w + c, one support atom at a time (H is symmetric, so
-    # its rows serve as its columns); updated in place, as the rows of a
-    # warm pass span the whole F x F block
+    w /= _row_sums(w, valid)[:, None]
+    W[np.broadcast_to(rows[:, None], atoms.shape)[valid], atoms[valid]] = w[valid]
+    # gradient 2 H w + c, one support atom at a time over the prefix of rows
+    # whose support has that many atoms (H is symmetric, so its rows serve
+    # as its columns); updated in place, as the rows of a warm pass span the
+    # whole F x F block
     g = H[atoms[:, 0]]
     g *= w[:, :1]
-    for t in range(1, s):
-        g += H[atoms[:, t]] * w[:, t, None]
+    for t, k in enumerate(valid.sum(axis=0)[1:], start=1):
+        g[:k] += H[atoms[:k, t]] * w[:k, t, None]
     g *= 2.0
     g += C[rows]
     off = ~A[rows]
     at = np.arange(rows.size)
     # the face optimum pins the gradient to one level on the support
-    level = g[at[:, None], atoms].mean(axis=1)
+    level = _row_sums(g[at[:, None], atoms], valid) / valid.sum(axis=1)
     gap = g - level[:, None]
     gap[off] = np.inf
     gap[at[:, None], atoms] = np.inf
@@ -411,25 +441,25 @@ def _take_face(H, C, A, W, support, done, rows, atoms, face):
     support[rows[~closed], j_in[~closed]] = True
 
 
-def _drop_blocker(W, support, stuck, rows, atoms, face):
+def _drop_blocker(W, support, stuck, rows, atoms, valid, face):
     # an infeasible face optimum: step toward it until the first weight
     # reaches zero and drop that atom, the smallest index among ties; every
     # row shrinks somewhere, as its face optimum has an entry below -1e-12
-    # where its weight is >= 0
-    cur = W[rows[:, None], atoms]
+    # where its weight is >= 0.  Padding (``valid``) never moves
+    cur = np.where(valid, W[rows[:, None], atoms], 0.0)
     d = face - cur
-    shrink = d < -1e-15
+    shrink = valid & (d < -1e-15)
     ratios = np.divide(cur, -d, out=np.full(d.shape, np.inf), where=shrink)
     low = ratios.min(axis=1)
     drop = np.argmax(shrink & (ratios <= low[:, None] + 1e-15), axis=1)
     new = np.clip(cur + np.clip(low, 0.0, 1.0)[:, None] * d, 0.0, None)
     at = np.arange(rows.size)
     new[at, drop] = 0.0
-    total = new.sum(axis=1)
+    total = _row_sums(new, valid)
     empty = total <= 0.0
     stuck[rows[empty]] = True
     new[~empty] /= total[~empty, None]
-    W[rows[:, None], atoms] = new
+    W[np.broadcast_to(rows[:, None], atoms.shape)[valid], atoms[valid]] = new[valid]
     support[rows[~empty], atoms[at, drop][~empty]] = False
 
 

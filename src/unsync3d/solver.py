@@ -16,8 +16,10 @@ points where observations are missing).
 Each block update exactly minimizes its block, so the objective trace is
 non-increasing across X-steps and W-steps.  A solve first runs a decoupled
 warm-up (exact coding, then X refits), which pulls the depth initialization
-into the self-expressive basin.  Its last code W0 then anchors the coupled
-stages: they minimize
+into the self-expressive basin.  Once a pass leaves the coded supports
+nearly unchanged, the warm-up codes at a structure extrapolated along its
+last step, and keeps such a pass only if the self-expression term did not
+rise.  Its last code W0 then anchors the coupled stages: they minimize
 
     Phi(X, W) = f(X, W) + (rho/2) ||W - W0||_F^2,
 
@@ -100,6 +102,15 @@ FINAL_LAMBDA2 = 1e-4
 # every alternation loop settles once its stop quantity changes by at most
 # this much, relative, in a pass
 _OUTER_REL_TOL = 1e-6
+
+# the warm-up's extrapolation step beta (``_alternate``): its start, its
+# growth per kept extrapolated pass and its cap; a discarded pass halves it.
+# Extrapolating an alternating least-squares iterate under a monotone
+# safeguard follows Rajih, Comon & Harshman, "Enhanced line search", SIAM
+# J. Matrix Anal. Appl. 2008
+_BETA0 = 1.0
+_BETA_GROWTH = 1.2
+_BETA_MAX = 2.0
 
 
 @dataclass
@@ -487,7 +498,9 @@ def minimize_structure(coupling, rays, lambda3=math.inf, flags=None):
     because perfbench's ``solver.ridge_retries`` counts that prefix.
 
     Returns (structure, depths) with depths (x_f - C_f) . r_f on observed
-    frames; ``flags`` collects the least-squares flags.
+    frames; ``flags`` collects the least-squares flags.  Raises InputError
+    for a nonpositive lambda3 or a coupling that is not F x F for the ray
+    field's F frames.
     """
     if not lambda3 > 0:
         raise InputError(f"lambda3 must be positive (inf = hard rays), got {lambda3}")
@@ -495,6 +508,10 @@ def minimize_structure(coupling, rays, lambda3=math.inf, flags=None):
         flags = []
     Mc = np.asarray(coupling, dtype=float)
     P, F = rays.present.shape
+    if Mc.shape != (F, F):
+        raise InputError(
+            f"coupling shape {Mc.shape} does not match the ray field's F={F}"
+        )
     points = np.empty((P, F, 3))
     depths = np.empty((P, F))
     lstsq = set()
@@ -541,11 +558,17 @@ def admm_w_step(structure, mask, config, weights=None):
     problem is rho-strongly convex, and the package's one projected-gradient
     loop (``simplex._projected_gradient``) solves it on all columns at once,
     until no entry moves by more than 1e-13, at step 1/L,
-    L = (2/FP) trace(G) + 8 lambda1 / F + rho with G = X^T X:
-    trace(G) = ||X||_F^2 bounds lambda_max(G) without an eigensolve, and
-    psi1's gradient (4 lambda1 / F)(W - W^T) adds at most 8 lambda1 / F.
-    Each step lowers the objective above, so the result never raises it
-    above its value at W0.  When
+    L = (2/FP) ||X - xbar 1^T||_F^2 + 8 lambda1 / F + rho, with xbar the
+    mean column of X.  Two feasible W differ by columns that sum to 0, and
+    for such a D, X D = (X - xbar 1^T) D, so the data term's curvature
+    along every feasible direction is at most (2/FP) times the largest
+    eigenvalue of the centred Gram matrix, which the squared Frobenius
+    norm bounds without an eigensolve; psi1's gradient
+    (4 lambda1 / F)(W - W^T) adds at most 8 lambda1 / F.  The steps still
+    use G = X^T X: on feasible W the two gradients differ by a constant
+    in each column, which the masked-simplex projection ignores.  Each
+    step lowers the objective above, so the result never raises it above
+    its value at W0.  When
     12 P >= F a step is one product with the F x F step map
     M = (1 - (rho + 4 lambda1 / F) / L) I - (2/FP) G / L, built once per
     call, plus psi1's W^T term; when 12 P < F the data part goes through
@@ -579,8 +602,11 @@ def admm_w_step(structure, mask, config, weights=None):
     # psi1's gradient is skew * (W - W^T)
     skew = 4.0 * config.lambda1 / F
     G = X.T @ X
-    # a longer L than (2/FP) lambda_max(G) + ... only shortens the step
-    L = 2.0 * inv_fp * float(np.trace(G)) + 2.0 * skew + rho
+    # the data term's curvature along a feasible direction, whose columns
+    # sum to 0, is that of the centred structure; a longer L than
+    # (2/FP) lambda_max(Xc^T Xc) + ... only shortens the step
+    Xc = X - X.mean(axis=1, keepdims=True)
+    L = 2.0 * inv_fp * float(np.einsum("ij,ij->", Xc, Xc)) + 2.0 * skew + rho
     keep = 1.0 - (rho + skew) / L
     # the step map W - g(W) / L for the gradient's linear part
     # g(W) = (2/FP) G W + skew (W - W^T) + rho W.  X^T (X W) costs 6 P F^2
@@ -769,9 +795,18 @@ def _fill_missing(structure, present, frames):
     return X
 
 
-def _code_step(state, cfg, mask):
-    # warm-up W-step: the exact coder, warm started from the last code
-    state.weights = self_express(state.structure, mask, warm_start=state.weights)
+def _code_step(state, cfg, mask, at):
+    # warm-up W-step: the exact coder at the structure ``at``, warm started
+    # from the last code
+    state.weights = self_express(at, mask, warm_start=state.weights)
+
+
+def _support_changes(before, after):
+    # the number of columns whose support differs; all of them without a
+    # code before
+    if before is None:
+        return after.shape[1]
+    return int(((before > 0.0) != (after > 0.0)).any(axis=0).sum())
 
 
 def _alternate(
@@ -781,9 +816,21 @@ def _alternate(
 
     A pass runs ``w_step`` before the X-step when ``code_first``, else after
     it.  The loop settles once |prev - cur| <= _OUTER_REL_TOL |cur| between
-    passes for the objective term ``stop_term``, or for the total if None
-    (then traced at entry and after every half-step), else stops at
+    kept passes for the objective term ``stop_term``, or for the total if
+    None (then traced at entry and after every half-step), else stops at
     ``outer_max`` passes.  The objective is Phi about ``anchor`` when given.
+
+    With ``code_first`` (the warm-up) ``w_step(state, cfg, mask, at)``
+    codes at the structure ``at``.  That is X, until a kept pass changes
+    the support of at most one column; the next pass then codes at the
+    extrapolated X + beta (X - X_prev), X_prev the structure the kept pass
+    started from (on hard rays both iterates, and so the extrapolated
+    points, lie on the rays).  The X-step depends only on the code, so
+    only the coder's input moves.  An extrapolated pass is kept only if the
+    stop quantity did not rise: then beta grows by ``_BETA_GROWTH`` up to
+    ``_BETA_MAX``.  Otherwise the pass is discarded, leaving the state of
+    the last kept pass, beta halves, and the loop codes at X until the
+    supports hold again.  A discarded pass counts against ``outer_max``.
     """
     rays, frames, mask = problem
 
@@ -797,9 +844,15 @@ def _alternate(
         return total
 
     prev = math.inf if code_first else measure()
+    beta, start, hold = _BETA0, None, False
     for passes in range(1, cfg.outer_max + 1):
+        kept = (state.structure, state.depths, state.weights, len(state.flags))
+        probe = code_first and hold
         if code_first:
-            w_step(state, cfg, mask)
+            at = state.structure
+            if probe:
+                at = at + beta * (at - start)
+            w_step(state, cfg, mask, at)
         state.structure, state.depths, state.flags = x_step(
             state.structure, state.weights, cfg, rays, frames, state.flags
         )
@@ -807,6 +860,16 @@ def _alternate(
             measure()
             w_step(state, cfg, mask)
         cur = measure()
+        if probe and cur > prev:
+            state.structure, state.depths, state.weights = kept[:3]
+            del state.flags[kept[3] :]
+            beta, hold = 0.5 * beta, False
+            continue
+        if code_first:
+            hold = _support_changes(kept[2], state.weights) <= 1
+            start = kept[0]
+            if probe:
+                beta = min(_BETA_GROWTH * beta, _BETA_MAX)
         if abs(prev - cur) <= _OUTER_REL_TOL * abs(cur):
             return passes, True
         prev = cur
@@ -833,7 +896,10 @@ def solve(obs, frames, config=None):
 
     After depth initialization one alternation loop runs every phase on one
     ``SolveState``: the decoupled warm-up (exact coding, then a penalty-free
-    X refit, stopping on the self-expression term), then the coupled stage,
+    X refit, stopping on the self-expression term; once a pass changes the
+    support of at most one column, the next codes at the extrapolated
+    structure X + beta (X - X_prev) and is kept only if that term did not
+    rise, see ``_alternate``), then the coupled stage,
     block coordinate descent on Phi = f + (rho/2) ||W - W0||^2 with W0 the
     warm-up's last code (exact X-step, then the exact W-step about W0,
     stopping on Phi, which the trace records).  Each loop stops once its
@@ -841,8 +907,9 @@ def solve(obs, frames, config=None):
     pass, or at ``outer_max`` passes.  With ``second_stage`` the coupled
     stage repeats at lambda2 = min(lambda2, ``FINAL_LAMBDA2``), warm
     started and about the same W0; Phi only falls at the switch, so the
-    trace stays non-increasing.  ``flags`` records ``warmup-N`` and
-    ``stageK-outer-cap``, the mark of a stage that did not settle.
+    trace stays non-increasing.  ``flags`` records ``warmup-N`` (discarded
+    extrapolated passes included) and ``stageK-outer-cap``, the mark of a
+    stage that did not settle.
     The solve works on the frames relabelled in (video_id, frame_in_video)
     order, and maps structure, depths, weights and frame flags back to the
     input's global indices: no labelling or list order of the frames, down

@@ -80,7 +80,7 @@ def test_parse_sweep_point_reads_its_line():
     text = (
         "some warning\n"
         "sweep miss value=0.3 acc30=0.962600 median_error_mm=0.574 "
-        "converged=7 solves=8\n"
+        "converged=7 solves=8 warmup=512\n"
     )
     assert panel.parse_sweep_point(text) == {
         "sweep": "miss",
@@ -89,7 +89,11 @@ def test_parse_sweep_point_reads_its_line():
         "median_error_mm": 0.574,
         "converged": 7,
         "solves": 8,
+        "warmup": 512,
     }
+    # a line without the warm-up passes is not read
+    with pytest.raises(ValueError):
+        panel.parse_sweep_point(text.replace(" warmup=512", ""))
     with pytest.raises(ValueError):
         panel.parse_sweep_point("sweep miss value=0.3 acc30=0.96\n")
 
@@ -101,19 +105,22 @@ def test_sweeps_are_c08s_and_print_side_by_side():
     assert panel.SWEEPS["noise"][3] == {"lambda3": 100.0}
     assert panel.SWEEPS["miss"][1] == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
     assert list(panel.SWEEPS["miss"][2]) == list(range(1, 9))
-    side = {"acc30": 0.9388, "median_error_mm": 11.3, "converged": 0, "solves": 5}
-    head = side | {"acc30": 0.9411, "median_error_mm": 10.7, "converged": 5}
+    side = {"acc30": 0.9388, "median_error_mm": 11.3, "converged": 0, "solves": 5,
+            "warmup": 500}
+    head = side | {"acc30": 0.9411, "median_error_mm": 10.7, "converged": 5,
+                   "warmup": 377}
     point = {"sweep": "noise", "value": 5.0, "base": side, "head": head}
     assert panel.sweep_summary([point]) == [
         "noise 5: acc30 base 0.9388 head 0.9411 (+0.0023); median_error_mm "
-        "base 11.3 head 10.7; converged base 0/5 head 5/5"
+        "base 11.3 head 10.7; warm-up passes base 500 head 377; converged "
+        "base 0/5 head 5/5"
     ]
 
 
 def test_sweep_line_round_trips():
     # the line a sweep point prints is the line the panel reads
     panel = load_panel()
-    line = panel.sweep_line("noise", 2.0, 0.98854, 5.2361, 5, 5)
+    line = panel.sweep_line("noise", 2.0, 0.98854, 5.2361, 5, 5, 241)
     assert panel.parse_sweep_point(line) == {
         "sweep": "noise",
         "value": 2.0,
@@ -121,4 +128,5 @@ def test_sweep_line_round_trips():
         "median_error_mm": 5.2361,
         "converged": 5,
         "solves": 5,
+        "warmup": 241,
     }

@@ -264,16 +264,27 @@ def test_minimize_on_simplex_fallback_solves_full_rank_problems(monkeypatch):
 
 @st.composite
 def coding_problems(draw):
-    """Random PSD Gram D^T D, targets, masks and (often invalid) warm starts."""
-    n = draw(st.integers(2, 9))
+    """Random PSD Gram D^T D, targets, masks and (often invalid) warm starts.
+
+    D may have full column rank, and some targets are convex combinations
+    of their column's allowed atoms, which such a D codes on every atom of
+    the mix: one call so mixes supports of different sizes, up to 16 atoms.
+    """
+    n = draw(st.integers(2, 16))
     m = draw(st.integers(1, 6))
-    r = draw(st.integers(1, 4))
+    r = draw(st.integers(1, 18))
     values = st.floats(-10.0, 10.0, allow_subnormal=False)
     D = draw(hnp.arrays(float, (r, n), elements=values))
     T = draw(hnp.arrays(float, (r, m), elements=values))
     allowed = draw(hnp.arrays(bool, (n, m)))
     keep = draw(hnp.arrays(int, m, elements=st.integers(0, n - 1)))
     allowed[keep, np.arange(m)] = True
+    mix = draw(
+        hnp.arrays(float, (n, m), elements=st.floats(0.0, 1.0, allow_subnormal=False))
+    )
+    mix[~allowed] = 0.0
+    inside = draw(hnp.arrays(bool, m)) & (mix.sum(axis=0) > 0.0)
+    T[:, inside] = D @ (mix[:, inside] / mix[:, inside].sum(axis=0))
     warm = draw(
         st.none()
         | hnp.arrays(
@@ -567,6 +578,42 @@ def test_self_express_warm_recode_skips_the_active_set(monkeypatch):
     assert not fallbacks
     assert np.array_equal(again, self_express(X, mask, warm_start=W))
     assert np.abs(again - W).max() < 1e-12
+
+
+@pytest.mark.parametrize("rank", [4, 12])
+def test_self_express_warm_recode_is_one_round_one_lu_per_support_size(
+    monkeypatch, rank
+):
+    # a converged W re-codes in one active-set round for all F columns: one
+    # stack of KKT faces per distinct support size, then one accept step
+    # for every column of every size
+    rng = np.random.default_rng(24)
+    F = 60
+    X = _noisy_curve(rng, F)
+    X = np.vstack([X, rng.normal(scale=20.0, size=(rank - 4, F))])
+    mask = support_mask(np.arange(F) % 4, exclude_same_video=True)
+    W = self_express(X, mask)
+    stacks, accepted = [], []
+    solve_stack, take_face = simplex._solve_stack, simplex._take_face
+
+    def counting_stack(H, rhs, sizes=None):
+        stacks.append(H.shape[:2])
+        return solve_stack(H, rhs, sizes)
+
+    def counting_take(*args):
+        accepted.append(args[5].size)
+        return take_face(*args)
+
+    monkeypatch.setattr(simplex, "_solve_stack", counting_stack)
+    monkeypatch.setattr(simplex, "_take_face", counting_take)
+    again = self_express(X, mask, warm_start=W)
+    assert np.abs(again - W).max() < 1e-12
+    supports = np.unique((W > 0.0).sum(axis=0))
+    assert supports.size >= 3 and (rank < 8 or supports.max() >= 8)
+    # members per stack sum to F: every column's face once, so one round
+    assert sum(members for members, _ in stacks) == F
+    assert sorted(size - 1 for _, size in stacks) == supports.tolist()
+    assert accepted == [F]
 
 
 def test_self_express_warm_start_validation():

@@ -424,6 +424,20 @@ def test_minimize_structure_rejects_nonpositive_lambda3(lambda3):
         solver.minimize_structure(np.eye(len(scaled)), rays, lambda3)
 
 
+@pytest.mark.parametrize("miss_rate", [0.0, 0.2])
+@pytest.mark.parametrize("lambda3", [math.inf, 100.0])
+def test_minimize_structure_rejects_a_coupling_not_f_by_f(miss_rate, lambda3):
+    # a coupling for another frame count; F * F entries in another shape
+    # would ravel onto the gather indices of a partly observed stack
+    scene = make_scene(points=3, samples=12, cameras=3, seed=4, miss_rate=miss_rate)
+    scaled, _ = normalize_scale(scene.frames)
+    rays = compute_rays(scaled, scene.observations)
+    F = len(scaled)
+    for shape in ((F + 1, F + 1), (F - 1, F - 1), (F, F + 1), (F * F,)):
+        with pytest.raises(InputError, match="coupling shape"):
+            solver.minimize_structure(np.ones(shape), rays, lambda3)
+
+
 def test_minimize_structure_ridge_retries_only_the_singular_point():
     scene = make_scene(points=3, samples=18, cameras=3, seed=4)
     scaled, _ = normalize_scale(scene.frames)
@@ -1168,6 +1182,107 @@ def test_coupled_w_steps_share_the_warm_up_code_as_anchor(monkeypatch):
     for args, anchor, total in measured:
         assert np.array_equal(anchor, W0)
         assert cost(*args, anchor=W0)[0] == total
+
+
+def _record_warm_up(monkeypatch, discard=False):
+    """Record the coder's calls, the X-steps and the warm-up's terms.
+
+    Returns (codes, steps, terms): per coder call (one per warm-up pass) the
+    structure coded at, the warm start and the code; per X-step its input
+    structure, its weights and its output structure; per warm-up objective
+    the self-expression term.  With ``discard`` an extrapolated pass, one
+    coded away from its X-step's input, reads an infinite term.
+    """
+    codes, steps, terms = [], [], []
+    coder, step, cost = solver.self_express, solver.x_step, solver.objective
+
+    def coded(at, mask, warm_start=None):
+        code = coder(at, mask, warm_start=warm_start)
+        codes.append((at.copy(), warm_start, code))
+        return code
+
+    def stepped(structure, weights, *args):
+        out = step(structure, weights, *args)
+        steps.append((structure, weights, out[0]))
+        return out
+
+    def costed(structure, weights, config, frames, rays=None, anchor=None):
+        total, parts = cost(structure, weights, config, frames, rays, anchor)
+        if anchor is None:
+            if discard and not np.array_equal(codes[-1][0], steps[-1][0]):
+                parts = parts | {"self_expression": math.inf}
+            terms.append(parts["self_expression"])
+        return total, parts
+
+    monkeypatch.setattr(solver, "self_express", coded)
+    monkeypatch.setattr(solver, "x_step", stepped)
+    monkeypatch.setattr(solver, "objective", costed)
+    return codes, steps, terms
+
+
+def _warm_up_passes(codes, steps):
+    # per warm-up pass: whether it coded at an extrapolated structure, and
+    # whether the loop kept it (the next X-step starts from its structure)
+    extrapolated = [not np.array_equal(at, s[0]) for (at, _, _), s in zip(codes, steps)]
+    kept = [steps[i + 1][0] is steps[i][2] for i in range(len(codes))]
+    return extrapolated, kept
+
+
+# the scene of test_solve_handles_missing_data
+MISSING = make_scene(points=4, samples=24, cameras=4, seed=19, miss_rate=0.2)
+
+
+def test_warm_up_self_expression_never_rises_between_kept_passes(monkeypatch):
+    # the warm-up extrapolates only after a kept pass that changed the
+    # support of at most one column; it keeps some of those passes and
+    # discards others, and the kept passes' term never rises
+    codes, steps, terms = _record_warm_up(monkeypatch)
+    state = solve(MISSING.observations, MISSING.frames)
+    assert f"warmup-{len(codes)}" in state.flags
+    extrapolated, kept = _warm_up_passes(codes, steps)
+    pairs = list(zip(extrapolated, kept))
+    assert (True, True) in pairs and (True, False) in pairs
+    for i in np.flatnonzero(extrapolated):
+        _, before, after = codes[i - 1]
+        assert kept[i - 1] and solver._support_changes(before, after) <= 1
+    kept_terms = [term for term, k in zip(terms, kept) if k]
+    assert all(b <= a for a, b in zip(kept_terms, kept_terms[1:]))
+
+
+def test_a_discarded_warm_up_pass_counts_and_keeps_the_last_kept_state(
+    monkeypatch,
+):
+    # every extrapolated pass reads a risen term, so the loop discards it:
+    # the next pass starts from the state before it, codes at the structure
+    # itself, and the next extrapolation takes half the step
+    codes, steps, _ = _record_warm_up(monkeypatch, discard=True)
+    solve(MISSING.observations, MISSING.frames)
+    extrapolated, kept = _warm_up_passes(codes, steps)
+    probes = np.flatnonzero(extrapolated[:-1])
+    assert probes.size >= 4
+    for i in probes:
+        assert not kept[i] and not extrapolated[i + 1]
+        assert steps[i + 1][0] is steps[i][0]
+        assert codes[i + 1][1] is codes[i][1]
+    # the step is beta (X - X_prev), X_prev the last kept pass's start; past
+    # a few halvings it drowns in the rounding of X
+    betas = [
+        np.linalg.norm(codes[i][0] - steps[i][0])
+        / np.linalg.norm(steps[i][0] - steps[i - 1][0])
+        for i in probes[:4]
+    ]
+    assert np.allclose(betas, [1.0, 0.5, 0.25, 0.125], rtol=1e-6)
+
+    # a warm-up whose last pass is discarded counts it, and the coupled
+    # stage starts from the last kept pass's structure and code
+    last = int(probes[0]) + 1
+    codes.clear()
+    steps.clear()
+    state = solve(MISSING.observations, MISSING.frames, SolverConfig(outer_max=last))
+    assert f"warmup-{last}" in state.flags and len(codes) == last
+    assert not _warm_up_passes(codes, steps)[1][last - 1]
+    structure, weights, _ = steps[last]
+    assert structure is steps[last - 2][2] and weights is codes[last - 2][2]
 
 
 @pytest.mark.parametrize(

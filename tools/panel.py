@@ -17,8 +17,8 @@ ties and the median paired difference (head minus base).
 It then runs the two pooled sweeps of acceptance criterion c08 (pixel noise
 0-5 px at lambda3 = 100 over seeds 1-5, missing rate 0-0.5 over seeds 1-8;
 16 points, 48 frames, 4 cameras), one sweep point at a time in each
-checkout, again alternating sides, and prints each point's pooled acc30 and
-median error for base and head side by side.  ``--sweeps`` picks the
+checkout, again alternating sides, and prints each point's pooled acc30,
+median error and summed warm-up passes for base and head side by side.  ``--sweeps`` picks the
 sweeps and ``--workloads`` the benchmark workloads; either may be given
 empty.  It gives a verdict and gates nothing.
 """
@@ -57,7 +57,8 @@ SWEEPS = {
 SWEEP_LINE = re.compile(
     r"^sweep (?P<sweep>\w+) value=(?P<value>\S+) acc30=(?P<acc30>\S+) "
     r"median_error_mm=(?P<median_error_mm>\S+) "
-    r"converged=(?P<converged>\d+) solves=(?P<solves>\d+)$"
+    r"converged=(?P<converged>\d+) solves=(?P<solves>\d+) "
+    r"warmup=(?P<warmup>\d+)$"
 )
 
 
@@ -96,7 +97,7 @@ def parse_sweep_point(text):
             row = m.groupdict()
             for key in ("value", "acc30", "median_error_mm"):
                 row[key] = float(row[key])
-            for key in ("converged", "solves"):
+            for key in ("converged", "solves", "warmup"):
                 row[key] = int(row[key])
             return row
     raise ValueError("no sweep line in the output")
@@ -105,7 +106,8 @@ def parse_sweep_point(text):
 def sweep_point(sweep, value):
     """Solve one c08 sweep point with the importable unsync3d; its line.
 
-    The errors of every seed's scene are pooled, as c08 pools them.
+    The errors of every seed's scene are pooled, as c08 pools them, and the
+    solves' warm-up passes (their ``warmup-N`` flags) are summed.
     """
     import numpy as np
     from unsync3d.evaluate import evaluate
@@ -114,7 +116,7 @@ def sweep_point(sweep, value):
 
     field, _, seeds, config = SWEEPS[sweep]
     motion = procedural_motion(16, 48, seed=1)
-    errors, converged = [], 0
+    errors, converged, warmup = [], 0, 0
     for seed in seeds:
         scene = generate(
             motion, RigSpec(camera_count=4),
@@ -122,19 +124,24 @@ def sweep_point(sweep, value):
         )
         state = solve(scene.observations, scene.frames, SolverConfig(**config))
         converged += state.converged
+        warmup += sum(
+            int(flag.removeprefix("warmup-"))
+            for flag in state.flags
+            if flag.startswith("warmup-")
+        )
         report = evaluate(state.structure, scene.truth, state.weights,
                           scene.truth_order)
         errors.append(report.per_point_errors.ravel())
     pooled = np.concatenate(errors)
     return sweep_line(sweep, value, np.mean(pooled < 30.0), np.median(pooled),
-                      converged, len(seeds))
+                      converged, len(seeds), warmup)
 
 
-def sweep_line(sweep, value, acc30, median_error_mm, converged, solves):
+def sweep_line(sweep, value, acc30, median_error_mm, converged, solves, warmup):
     return (
         f"sweep {sweep} value={value:g} acc30={acc30:.6f} "
         f"median_error_mm={median_error_mm:.6g} converged={converged} "
-        f"solves={solves}"
+        f"solves={solves} warmup={warmup}"
     )
 
 
@@ -159,7 +166,8 @@ def run_sweep_point(checkout, sweep, value):
 
 
 def sweep_summary(points):
-    """Printed lines: each sweep point's acc30 and median error, side by side."""
+    """Printed lines: each sweep point's acc30, median error and warm-up
+    passes, side by side."""
     out = []
     for point in points:
         base, head = point["base"], point["head"]
@@ -168,6 +176,7 @@ def sweep_summary(points):
             f"{base['acc30']:.4f} head {head['acc30']:.4f} "
             f"({head['acc30'] - base['acc30']:+.4f}); median_error_mm base "
             f"{base['median_error_mm']:.4g} head {head['median_error_mm']:.4g}; "
+            f"warm-up passes base {base['warmup']} head {head['warmup']}; "
             f"converged base {base['converged']}/{base['solves']} head "
             f"{head['converged']}/{head['solves']}"
         )
