@@ -422,21 +422,25 @@ def _take_face(H, C, A, W, support, done, rows, atoms, valid, face):
     g = H[atoms[:, 0]]
     g *= w[:, :1]
     for t, k in enumerate(valid.sum(axis=0)[1:], start=1):
-        g[:k] += H[atoms[:k, t]] * w[:k, t, None]
+        term = H[atoms[:k, t]]
+        term *= w[:k, t, None]
+        g[:k] += term
     g *= 2.0
     g += C[rows]
-    off = ~A[rows]
+    on = A[rows]
     at = np.arange(rows.size)
-    # the face optimum pins the gradient to one level on the support
-    level = _row_sums(g[at[:, None], atoms], valid) / valid.sum(axis=1)
-    gap = g - level[:, None]
-    gap[off] = np.inf
-    gap[at[:, None], atoms] = np.inf
-    j_in = np.argmin(gap, axis=1)
-    np.abs(g, out=g)
-    g[off] = 0.0
-    tol = 1e-10 * (1.0 + g.max(axis=1))
-    closed = gap[at, j_in] >= -tol
+    # the test's scale, max |g| over the allowed atoms (0 if larger)
+    scale = np.maximum(
+        np.max(g, axis=1, where=on, initial=0.0),
+        -np.min(g, axis=1, where=on, initial=0.0),
+    )
+    # the face optimum pins the gradient to one level on the support; g
+    # becomes the gap to it, in place, as g spans all of the round's rows
+    g -= (_row_sums(g[at[:, None], atoms], valid) / valid.sum(axis=1))[:, None]
+    g[~on] = np.inf
+    g[at[:, None], atoms] = np.inf
+    j_in = np.argmin(g, axis=1)
+    closed = g[at, j_in] >= -1e-10 * (1.0 + scale)
     done[rows[closed]] = True
     support[rows[~closed], j_in[~closed]] = True
 

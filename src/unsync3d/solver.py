@@ -604,9 +604,10 @@ def admm_w_step(structure, mask, config, weights=None):
     G = X.T @ X
     # the data term's curvature along a feasible direction, whose columns
     # sum to 0, is that of the centred structure; a longer L than
-    # (2/FP) lambda_max(Xc^T Xc) + ... only shortens the step
-    Xc = X - X.mean(axis=1, keepdims=True)
-    L = 2.0 * inv_fp * float(np.einsum("ij,ij->", Xc, Xc)) + 2.0 * skew + rho
+    # (2/FP) lambda_max of the centred Gram matrix + ... only shortens the
+    # step
+    centred = float(np.square(X - X.mean(axis=1, keepdims=True)).sum())
+    L = 2.0 * inv_fp * centred + 2.0 * skew + rho
     keep = 1.0 - (rho + skew) / L
     # the step map W - g(W) / L for the gradient's linear part
     # g(W) = (2/FP) G W + skew (W - W^T) + rho W.  X^T (X W) costs 6 P F^2
@@ -846,9 +847,9 @@ def _alternate(
     prev = math.inf if code_first else measure()
     beta, start, hold = _BETA0, None, False
     for passes in range(1, cfg.outer_max + 1):
-        kept = (state.structure, state.depths, state.weights, len(state.flags))
         probe = code_first and hold
         if code_first:
+            kept = (state.structure, state.depths, state.weights, len(state.flags))
             at = state.structure
             if probe:
                 at = at + beta * (at - start)
