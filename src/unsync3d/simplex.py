@@ -400,10 +400,16 @@ def _face_optima(H, atoms, c_face):
     return _solve_stack(kkt, rhs)[0][:, :s, 0]
 
 
-def _row_sums(V, valid):
-    # each row's sum over its valid prefix, added in order: a sequential
-    # sum, unlike numpy's pairwise one, does not depend on the padding
-    return np.cumsum(V, axis=1)[np.arange(V.shape[0]), valid.sum(axis=1) - 1]
+def _row_sums(V, sizes):
+    # each row's sum over its leading ``sizes`` entries, added in order: a
+    # sequential sum, unlike numpy's pairwise one, does not depend on the
+    # padding after them
+    return np.cumsum(V, axis=1)[np.arange(V.shape[0]), sizes - 1]
+
+
+def _scatter(W, rows, atoms, valid, values):
+    # W[row, atom] = value on the valid (unpadded) entries
+    np.put(W, (rows[:, None] * W.shape[1] + atoms)[valid], values[valid])
 
 
 def _take_face(H, C, A, W, support, done, rows, atoms, valid, face):
@@ -412,9 +418,10 @@ def _take_face(H, C, A, W, support, done, rows, atoms, valid, face):
     # support's level, else the lowest such atom joins the support.  Rows
     # come largest support first, padded (``valid``) with their first atom
     # and a zero face entry
+    sizes = valid.sum(axis=1)
     w = np.clip(face, 0.0, None)
-    w /= _row_sums(w, valid)[:, None]
-    W[np.broadcast_to(rows[:, None], atoms.shape)[valid], atoms[valid]] = w[valid]
+    w /= _row_sums(w, sizes)[:, None]
+    _scatter(W, rows, atoms, valid, w)
     # gradient 2 H w + c, one support atom at a time over the prefix of rows
     # whose support has that many atoms (H is symmetric, so its rows serve
     # as its columns); updated in place, as the rows of a warm pass span the
@@ -427,17 +434,16 @@ def _take_face(H, C, A, W, support, done, rows, atoms, valid, face):
         g[:k] += term
     g *= 2.0
     g += C[rows]
-    on = A[rows]
+    off = ~A[rows]
     at = np.arange(rows.size)
     # the test's scale, max |g| over the allowed atoms (0 if larger)
-    scale = np.maximum(
-        np.max(g, axis=1, where=on, initial=0.0),
-        -np.min(g, axis=1, where=on, initial=0.0),
-    )
+    scale = np.abs(g)
+    scale[off] = 0.0
+    scale = scale.max(axis=1)
     # the face optimum pins the gradient to one level on the support; g
-    # becomes the gap to it, in place, as g spans all of the round's rows
-    g -= (_row_sums(g[at[:, None], atoms], valid) / valid.sum(axis=1))[:, None]
-    g[~on] = np.inf
+    # becomes the gap to it, in place
+    g -= (_row_sums(g[at[:, None], atoms], sizes) / sizes)[:, None]
+    g[off] = np.inf
     g[at[:, None], atoms] = np.inf
     j_in = np.argmin(g, axis=1)
     closed = g[at, j_in] >= -1e-10 * (1.0 + scale)
@@ -459,11 +465,11 @@ def _drop_blocker(W, support, stuck, rows, atoms, valid, face):
     new = np.clip(cur + np.clip(low, 0.0, 1.0)[:, None] * d, 0.0, None)
     at = np.arange(rows.size)
     new[at, drop] = 0.0
-    total = _row_sums(new, valid)
+    total = _row_sums(new, valid.sum(axis=1))
     empty = total <= 0.0
     stuck[rows[empty]] = True
     new[~empty] /= total[~empty, None]
-    W[np.broadcast_to(rows[:, None], atoms.shape)[valid], atoms[valid]] = new[valid]
+    _scatter(W, rows, atoms, valid, new)
     support[rows[~empty], atoms[at, drop][~empty]] = False
 
 
