@@ -16,10 +16,10 @@ points where observations are missing).
 Each block update exactly minimizes its block, so the objective trace is
 non-increasing across X-steps and W-steps.  A solve first runs a decoupled
 warm-up (exact coding, then X refits), which pulls the depth initialization
-into the self-expressive basin.  Once a pass leaves the coded supports
-nearly unchanged, the warm-up codes at a structure extrapolated along its
-last step, and keeps such a pass only if the self-expression term did not
-rise.  Its last code W0 then anchors the coupled stages: they minimize
+into the self-expressive basin.  On hard rays, once a pass leaves the
+coded supports nearly unchanged, the warm-up codes at a structure
+extrapolated along its last step, and keeps such a pass only if the
+self-expression term did not rise.  Its last code W0 then anchors the coupled stages: they minimize
 
     Phi(X, W) = f(X, W) + (rho/2) ||W - W0||_F^2,
 
@@ -822,16 +822,19 @@ def _alternate(
     ``outer_max`` passes.  The objective is Phi about ``anchor`` when given.
 
     With ``code_first`` (the warm-up) ``w_step(state, cfg, mask, at)``
-    codes at the structure ``at``.  That is X, until a kept pass changes
-    the support of at most one column; the next pass then codes at the
-    extrapolated X + beta (X - X_prev), X_prev the structure the kept pass
-    started from (on hard rays both iterates, and so the extrapolated
+    codes at the structure ``at``.  That is X, until, on hard rays, a kept
+    pass changes the support of at most one column; the next pass then
+    codes at the extrapolated X + beta (X - X_prev), X_prev the structure
+    the kept pass started from (both iterates, and so the extrapolated
     points, lie on the rays).  The X-step depends only on the code, so
     only the coder's input moves.  An extrapolated pass is kept only if the
     stop quantity did not rise: then beta grows by ``_BETA_GROWTH`` up to
     ``_BETA_MAX``.  Otherwise the pass is discarded, leaving the state of
     the last kept pass, beta halves, and the loop codes at X until the
     supports hold again.  A discarded pass counts against ``outer_max``.
+    Soft rays never extrapolate: their X-step also weighs the ray term, so
+    the stop quantity can rise in a plain pass and its test is no descent
+    test there.
     """
     rays, frames, mask = problem
 
@@ -845,9 +848,10 @@ def _alternate(
         return total
 
     prev = math.inf if code_first else measure()
+    extrapolate = code_first and cfg.lambda3 == math.inf
     beta, start, hold = _BETA0, None, False
     for passes in range(1, cfg.outer_max + 1):
-        probe = code_first and hold
+        probe = extrapolate and hold
         if code_first:
             kept = (state.structure, state.depths, state.weights, len(state.flags))
             at = state.structure
@@ -866,7 +870,7 @@ def _alternate(
             del state.flags[kept[3] :]
             beta, hold = 0.5 * beta, False
             continue
-        if code_first:
+        if extrapolate:
             hold = _support_changes(kept[2], state.weights) <= 1
             start = kept[0]
             if probe:
@@ -897,10 +901,10 @@ def solve(obs, frames, config=None):
 
     After depth initialization one alternation loop runs every phase on one
     ``SolveState``: the decoupled warm-up (exact coding, then a penalty-free
-    X refit, stopping on the self-expression term; once a pass changes the
-    support of at most one column, the next codes at the extrapolated
-    structure X + beta (X - X_prev) and is kept only if that term did not
-    rise, see ``_alternate``), then the coupled stage,
+    X refit, stopping on the self-expression term; on hard rays, once a
+    pass changes the support of at most one column, the next codes at the
+    extrapolated structure X + beta (X - X_prev) and is kept only if that
+    term did not rise, see ``_alternate``), then the coupled stage,
     block coordinate descent on Phi = f + (rho/2) ||W - W0||^2 with W0 the
     warm-up's last code (exact X-step, then the exact W-step about W0,
     stopping on Phi, which the trace records).  Each loop stops once its

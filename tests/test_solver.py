@@ -1233,9 +1233,9 @@ MISSING = make_scene(points=4, samples=24, cameras=4, seed=19, miss_rate=0.2)
 
 
 def test_warm_up_self_expression_never_rises_between_kept_passes(monkeypatch):
-    # the warm-up extrapolates only after a kept pass that changed the
-    # support of at most one column; it keeps some of those passes and
-    # discards others, and the kept passes' term never rises
+    # on hard rays the warm-up extrapolates only after a kept pass that
+    # changed the support of at most one column; it keeps some of those
+    # passes and discards others, and the kept passes' term never rises
     codes, steps, terms = _record_warm_up(monkeypatch)
     state = solve(MISSING.observations, MISSING.frames)
     assert f"warmup-{len(codes)}" in state.flags
@@ -1247,6 +1247,11 @@ def test_warm_up_self_expression_never_rises_between_kept_passes(monkeypatch):
         assert kept[i - 1] and solver._support_changes(before, after) <= 1
     kept_terms = [term for term, k in zip(terms, kept) if k]
     assert all(b <= a for a, b in zip(kept_terms, kept_terms[1:]))
+    # soft rays never extrapolate: their X-step also weighs the ray term
+    codes.clear()
+    steps.clear()
+    solve(MISSING.observations, MISSING.frames, SolverConfig(lambda3=100.0))
+    assert len(codes) > 1 and not any(_warm_up_passes(codes, steps)[0])
 
 
 def test_a_discarded_warm_up_pass_counts_and_keeps_the_last_kept_state(
