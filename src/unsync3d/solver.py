@@ -19,7 +19,8 @@ warm-up (exact coding, then X refits), which pulls the depth initialization
 into the self-expressive basin.  On hard rays, once a pass leaves the
 coded supports nearly unchanged, the warm-up codes at a structure
 extrapolated along its last step, and keeps such a pass only if the
-self-expression term did not rise.  Its last code W0 then anchors the coupled stages: they minimize
+self-expression term did not rise.  Its last code W0 then anchors the
+coupled stages: they minimize
 
     Phi(X, W) = f(X, W) + (rho/2) ||W - W0||_F^2,
 

@@ -1223,7 +1223,9 @@ def _record_warm_up(monkeypatch, discard=False):
 def _warm_up_passes(codes, steps):
     # per warm-up pass: whether it coded at an extrapolated structure, and
     # whether the loop kept it (the next X-step starts from its structure)
-    extrapolated = [not np.array_equal(at, s[0]) for (at, _, _), s in zip(codes, steps)]
+    extrapolated = [
+        not np.array_equal(at, step[0]) for (at, _, _), step in zip(codes, steps)
+    ]
     kept = [steps[i + 1][0] is steps[i][2] for i in range(len(codes))]
     return extrapolated, kept
 

@@ -18,9 +18,9 @@ It then runs the two pooled sweeps of acceptance criterion c08 (pixel noise
 0-5 px at lambda3 = 100 over seeds 1-5, missing rate 0-0.5 over seeds 1-8;
 16 points, 48 frames, 4 cameras), one sweep point at a time in each
 checkout, again alternating sides, and prints each point's pooled acc30,
-median error and summed warm-up passes for base and head side by side.  ``--sweeps`` picks the
-sweeps and ``--workloads`` the benchmark workloads; either may be given
-empty.  It gives a verdict and gates nothing.
+median error and summed warm-up passes for base and head side by side.
+``--sweeps`` picks the sweeps and ``--workloads`` the benchmark workloads;
+either may be given empty.  It gives a verdict and gates nothing.
 """
 
 import argparse
