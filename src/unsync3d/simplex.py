@@ -14,18 +14,23 @@ an active-set solver on the quadratic form phi(w) = w^T H w + c^T w (for
 coding, H = D^T D and c = -2 D^T t), so the gradient 2 H w + c matches the
 optimality conditions used in the tests.  It codes many columns against one
 shared H at once, in one active-set round for all unfinished columns at a
-time.  The round sorts the columns by support size and solves their KKT
-faces one stack per size, since LAPACK's bytes depend on the system size;
-the gradient, the optimality test, the atom entry and the blocker drop are
-then one set of array operations over every column, its support padded to
-the largest.  Masked atoms never enter the linear algebra, which keeps
-off-mask zeros exact, and each column only ever reduces along its own row,
-in order, so its result has the same bytes however many columns share the
-call.  ``self_express`` (the warm-up's
-coder) is a single call.  The one projected-gradient loop,
-``_projected_gradient``, solves the proximal W-step of
-``solver.admm_w_step``, and is the engine's fallback for a column that
-exhausts its iteration budget.
+time.  Its engine (``_code_rows``) holds each problem as one contiguous
+row of row-major arrays (the iterate, its support, the allowed atoms, the
+linear term).  The round sorts the rows by support size and solves their
+KKT faces one stack per size, since LAPACK's bytes depend on the system
+size; the gradient, the optimality test, the atom entry and the blocker
+drop are then one set of array operations over every row, its support
+padded to the largest.  Masked atoms never enter the linear algebra, which
+keeps off-mask zeros exact, and each row only ever reduces along itself,
+in order, so its result has the same bytes however many rows share the
+call.  ``self_express`` (the warm-up's coder) is one run of that engine.
+During a solve's warm-up (``_coding_state``) the solve's mask carries a
+coder state: the mask's row layout, built once, the engine's gradient
+blocks, and the last code, which the next pass takes back as its warm
+start without validating or transposing it again.  The one
+projected-gradient loop, ``_projected_gradient``, solves the proximal
+W-step of ``solver.admm_w_step``, and is the engine's fallback for a row
+that exhausts its iteration budget.
 
 Every stack of small linear systems in the package goes through one
 guarded solve, ``_solve_stack``: these KKT faces, and the structure step's
@@ -35,6 +40,7 @@ solved again alone, then by least squares, so a singular face (duplicate
 atoms) gets its least-norm optimum.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,10 +199,18 @@ def _projected_gradient(step_map, W, const, allowed, L):
 
 def _solved(H, rhs, sol):
     # the residual test of a stack (or of one system): per member, the
-    # solution is finite and max |H x - b| <= 1e-8 (1 + max |b|)
+    # solution is finite and max |H x - b| <= 1e-8 (1 + max |b|).  No bound
+    # is below 1e-8, and a non-finite x leaves a non-finite residual, so a
+    # stack whose residuals are all within 1e-8 passes whole, without the
+    # per-member reductions
     with np.errstate(invalid="ignore", over="ignore"):
-        resid = np.abs(H @ sol - rhs).max(axis=(-2, -1))
-        bound = 1e-8 * (1.0 + np.abs(rhs).max(axis=(-2, -1)))
+        resid = H @ sol
+        resid -= rhs
+    np.abs(resid, out=resid)
+    if (resid <= 1e-8).all():
+        return np.ones(rhs.shape[:-2], dtype=bool)
+    resid = resid.max(axis=(-2, -1))
+    bound = 1e-8 * (1.0 + np.abs(rhs).max(axis=(-2, -1)))
     return np.isfinite(sol).all(axis=(-2, -1)) & (resid <= bound)
 
 
@@ -288,38 +302,66 @@ def minimize_on_simplex(H, c, w0=None, max_iter=None, allowed=None):
         c = c[:, None]
         w0 = None if w0 is None else np.asarray(w0, dtype=float)[:, None]
         allowed = None if allowed is None else np.asarray(allowed)[:, None]
-    # problems are rows from here on, and every float reduction runs along
-    # one contiguous row, so a row's bytes do not depend on the other rows
-    C = c.T
-    m, n = C.shape
+    # problems are rows from here on, each one contiguous row of a
+    # row-major array, so every float reduction runs along one row and a
+    # row's bytes do not depend on the other rows
+    C = np.ascontiguousarray(c.T)
     if allowed is None:
-        A = np.ones((m, n), dtype=bool)
+        A = np.ones(C.shape, dtype=bool)
     else:
-        A = np.asarray(allowed, dtype=bool).T
+        A = np.ascontiguousarray(np.asarray(allowed, dtype=bool).T)
+    rules = _rules(A, max_iter)
+    W = _code_rows(H, C, rules, *_start_rows(w0, A))
+    return W[0] if vector else np.ascontiguousarray(W.T)
+
+
+def _rules(A, max_iter=None):
+    # a mask's row layout: its allowed atoms, one contiguous row per
+    # problem, their counts and each row's active-set budget
     counts = A.sum(axis=1)
     if (counts == 0).any():
         raise InfeasibleError("a coding problem has no allowed atom")
-    budget = 10 * counts + 20 if max_iter is None else np.full(m, max_iter)
+    budget = 10 * counts + 20
+    if max_iter is not None:
+        budget = np.full(counts.size, max_iter)
+    return A, counts, budget
 
-    if w0 is not None:
-        W = np.where(A, np.asarray(w0, dtype=float).T, 0.0)
-        finite = np.isfinite(W).all(axis=1)
-        W[~finite] = 0.0
-        cold = ~(
-            finite
-            & (W.min(axis=1) >= -1e-12)
-            & (np.abs(W.sum(axis=1) - 1.0) <= 1e-6)
-        )
-        W[cold] = 0.0
-        np.clip(W, 0.0, None, out=W)
-        # a sequential sum, unlike numpy's pairwise one, does not depend on
-        # where a row's zeros sit, so a gathered block gives the same bytes
-        total = np.cumsum(W, axis=1)[:, -1]
-        total[cold] = 1.0
-        W /= total[:, None]
-    else:
-        W = np.zeros((m, n))
-        cold = np.ones(m, dtype=bool)
+
+def _start_rows(w0, A):
+    # the warm start w0 (problems as columns) as rows, and the rows that
+    # start cold: not finite, negative (below -1e-12) or not summing to 1
+    # (to 1e-6) over their allowed atoms; entries off the mask are ignored
+    if w0 is None:
+        return np.zeros(A.shape), np.ones(A.shape[0], dtype=bool)
+    W = np.zeros(A.shape)
+    np.copyto(W, np.asarray(w0, dtype=float).T, where=A)
+    finite = np.isfinite(W).all(axis=1)
+    W[~finite] = 0.0
+    cold = ~(
+        finite
+        & (W.min(axis=1) >= -1e-12)
+        & (np.abs(W.sum(axis=1) - 1.0) <= 1e-6)
+    )
+    W[cold] = 0.0
+    np.clip(W, 0.0, None, out=W)
+    # a sequential sum, unlike numpy's pairwise one, does not depend on
+    # where a row's zeros sit, so a gathered block gives the same bytes
+    total = np.cumsum(W, axis=1)[:, -1]
+    total[cold] = 1.0
+    W /= total[:, None]
+    return W, cold
+
+
+def _code_rows(H, C, rules, W, cold, scratch=None):
+    # the active-set engine on the rows of C, started at W (overwritten and
+    # returned); cold rows start at their best vertex.  Every array is
+    # row-major, so each row's float reductions run along one contiguous row
+    # in order, and a row's bytes do not depend on the other rows.
+    # ``scratch``, two blocks shaped like C, holds the gradient of a round
+    A, counts, budget = rules
+    m, n = C.shape
+    if scratch is None:
+        scratch = np.empty((2, m, n))
     if cold.any():
         score = np.where(A[cold], np.diagonal(H) + C[cold], np.inf)
         W[np.flatnonzero(cold), np.argmin(score, axis=1)] = 1.0
@@ -335,15 +377,16 @@ def minimize_on_simplex(H, c, w0=None, max_iter=None, allowed=None):
         if rows.size == 0:
             break
         # one round for every unfinished row, largest support first, so the
-        # rows whose support has more than t atoms are a prefix
-        sizes = support[rows].sum(axis=1)
-        order = np.argsort(-sizes, kind="stable")
-        rows, sizes = rows[order], sizes[order]
-        valid = np.arange(sizes[0]) < sizes[:, None]
-        # each row's atoms in ascending order, padded with its first atom
+        # rows whose support has more than t atoms are a prefix; each row's
+        # atoms in ascending order, padded with its first atom
+        flat = np.flatnonzero(support[rows])
+        sizes = np.bincount(flat // n, minlength=rows.size)
+        valid = np.arange(sizes.max()) < sizes[:, None]
         atoms = np.zeros(valid.shape, dtype=np.intp)
-        atoms[valid] = np.nonzero(support[rows])[1]
-        atoms = np.where(valid, atoms, atoms[:, :1])
+        atoms[valid] = flat % n
+        order = np.argsort(-sizes, kind="stable")
+        rows, sizes, valid = rows[order], sizes[order], valid[order]
+        atoms = np.where(valid, atoms[order], atoms[order, :1])
         face = np.zeros(valid.shape)
         # the face LU stays per support size, on each size's run of rows:
         # LAPACK's bytes depend on the system size, so a padded face would
@@ -360,7 +403,17 @@ def minimize_on_simplex(H, c, w0=None, max_iter=None, allowed=None):
         ok = ~bad & ~neg
         if ok.any():
             _take_face(
-                H, C, A, W, support, done, rows[ok], atoms[ok], valid[ok], face[ok]
+                H,
+                C,
+                A,
+                W,
+                support,
+                done,
+                rows[ok],
+                atoms[ok],
+                valid[ok],
+                face[ok],
+                scratch,
             )
         if neg.any():
             _drop_blocker(
@@ -381,7 +434,7 @@ def minimize_on_simplex(H, c, w0=None, max_iter=None, allowed=None):
         W[f, idx] = _projected_gradient(
             step, W[f, idx][:, None], C[f, idx][:, None], A[f, idx][:, None], L
         )[0][:, 0]
-    return W[0] if vector else np.ascontiguousarray(W.T)
+    return W
 
 
 def _face_optima(H, atoms, c_face):
@@ -412,7 +465,7 @@ def _scatter(W, rows, atoms, valid, values):
     np.put(W, (rows[:, None] * W.shape[1] + atoms)[valid], values[valid])
 
 
-def _take_face(H, C, A, W, support, done, rows, atoms, valid, face):
+def _take_face(H, C, A, W, support, done, rows, atoms, valid, face, scratch):
     # a feasible face optimum becomes the iterate; the row is done when no
     # allowed atom off the support (if any) has a gradient below the
     # support's level, else the lowest such atom joins the support.  Rows
@@ -424,20 +477,22 @@ def _take_face(H, C, A, W, support, done, rows, atoms, valid, face):
     _scatter(W, rows, atoms, valid, w)
     # gradient 2 H w + c, one support atom at a time over the prefix of rows
     # whose support has that many atoms (H is symmetric, so its rows serve
-    # as its columns); updated in place, as the rows of a warm pass span the
-    # whole F x F block
-    g = H[atoms[:, 0]]
+    # as its columns).  The rows of a warm pass span the whole F x F block,
+    # so it is worked in place in the two blocks of ``scratch``: a fresh
+    # block of that size costs its page faults each time
+    g, buf = scratch[:, : rows.size]
+    H.take(atoms[:, 0], axis=0, out=g, mode="clip")
     g *= w[:, :1]
     for t, k in enumerate(valid.sum(axis=0)[1:], start=1):
-        term = H[atoms[:k, t]]
+        term = H.take(atoms[:k, t], axis=0, out=buf[:k], mode="clip")
         term *= w[:k, t, None]
         g[:k] += term
     g *= 2.0
-    g += C[rows]
+    g += C.take(rows, axis=0, out=buf, mode="clip")
     off = ~A[rows]
     at = np.arange(rows.size)
     # the test's scale, max |g| over the allowed atoms (0 if larger)
-    scale = np.abs(g)
+    scale = np.abs(g, out=buf)
     scale[off] = 0.0
     scale = scale.max(axis=1)
     # the face optimum pins the gradient to one level on the support; g
@@ -516,18 +571,27 @@ def self_express(dictionary, mask, warm_start=None):
     """Code every column of the dictionary over the others.
 
     Column f of the result is ``simplex_code`` of column f against the mask's
-    f-th column.  All F columns are coded by one ``minimize_on_simplex`` call
-    on the shared Gram matrix G = D^T D, with linear terms -2 G and the
-    mask as the allowed atoms.  ``warm_start`` (the F x F weights of an
-    earlier pass) seeds each column's active set; an invalid warm column
-    (negative, non-finite, not summing to 1 over the allowed atoms) starts
-    cold.
+    f-th column.  All F columns are coded by one run of the active-set
+    engine of ``minimize_on_simplex`` on the shared Gram matrix G = D^T D,
+    with linear terms -2 G and the mask as the allowed atoms.
+    ``warm_start`` (the F x F weights of an earlier pass) seeds each
+    column's active set; an invalid warm column (negative, non-finite, not
+    summing to 1 over the allowed atoms) starts cold.
+
+    Inside ``_coding_state(mask)`` (a solve's warm-up) the mask carries a
+    coder state: the mask's row layout, built and checked once, and the
+    last code returned.  A warm start that is that code, unmodified, is
+    taken back from the engine's own rows instead of being validated and
+    transposed again, with the bytes validation would give it; any other
+    warm start is validated.  So the state changes no result.
 
     Returns the F x F weight matrix.
     """
     dictionary = np.asarray(dictionary, dtype=float)
     F = dictionary.shape[1]
-    validate_mask(mask, min_allowed=1)
+    coder = getattr(mask, "_coder", None)
+    if coder is None:
+        validate_mask(mask, min_allowed=1)
     if mask.allowed.shape != (F, F):
         raise InputError(
             f"mask shape {mask.allowed.shape} does not match F={F}"
@@ -535,7 +599,74 @@ def self_express(dictionary, mask, warm_start=None):
     if not np.isfinite(dictionary).all():
         raise InputError("non-finite dictionary")
     G = dictionary.T @ dictionary
-    return minimize_on_simplex(G, -2.0 * G, w0=warm_start, allowed=mask.allowed)
+    if coder is None:
+        return minimize_on_simplex(G, -2.0 * G, w0=warm_start, allowed=mask.allowed)
+    if warm_start is not None and np.shape(warm_start) != (F, F):
+        raise InputError(
+            f"w0 shape {np.shape(warm_start)} does not match c {(F, F)}"
+        )
+    # the rows of c = -2 G; a non-finite G leaves them non-finite too
+    C = np.multiply(G.T, -2.0, order="C")
+    if not np.isfinite(C).all():
+        raise InputError("H and c must be finite")
+    W, cold = coder.start(warm_start)
+    coder.rows = _code_rows(G, C, coder.rules, W, cold, coder.scratch)
+    coder.code = np.ascontiguousarray(coder.rows.T)
+    return coder.code
+
+
+class _Coder:
+    """The coder state of a solve's warm-up (``_coding_state``).
+
+    ``rules`` is the mask's row layout (``_rules``); ``code`` is the last
+    code ``self_express`` returned and ``rows`` the engine's row-major
+    array it was copied from; ``scratch`` is the engine's gradient blocks,
+    kept from call to call.
+    """
+
+    def __init__(self, allowed):
+        validate_mask(SupportMask(allowed), min_allowed=1)
+        self.rules = _rules(np.ascontiguousarray(allowed.T))
+        self.code = self.rows = None
+        self.scratch = np.empty((2, *allowed.shape))
+
+    def start(self, warm_start):
+        # (W, cold) as ``_start_rows`` gives them.  The last code, unchanged
+        # bit for bit, is taken back from its rows: they are finite,
+        # nonnegative and zero off the mask, and each sums to 1 to rounding
+        # over its positive entries, so validation would only divide each
+        # row by its in-order sum, which over those entries alone has the
+        # same bytes
+        code, rows = self.code, self.rows
+        self.code = self.rows = None
+        if (
+            warm_start is None
+            or warm_start is not code
+            or not np.array_equal(code.view(np.int64), rows.T.view(np.int64))
+        ):
+            return _start_rows(warm_start, self.rules[0])
+        m, n = rows.shape
+        flat = np.flatnonzero(rows > 0.0)
+        sizes = np.bincount(flat // n, minlength=m)
+        if not sizes.all():
+            return _start_rows(warm_start, self.rules[0])
+        valid = np.arange(sizes.max()) < sizes[:, None]
+        values = np.zeros(valid.shape)
+        values[valid] = rows.ravel()[flat]
+        values /= _row_sums(values, sizes)[:, None]
+        np.put(rows, flat, values[valid])
+        return rows, np.zeros(m, dtype=bool)
+
+
+@contextmanager
+def _coding_state(mask):
+    # a coder state on ``mask`` for the calls of self_express in the block
+    # (a solve's warm-up), dropped after it
+    mask._coder = _Coder(mask.allowed)
+    try:
+        yield
+    finally:
+        del mask._coder
 
 
 def sparsity_profile(weights, eps):

@@ -67,6 +67,7 @@ from .geometry import (
 # minimize_on_simplex has no caller here; it stays a module global because
 # the benchmark's tracer wraps solver.minimize_on_simplex by name
 from .simplex import (
+    _coding_state,
     _projected_gradient,
     _solve_stack,
     minimize_on_simplex,
@@ -641,28 +642,52 @@ def admm_w_step(structure, mask, config, weights=None):
     return W, None, None, {"iterations": steps, "converged": settled}
 
 
-def _pair_rows(rays, f, js):
-    # closed-form closest points of the rays of frame f and of each frame j
-    # of js: (P, J) shared-point mask, (J,) mean squared distance, (P, J)
-    # depths along f, and (P, J) mask of the shared points that make a pair
-    # unusable (near-parallel rays or a negative depth)
-    shared = rays.present[:, f, None] & rays.present[:, js]
-    a = rays.directions[:, f]
+# bytes of the (point, frame, partner) grids the pair bootstrap holds at once
+_PAIR_BLOCK_BYTES = 2**19
+
+
+def _pair_rows(rays, fs, js):
+    # closed-form closest points of the rays of each frame f of fs and of
+    # each frame j of its row of js (B x J): (P, B, J) shared-point mask,
+    # (B, J) mean squared distance, (P, B, J) depths along f, and (P, B, J)
+    # mask of the shared points that make a pair unusable (near-parallel
+    # rays or a negative depth).  Each frame's a @ u^T is its own BLAS
+    # product of a stack, so a frame's bytes do not depend on the block
+    shared = rays.present[:, fs, None] & rays.present[:, js]
+    a = rays.directions[:, fs]
     b = rays.directions[:, js]
-    u = rays.centers[f] - rays.centers[js]
-    c = np.einsum("pa,pja->pj", a, b)
-    au = a @ u.T
-    bu = np.einsum("pja,ja->pj", b, u)
+    u = rays.centers[fs, None] - rays.centers[js]
+    c = np.einsum("pfa,pfja->pfj", a, b)
+    au = (a.transpose(1, 0, 2) @ u.transpose(0, 2, 1)).transpose(1, 0, 2)
+    bu = np.einsum("pfja,fja->pfj", b, u)
     # absent points carry NaN directions; shared masks them out
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = 1.0 - c**2
         tf = (-au + c * bu) / denom
         tj = (bu - c * au) / denom
-        resid = u + tf[:, :, None] * a[:, None, :] - tj[:, :, None] * b
-        sq = np.where(shared, np.einsum("pja,pja->pj", resid, resid), 0.0)
+        resid = u + tf[..., None] * a[:, :, None, :] - tj[..., None] * b
+        sq = np.where(shared, np.einsum("pfja,pfja->pfj", resid, resid), 0.0)
         cost = sq.sum(axis=0) / shared.sum(axis=0)
         bad = shared & ((denom < 1e-12) | (tf < -1e-12) | (tj < -1e-12))
     return shared, cost, tf, bad
+
+
+def _pair_blocks(rays, partners):
+    # runs of consecutive frames with as many partners each (``partners[f]``,
+    # an index array), cut so that one run's grids stay within
+    # ``_PAIR_BLOCK_BYTES``: (frames, their partners as rows)
+    P = rays.present.shape[0]
+    f = 0
+    while f < len(partners):
+        J = len(partners[f])
+        # about four (point, frame, partner, axis) float grids live at once
+        room = max(1, _PAIR_BLOCK_BYTES // (32 * 3 * P * max(J, 1)))
+        stop = f + 1
+        while stop < min(f + room, len(partners)) and len(partners[stop]) == J:
+            stop += 1
+        block = np.array(partners[f:stop], dtype=np.intp).reshape(stop - f, J)
+        yield np.arange(f, stop), block
+        f = stop
 
 
 def pair_distance_matrix(rays, video_ids):
@@ -674,19 +699,21 @@ def pair_distance_matrix(rays, video_ids):
     pairs and pairs whose minimizing depth is negative are all infinite.
 
     Each row f is solved for all its later partners j at once, by the
-    closed form of ``_pair_rows`` over the (point, partner) grid.
+    closed form of ``_pair_rows`` over the (point, partner) grid, and runs
+    of rows with as many partners share one call.
     """
     ids = np.asarray(video_ids)
     F = rays.present.shape[1]
     D = np.full((F, F), np.inf)
-    for f in range(F - 1):
-        js = f + 1 + np.flatnonzero(ids[f + 1 :] != ids[f])
-        if js.size == 0:
+    partners = [f + 1 + np.flatnonzero(ids[f + 1 :] != ids[f]) for f in range(F)]
+    for fs, js in _pair_blocks(rays, partners):
+        if js.shape[1] == 0:
             continue
-        shared, cost, _, bad = _pair_rows(rays, f, js)
+        shared, cost, _, bad = _pair_rows(rays, fs, js)
         ok = shared.any(axis=0) & ~bad.any(axis=0)
-        D[f, js[ok]] = cost[ok]
-        D[js[ok], f] = cost[ok]
+        for i, f in enumerate(fs):
+            D[f, js[i, ok[i]]] = cost[i, ok[i]]
+            D[js[i, ok[i]], f] = cost[i, ok[i]]
     return D
 
 
@@ -707,21 +734,26 @@ def initialize_depths(rays, frames):
     D = pair_distance_matrix(rays, ids)
     depths = np.full((P, F), np.nan)
     flags = []
+    usable = np.isfinite(D).any(axis=1)
+    mates = np.argmin(D, axis=1)[:, None]
+    tf = np.empty((P, F))
+    shared = np.zeros((P, F), dtype=bool)
+    for fs, js in _pair_blocks(rays, mates):
+        pair = _pair_rows(rays, fs, js)
+        shared[:, fs], tf[:, fs] = pair[0][:, :, 0], pair[2][:, :, 0]
     for f in range(F):
-        row = D[f]
         pres_f = rays.present[:, f]
         if not pres_f.any():
             continue
-        if not np.isfinite(row).any():
+        if not usable[f]:
             depths[pres_f, f] = 1.0
             flags.append(f"init-unit-depth-frame-{f}")
             continue
-        shared, _, tf, _ = _pair_rows(rays, f, [int(np.argmin(row))])
-        rows = shared[:, 0]
-        depths[rows, f] = tf[rows, 0]
+        rows = shared[:, f]
+        depths[rows, f] = tf[rows, f]
         rest = pres_f & ~rows
         if rest.any():
-            depths[rest, f] = float(np.median(tf[rows, 0]))
+            depths[rest, f] = float(np.median(tf[rows, f]))
     return depths, flags
 
 
@@ -916,6 +948,11 @@ def solve(obs, frames, config=None):
     trace stays non-increasing.  ``flags`` records ``warmup-N`` (discarded
     extrapolated passes included) and ``stageK-outer-cap``, the mark of a
     stage that did not settle.
+    For the warm-up only, the mask carries the coder's state
+    (``simplex._coding_state``): its row layout, built once, and the last
+    code, taken back as the next warm start.  It changes no byte of a
+    code, and it is dropped before the coupled stage, whose W-step holds
+    the solve's memory peak.
     The solve works on the frames relabelled in (video_id, frame_in_video)
     order, and maps structure, depths, weights and frame flags back to the
     input's global indices: no labelling or list order of the frames, down
@@ -978,9 +1015,10 @@ def solve(obs, frames, config=None):
     # loop keeps that spread as a fixed point; the decoupled warm-up
     # contracts both blocks toward the self-expressive solution instead.
     flat_cfg = replace(config, lambda2=0.0)
-    passes, _ = _alternate(
-        state, flat_cfg, problem, _code_step, "self_expression", code_first=True
-    )
+    with _coding_state(mask):
+        passes, _ = _alternate(
+            state, flat_cfg, problem, _code_step, "self_expression", code_first=True
+        )
     state.flags.append(f"warmup-{passes}")
     # W0, the anchor: no step changes a weight matrix in place
     anchor = state.weights

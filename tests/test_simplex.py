@@ -667,3 +667,130 @@ def test_coding_kkt_flags_suboptimal_column():
     if not np.allclose(bad, good):
         _, _, worst_bad = coding_kkt(X[:, f], X, bad, mask.allowed[:, f])
         assert worst_bad < worst_good + 1e-9
+
+
+def _reference_solved(H, rhs, sol):
+    # the residual test's formula, member by member over the whole stack
+    with np.errstate(invalid="ignore", over="ignore"):
+        resid = np.abs(H @ sol - rhs).max(axis=(-2, -1))
+        bound = 1e-8 * (1.0 + np.abs(rhs).max(axis=(-2, -1)))
+    return np.isfinite(sol).all(axis=(-2, -1)) & (resid <= bound)
+
+
+@st.composite
+def residual_stacks(draw):
+    """Stacks with singular, non-finite and near-bound members.
+
+    A near-bound member's solution is moved off the exact one so that its
+    residual sits within a few ulps of 1e-8 (1 + max |b|), on either side.
+    """
+    S = draw(st.integers(1, 6))
+    N = draw(st.integers(1, 5))
+    K = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = rng.normal(size=(S, N, N)) * 10.0 ** rng.integers(-3, 4, size=(S, 1, 1))
+    rhs = rng.normal(size=(S, N, K)) * 10.0 ** rng.integers(-9, 9, size=(S, 1, 1))
+    sol = np.linalg.lstsq(H[0], rhs[0], rcond=None)[0][None].repeat(S, 0)
+    for m in range(S):
+        kind = draw(st.sampled_from(["exact", "singular", "nonfinite", "near"]))
+        if kind == "singular":
+            H[m, :, 0] = 0.0
+        sol[m] = np.linalg.lstsq(H[m], rhs[m], rcond=None)[0]
+        if kind == "nonfinite":
+            where = draw(st.sampled_from(["sol", "rhs", "H"]))
+            value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            {"sol": sol, "rhs": rhs, "H": H}[where][m].flat[0] = value
+        elif kind == "near":
+            bound = 1e-8 * (1.0 + np.abs(rhs[m]).max())
+            scale = draw(st.sampled_from([1.0 - 1e-15, 1.0, 1.0 + 1e-15, 0.5, 2.0]))
+            col = np.abs(H[m]).max(axis=0).argmax()
+            step = bound * scale / max(np.abs(H[m][:, col]).max(), 1e-300)
+            sol[m, col] += step
+    return H, rhs, sol
+
+
+@settings(max_examples=300, deadline=None)
+@given(residual_stacks())
+def test_residual_test_keeps_every_members_decision(stack):
+    H, rhs, sol = stack
+    assert np.array_equal(simplex._solved(H, rhs, sol), _reference_solved(H, rhs, sol))
+    for m in range(H.shape[0]):
+        alone = simplex._solved(H[m], rhs[m], sol[m])
+        assert alone.shape == () and bool(alone) == _reference_solved(
+            H[m], rhs[m], sol[m]
+        )
+
+
+def _warm_up_codes(F=40, passes=6, seed=41):
+    # a drifting dictionary coded pass after pass, each pass warm started
+    # from the last code: the warm-up's pattern of calls
+    rng = np.random.default_rng(seed)
+    X = _noisy_curve(rng, F)
+    mask = support_mask(np.arange(F) % 4, exclude_same_video=True)
+    steps = [X + rng.normal(scale=0.3, size=X.shape) for _ in range(passes)]
+    return mask, steps
+
+
+def test_self_express_takes_back_its_own_last_code_with_the_same_bytes():
+    mask, steps = _warm_up_codes()
+    plain, kept = [], []
+    warm = None
+    for X in steps:
+        warm = self_express(X, mask, warm_start=warm)
+        plain.append(warm)
+    with simplex._coding_state(mask):
+        coder = mask._coder
+        warm = None
+        for X in steps:
+            warm = self_express(X, mask, warm_start=warm)
+            assert coder.code is warm
+            kept.append(warm)
+        # rows whose in-order sums miss 1 by an ulp, as a code may: taking
+        # them back divides them as validation would
+        rows = np.zeros(mask.allowed.T.shape)
+        for f in range(rows.shape[0]):
+            rows[f, np.flatnonzero(mask.allowed[:, f])[:10]] = 0.1
+        assert (np.cumsum(rows, axis=1)[:, -1] != 1.0).all()
+        coder.rows, coder.code = rows, np.ascontiguousarray(rows.T)
+        expected = simplex._start_rows(coder.code, coder.rules[0])
+        W, cold = coder.start(coder.code)
+        assert W.tobytes() == expected[0].tobytes() and not cold.any()
+    # the state lives only inside the block
+    assert not hasattr(mask, "_coder")
+    for a, b in zip(plain, kept):
+        assert a.tobytes() == b.tobytes()
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+
+
+def test_self_express_validates_an_edited_or_foreign_warm_start(monkeypatch):
+    # only the coder's own last code, bit for bit unchanged, skips validation
+    mask, steps = _warm_up_codes()
+    validated = []
+    start_rows = simplex._start_rows
+
+    def counting(w0, A):
+        validated.append(w0)
+        return start_rows(w0, A)
+
+    monkeypatch.setattr(simplex, "_start_rows", counting)
+    with simplex._coding_state(mask):
+        first = self_express(steps[0], mask)
+        again = self_express(steps[1], mask, warm_start=first)
+        assert validated == [None]
+        # edited in place after the coder returned it: a column made invalid
+        # (it must start cold) and a zero entry flipped to -0.0
+        edited = self_express(steps[2], mask, warm_start=again)
+        f = 3
+        edited[:, f] = 0.0
+        edited[np.flatnonzero(mask.allowed[:, f])[0], f] = 2.0
+        zero = np.argwhere((edited == 0.0) & mask.allowed)[0]
+        edited[tuple(zero)] = -0.0
+        reference = edited.copy()
+        out = self_express(steps[3], mask, warm_start=edited)
+        assert validated[-1] is edited
+        # a copy of the last code is not the code itself
+        copied = self_express(steps[4], mask, warm_start=out.copy())
+        assert validated[-1] is not out and np.array_equal(validated[-1], out)
+    monkeypatch.undo()
+    assert out.tobytes() == self_express(steps[3], mask, warm_start=reference).tobytes()
+    assert copied.tobytes() == self_express(steps[4], mask, warm_start=out).tobytes()

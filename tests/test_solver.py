@@ -1292,6 +1292,48 @@ def test_a_discarded_warm_up_pass_counts_and_keeps_the_last_kept_state(
     assert structure is steps[last - 2][2] and weights is codes[last - 2][2]
 
 
+def test_warm_up_codes_equal_the_stateless_coder(monkeypatch):
+    # the warm-up's coder state (mask layout built once, last code taken
+    # back) changes no byte: every recorded call, a discarded extrapolated
+    # pass included, codes again the same on a fresh mask with no state
+    codes, steps, _ = _record_warm_up(monkeypatch, discard=True)
+    solve(MISSING.observations, MISSING.frames)
+    extrapolated, kept = _warm_up_passes(codes, steps)
+    assert any(e and not k for e, k in zip(extrapolated, kept))
+    # after a discarded pass the warm start is an older code, validated
+    warm_starts = [warm for _, warm, _ in codes]
+    assert any(w is not c[2] for w, c in zip(warm_starts[1:], codes))
+    ids = np.sort([frame.video_id for frame in MISSING.frames])
+    fresh = support_mask(ids)
+    for at, warm, code in codes:
+        assert self_express(at, fresh, warm_start=warm).tobytes() == code.tobytes()
+
+
+def test_no_coder_state_outlives_the_warm_up(monkeypatch):
+    masks, coupled = [], []
+    coder, w_step = solver.self_express, solver.admm_w_step
+
+    def coded(at, mask, warm_start=None):
+        masks.append(mask)
+        assert hasattr(mask, "_coder")
+        return coder(at, mask, warm_start=warm_start)
+
+    def stepped(structure, mask, config, weights=None):
+        coupled.append(hasattr(mask, "_coder"))
+        return w_step(structure, mask, config, weights)
+
+    monkeypatch.setattr(solver, "self_express", coded)
+    monkeypatch.setattr(solver, "admm_w_step", stepped)
+    first = solve(MISSING.observations, MISSING.frames)
+    assert masks and coupled and not any(coupled)
+    assert all(mask is masks[0] for mask in masks)
+    assert not hasattr(masks[0], "_coder")
+    second = solve(MISSING.observations, MISSING.frames)
+    assert masks[-1] is not masks[0] and not hasattr(masks[-1], "_coder")
+    for key in ("structure", "weights", "depths"):
+        assert getattr(first, key).tobytes() == getattr(second, key).tobytes()
+
+
 @pytest.mark.parametrize(
     "points, samples, cameras, seed", [(3, 30, 3, 2), (5, 80, 4, 1)]
 )
