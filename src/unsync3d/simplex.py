@@ -589,22 +589,19 @@ def self_express(dictionary, mask, warm_start=None):
     """
     dictionary = np.asarray(dictionary, dtype=float)
     F = dictionary.shape[1]
-    coder = getattr(mask, "_coder", None)
-    if coder is None:
-        validate_mask(mask, min_allowed=1)
+    # outside a warm-up, a coder state for this call alone
+    coder = getattr(mask, "_coder", None) or _Coder(mask)
     if mask.allowed.shape != (F, F):
         raise InputError(
             f"mask shape {mask.allowed.shape} does not match F={F}"
         )
     if not np.isfinite(dictionary).all():
         raise InputError("non-finite dictionary")
-    G = dictionary.T @ dictionary
-    if coder is None:
-        return minimize_on_simplex(G, -2.0 * G, w0=warm_start, allowed=mask.allowed)
     if warm_start is not None and np.shape(warm_start) != (F, F):
         raise InputError(
             f"w0 shape {np.shape(warm_start)} does not match c {(F, F)}"
         )
+    G = dictionary.T @ dictionary
     # the rows of c = -2 G; a non-finite G leaves them non-finite too
     C = np.multiply(G.T, -2.0, order="C")
     if not np.isfinite(C).all():
@@ -624,11 +621,11 @@ class _Coder:
     kept from call to call.
     """
 
-    def __init__(self, allowed):
-        validate_mask(SupportMask(allowed), min_allowed=1)
-        self.rules = _rules(np.ascontiguousarray(allowed.T))
+    def __init__(self, mask):
+        validate_mask(mask, min_allowed=1)
+        self.rules = _rules(np.ascontiguousarray(mask.allowed.T))
         self.code = self.rows = None
-        self.scratch = np.empty((2, *allowed.shape))
+        self.scratch = np.empty((2, *mask.allowed.shape))
 
     def start(self, warm_start):
         # (W, cold) as ``_start_rows`` gives them.  The last code, unchanged
@@ -662,7 +659,7 @@ class _Coder:
 def _coding_state(mask):
     # a coder state on ``mask`` for the calls of self_express in the block
     # (a solve's warm-up), dropped after it
-    mask._coder = _Coder(mask.allowed)
+    mask._coder = _Coder(mask)
     try:
         yield
     finally:
