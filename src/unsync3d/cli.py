@@ -143,7 +143,7 @@ def _build_parser():
     sol.add_argument(
         "--no-second-stage",
         action="store_true",
-        help="skip the second coupled stage at the small final lambda2",
+        help="run the coupled stage at lambda2 itself, not at min(lambda2, 1e-4)",
     )
     sol.add_argument("--xyz-out", default=None, help="point cloud text file")
     sol.set_defaults(func=_cmd_solve)

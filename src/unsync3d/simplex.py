@@ -40,6 +40,7 @@ solved again alone, then by least squares, so a singular face (duplicate
 atoms) gets its least-norm optimum.
 """
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -567,6 +568,20 @@ def simplex_code(target, dictionary, allowed):
     return w
 
 
+def _gram(X, name):
+    """X^T X for a finite X, or InputError naming the argument ``name``.
+
+    Every entry of G = X^T X, and of the coder's and the W-step's
+    gradients built from it, is at most a few times tr G = ||X||_F^2, so X
+    is refused when 4 tr G overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = X.T @ X
+        if math.isfinite(4.0 * float(G.trace())):
+            return G
+    raise InputError(f"{name} is too large: its Gram matrix overflows")
+
+
 def self_express(dictionary, mask, warm_start=None):
     """Code every column of the dictionary over the others.
 
@@ -585,12 +600,12 @@ def self_express(dictionary, mask, warm_start=None):
     transposed again, with the bytes validation would give it; any other
     warm start is validated.  So the state changes no result.
 
-    Returns the F x F weight matrix.
+    Returns the F x F weight matrix.  Raises InputError for a mask that is
+    not F x F, a ``warm_start`` of another shape, or a ``dictionary`` that
+    is not finite or whose Gram matrix overflows.
     """
     dictionary = np.asarray(dictionary, dtype=float)
     F = dictionary.shape[1]
-    # outside a warm-up, a coder state for this call alone
-    coder = getattr(mask, "_coder", None) or _Coder(mask)
     if mask.allowed.shape != (F, F):
         raise InputError(
             f"mask shape {mask.allowed.shape} does not match F={F}"
@@ -599,13 +614,13 @@ def self_express(dictionary, mask, warm_start=None):
         raise InputError("non-finite dictionary")
     if warm_start is not None and np.shape(warm_start) != (F, F):
         raise InputError(
-            f"w0 shape {np.shape(warm_start)} does not match c {(F, F)}"
+            f"warm_start shape {np.shape(warm_start)} is not {F} x {F}"
         )
-    G = dictionary.T @ dictionary
-    # the rows of c = -2 G; a non-finite G leaves them non-finite too
+    G = _gram(dictionary, "dictionary")
+    # the rows of c = -2 G
     C = np.multiply(G.T, -2.0, order="C")
-    if not np.isfinite(C).all():
-        raise InputError("H and c must be finite")
+    # outside a warm-up, a coder state for this call alone
+    coder = getattr(mask, "_coder", None) or _Coder(mask)
     W, cold = coder.start(warm_start)
     coder.rows = _code_rows(G, C, coder.rules, W, cold, coder.scratch)
     coder.code = np.ascontiguousarray(coder.rows.T)

@@ -20,7 +20,7 @@ into the self-expressive basin.  On hard rays, once a pass leaves the
 coded supports nearly unchanged, the warm-up codes at a structure
 extrapolated along its last step, and keeps such a pass only if the
 self-expression term did not rise.  Its last code W0 then anchors the
-coupled stages: they minimize
+coupled stage: it minimizes
 
     Phi(X, W) = f(X, W) + (rho/2) ||W - W0||_F^2,
 
@@ -40,10 +40,9 @@ S (I + S / lambda3)^-1, whose points the filter then maps off the rays
 indices, observed rays) is planned once per ray field for both modes, and a
 solve builds its video pairs once, so each pass only gathers the new
 coupling, solves and scatters.  One loop alternates them in every phase.
-A first coupled stage at lambda2 lets the smoothness prior guide the early
-passes; a second one at the small ``FINAL_LAMBDA2`` (or lambda2, if lower)
-keeps only a trace of it, which steadies frames with missing data without
-biasing the observed ones much.
+The coupled stage runs once, at the small ``FINAL_LAMBDA2`` (or lambda2, if
+lower): a trace of the smoothness prior steadies frames with missing data
+without biasing the observed ones much.
 """
 
 import math
@@ -68,6 +67,7 @@ from .geometry import (
 # the benchmark's tracer wraps solver.minimize_on_simplex by name
 from .simplex import (
     _coding_state,
+    _gram,
     _projected_gradient,
     _solve_stack,
     minimize_on_simplex,
@@ -95,10 +95,10 @@ __all__ = [
 ]
 
 
-# the smoothness weight of the second coupled stage (capped by lambda2): a
-# little smoothness steadies frames with missing data (c08's pooled acc30 at
-# 50% missing: 0.750, against 0.660 with 0 here) at a small bias on the
-# observed ones
+# the coupled stage's smoothness weight (capped by lambda2): a little
+# smoothness steadies frames with missing data (c08's pooled acc30 at 50%
+# missing: 0.750, against 0.660 with 0 here) at a small bias on the observed
+# ones
 FINAL_LAMBDA2 = 1e-4
 
 # every alternation loop settles once its stop quantity changes by at most
@@ -122,13 +122,14 @@ class SolverConfig:
     lambda3 is the soft-ray weight; ``math.inf`` (the default) keeps points
     exactly on their viewing rays, while a finite value (100 is the usual
     choice for noisy pixels) lets them move off the rays.  rho is the weight
-    of the anchor term (rho/2) ||W - W0||^2 that the coupled stages add to
+    of the anchor term (rho/2) ||W - W0||^2 that the coupled stage adds to
     the cost, W0 being the warm-up's last code: the larger it is, the
     closer the coupled W stays to that code.  lambda2 weighs the smoothness
-    prior of the first coupled stage; with ``second_stage`` a second one
-    runs at min(lambda2, ``FINAL_LAMBDA2``).  Each loop runs at most
-    ``outer_max`` passes and settles earlier at the relative tolerance
-    ``_OUTER_REL_TOL``.
+    prior: the coupled stage runs at min(lambda2, ``FINAL_LAMBDA2``), or at
+    lambda2 itself without ``second_stage`` (the name of an earlier second
+    stage, kept for the tests, saved configs and ``--no-second-stage``).
+    Each loop runs at most ``outer_max`` passes and settles earlier at the
+    relative tolerance ``_OUTER_REL_TOL``.
     """
 
     lambda1: float = 0.05
@@ -253,7 +254,7 @@ def objective(structure, weights, config, frames, rays=None, anchor=None):
     Returns (total, terms) where terms has keys ``self_expression``,
     ``psi1``, ``psi2``, ``soft_ray`` and ``anchor``.  The soft-ray term is
     only computed (and requires ``rays``) when lambda3 is finite.  Given an
-    ``anchor`` W0, the total is the coupled stages' Phi: it adds
+    ``anchor`` W0, the total is the coupled stage's Phi: it adds
     (rho/2) ||W - W0||_F^2, with terms["anchor"] = ||W - W0||_F^2.
     """
     X = np.asarray(structure, dtype=float)
@@ -582,8 +583,9 @@ def admm_w_step(structure, mask, config, weights=None):
     info dict at index 3) call it so.  Returns (weights, None, None, info),
     with info's ``iterations`` the projected-gradient steps taken and
     ``converged`` whether they settled before the loop's cap.  Raises
-    InputError for a non-finite structure, a mask that is not F x F or an
-    anchor that is not a finite F x F array.
+    InputError for a structure that is not finite or whose Gram matrix
+    overflows, a mask that is not F x F or an anchor that is not a finite
+    F x F array.
     """
     X = np.asarray(structure, dtype=float)
     F = X.shape[1]
@@ -593,6 +595,7 @@ def admm_w_step(structure, mask, config, weights=None):
         raise InputError(f"mask shape {mask.allowed.shape} does not match F={F}")
     if not np.isfinite(X).all():
         raise InputError("non-finite structure")
+    G = _gram(X, "structure")
     if weights is None:
         W = self_express(X, mask)
     else:
@@ -603,7 +606,6 @@ def admm_w_step(structure, mask, config, weights=None):
     rho = config.rho
     # psi1's gradient is skew * (W - W^T)
     skew = 4.0 * config.lambda1 / F
-    G = X.T @ X
     # the data term's curvature along a feasible direction, whose columns
     # sum to 0, is that of the centred structure; a longer L than
     # (2/FP) lambda_max of the centred Gram matrix + ... only shortens the
@@ -914,19 +916,19 @@ def _alternate(
     return cfg.outer_max, False
 
 
-def _coupled_stage(state, index, cfg, problem, anchor):
+def _coupled_stage(state, cfg, problem, anchor):
     # block coordinate descent on Phi: X-step, then the exact W-step about
-    # the anchor W0, started at it; the last stage decides ``converged``
+    # the anchor W0, started at it.  Its cap flag keeps the name stage0,
+    # which perfbench's solver.stop_reason.stage0 counts
     def w_step(state, cfg, mask):
         state.weights, _, _, info = admm_w_step(state.structure, mask, cfg, anchor)
         state.admm_iterations += info["iterations"]
 
-    passes, state.converged = _alternate(
+    state.outer_iterations, state.converged = _alternate(
         state, cfg, problem, w_step, anchor=anchor
     )
-    state.outer_iterations += passes
     if not state.converged:
-        state.flags.append(f"stage{index}-outer-cap")
+        state.flags.append("stage0-outer-cap")
 
 
 def solve(obs, frames, config=None):
@@ -942,12 +944,11 @@ def solve(obs, frames, config=None):
     warm-up's last code (exact X-step, then the exact W-step about W0,
     stopping on Phi, which the trace records).  Each loop stops once its
     stop quantity changes by at most ``_OUTER_REL_TOL`` (relative) in a
-    pass, or at ``outer_max`` passes.  With ``second_stage`` the coupled
-    stage repeats at lambda2 = min(lambda2, ``FINAL_LAMBDA2``), warm
-    started and about the same W0; Phi only falls at the switch, so the
-    trace stays non-increasing.  ``flags`` records ``warmup-N`` (discarded
-    extrapolated passes included) and ``stageK-outer-cap``, the mark of a
-    stage that did not settle.
+    pass, or at ``outer_max`` passes.  The coupled stage runs once, at
+    lambda2 = min(lambda2, ``FINAL_LAMBDA2``) with ``second_stage`` (the
+    default) and at lambda2 itself without it.  ``flags`` records
+    ``warmup-N`` (discarded extrapolated passes included) and
+    ``stage0-outer-cap``, the mark of a coupled stage that did not settle.
     For the warm-up only, the mask carries the coder's state
     (``simplex._coding_state``): its row layout, built once, and the last
     code, taken back as the next warm start.  It changes no byte of a
@@ -1022,10 +1023,9 @@ def solve(obs, frames, config=None):
     state.flags.append(f"warmup-{passes}")
     # W0, the anchor: no step changes a weight matrix in place
     anchor = state.weights
-    _coupled_stage(state, 0, config, problem, anchor)
-    if config.second_stage and config.lambda2 > 0:
-        final = replace(config, lambda2=min(config.lambda2, FINAL_LAMBDA2))
-        _coupled_stage(state, 1, final, problem, anchor)
+    if config.second_stage:
+        config = replace(config, lambda2=min(config.lambda2, FINAL_LAMBDA2))
+    _coupled_stage(state, config, problem, anchor)
     back = np.argsort(order)
     state.structure = state.structure[:, back] / factor
     state.depths = state.depths[:, back] / factor

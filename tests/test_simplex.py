@@ -632,6 +632,34 @@ def test_self_express_warm_start_validation():
     assert np.array_equal(out[:, [2, 5]], cold[:, [2, 5]])
 
 
+def test_self_express_rejects_bad_input_by_its_own_names(monkeypatch):
+    # the errors name self_express's arguments, and a rejected call builds
+    # no coder state (its F x F scratch blocks); RuntimeWarnings are errors
+    # here, so the overflowing Gram matrix must not warn either
+    rng = np.random.default_rng(29)
+    X = rng.normal(size=(6, 6))
+    mask = support_mask(np.arange(6) % 2, exclude_same_video=True)
+    expected = self_express(X, mask)
+
+    def no_coder(mask):
+        raise AssertionError("a rejected call built a coder state")
+
+    monkeypatch.setattr(simplex, "_Coder", no_coder)
+    # X^T X overflows at 1e160; at the second scale it is finite, with its
+    # trace at half the float range, but four times that trace overflows
+    edge = np.sqrt(np.finfo(float).max / (2.0 * np.square(X).sum()))
+    for scale in (1e160, edge):
+        with pytest.raises(InputError, match="dictionary is too large"):
+            self_express(X * scale, mask)
+    with pytest.raises(InputError, match="warm_start shape"):
+        self_express(X, mask, warm_start=np.zeros((6, 5)))
+    monkeypatch.undo()
+    # coding is scale-free, and a large dictionary whose Gram matrix fits
+    # is coded
+    big = self_express(X * 1e150, mask)
+    assert np.allclose(big, expected, atol=1e-9)
+
+
 def test_self_express_smooth_curve_picks_temporal_neighbors():
     # points on a smooth 3D curve: column f should lean on f-1 and f+1
     s = np.linspace(0.0, 2.0, 30)

@@ -556,8 +556,10 @@ def test_solve_plans_x_step_and_video_pairs_once(monkeypatch):
     for lambda3 in (math.inf, 30.0):
         calls.clear()
         cfg = SolverConfig(outer_max=5, lambda3=lambda3)
-        solve(scene.observations, scene.frames, cfg)
-        assert calls["x_step"] >= 10
+        state = solve(scene.observations, scene.frames, cfg)
+        (warmup,) = [f for f in state.flags if f.startswith("warmup-")]
+        passes = int(warmup.removeprefix("warmup-"))
+        assert calls["x_step"] == passes + state.outer_iterations >= 2
         assert calls["_slots"] == len(stacks)
         assert calls["video_pairs"] == 1
 
@@ -673,6 +675,26 @@ def test_admm_w_step_rejects_bad_inputs():
         for weights in (anchor, None):
             with pytest.raises(InputError, match="non-finite structure"):
                 admm_w_step(bad, mask, cfg, weights)
+
+
+def test_admm_w_step_rejects_a_structure_whose_gram_matrix_overflows():
+    # 1e160 overflows X^T X itself; the second scale leaves tr X^T X at half
+    # the float range, so X^T X is finite, but not four times its trace,
+    # which bounds the W-step's gradients.  Either way the step raises
+    # before any product warns (RuntimeWarnings are errors here)
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(6, 6))
+    mask = support_mask(np.arange(6) % 2)
+    anchor = self_express(X, mask)
+    edge = math.sqrt(sys.float_info.max / (2.0 * np.square(X).sum()))
+    for scale in (1e160, edge):
+        for weights in (anchor, None):
+            with pytest.raises(InputError, match="structure is too large"):
+                admm_w_step(X * scale, mask, SolverConfig(), weights)
+    # a large structure whose Gram matrix fits is solved
+    W = admm_w_step(X * 1e150, mask, SolverConfig(), anchor)[0]
+    assert np.isfinite(W).all()
+    assert np.allclose(W.sum(axis=0), 1.0)
 
 
 def proximal_kkt_gap(X, W, W_prev, allowed, cfg):
@@ -1062,11 +1084,11 @@ def test_solve_input_validation():
 
 
 def test_solve_loop_calls_and_flags(monkeypatch):
-    """The warm-up and both coupled stages run the one alternation loop.
+    """The warm-up and the one coupled stage run the one alternation loop.
 
     Per solve: x_step = warm-up passes + outer iterations, admm_w_step =
     outer (each starts at the warm-up's code), self_express =
-    warm-up passes, objective = warm-up passes + 2 outer + stages.
+    warm-up passes, objective = warm-up passes + 2 outer + 1.
     """
     scene = make_scene(points=3, samples=12, cameras=3, seed=20)
     calls = {}
@@ -1095,8 +1117,8 @@ def test_solve_loop_calls_and_flags(monkeypatch):
         assert calls["x_step"] == passes + outer
         assert calls["admm_w_step"] == outer
         assert calls["self_express"] == passes
-        assert calls["objective"] == passes + 2 * outer + 2
-        assert len(state.objective_trace) == 2 * outer + 2
+        assert calls["objective"] == passes + 2 * outer + 1
+        assert len(state.objective_trace) == 2 * outer + 1
         assert state.admm_iterations == sum(i["iterations"] for i in infos)
         assert all(i["converged"] for i in infos)
         return state, passes
@@ -1104,12 +1126,11 @@ def test_solve_loop_calls_and_flags(monkeypatch):
     # a tolerance no loop meets in 3 passes: every loop stops at the cap
     monkeypatch.setattr(solver, "_OUTER_REL_TOL", 5e-324)
     capped, passes = run(SolverConfig(outer_max=3))
-    assert passes == 3 and capped.outer_iterations == 6
+    assert passes == 3 and capped.outer_iterations == 3
     assert not capped.converged
     assert [f for f in capped.flags if not f.startswith("ridge:")] == [
         "warmup-3",
         "stage0-outer-cap",
-        "stage1-outer-cap",
     ]
 
     # a loose tolerance stops every loop on it, before the cap
@@ -1118,13 +1139,13 @@ def test_solve_loop_calls_and_flags(monkeypatch):
     assert loose.converged
     assert not any(f.endswith("-outer-cap") for f in loose.flags)
     assert 2 <= passes < 100
-    assert 2 <= loose.outer_iterations < 200
+    assert 2 <= loose.outer_iterations < 100
 
 
 def test_solve_trace_monotone_and_flags(monkeypatch):
-    # the trace records Phi, which no block step and no stage switch raises;
-    # stage 1 runs at min(lambda2, FINAL_LAMBDA2), so a lambda2 below the
-    # final one is never raised
+    # the trace records Phi, which no block step raises; every coupled
+    # W-step runs at min(lambda2, FINAL_LAMBDA2), so a lambda2 below the
+    # final one is never raised, and at lambda2 itself without second_stage
     scene = make_scene(points=3, samples=24, cameras=3, seed=17)
     lambda2s = []
     w_step = solver.admm_w_step
@@ -1134,15 +1155,18 @@ def test_solve_trace_monotone_and_flags(monkeypatch):
         return w_step(structure, mask, config, weights)
 
     monkeypatch.setattr(solver, "admm_w_step", recorded)
-    for lambda2 in (0.1, 1e-5):
+    for lambda2, second_stage in ((0.1, True), (1e-5, True), (0.1, False)):
         lambda2s.clear()
-        cfg = SolverConfig(outer_max=30, lambda2=lambda2)
+        cfg = SolverConfig(
+            outer_max=30, lambda2=lambda2, second_stage=second_stage
+        )
         state = solve(scene.observations, scene.frames, cfg)
         trace = np.array(state.objective_trace)
         assert trace.size >= 3
         assert (np.diff(trace) <= 1e-9 * (1 + np.abs(trace[:-1]))).all()
-        assert max(lambda2s) == lambda2
-        assert lambda2s[-1] == min(lambda2, solver.FINAL_LAMBDA2)
+        final = min(lambda2, solver.FINAL_LAMBDA2) if second_stage else lambda2
+        assert len(lambda2s) == state.outer_iterations
+        assert set(lambda2s) == {final}
         assert any(flag.startswith("warmup-") for flag in state.flags)
         assert state.outer_iterations >= 1
         assert state.weights.shape == (24, 24)
