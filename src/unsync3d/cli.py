@@ -131,7 +131,9 @@ def _build_parser():
         flag = "--" + spec.name.replace("_", "-")
         if spec.name == "lambda3":  # a string, so a bad value exits 3
             sol.add_argument(
-                flag, help="positive float, or 'inf' (100 suits noisy pixels)"
+                flag,
+                help="positive float, or 'inf' (the default; on noisy pixels "
+                "it matched or beat 100)",
             )
         else:
             sol.add_argument(flag, type=spec.type, help=_FIELD_HELP.get(spec.name))

@@ -1,36 +1,21 @@
-"""What the paired accuracy panel (tools/panel.py) reads from perfbench.
+"""The paired panel (tools/panel.py): seeds, tallies, timing and one A/A pair.
 
-The panel itself runs whole benchmark workloads and stays out of tier-1;
-these checks pin its reading of perfbench's report lines.
+The panel itself solves whole benchmark workloads and stays out of tier-1;
+these checks pin how it reads ``--seeds``, how it tallies pairs and prints
+sweep points, and that one small scene solved by this checkout loaded as
+both sides gives one result.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-PANEL = Path(__file__).resolve().parents[1] / "tools" / "panel.py"
+from unsync3d.synth import CorruptionSpec, RigSpec, generate, procedural_motion
 
-# the lines of one perfbench run, in the layout of perfbench/bench.py's
-# report_lines
-RUN = """\
-# perfbench workload=miss30_hard seed=1 seconds=0 trace=0
-env blas_threads: 1
-solve scene=0 traced=0 0.912 s converged=False ok
-solve scene=1 traced=0 0.871 s converged=True ok
-metric solve_s = 0.8915 s (lower is better)
-metric median_error_mm = 0.3 mm (lower is better)
-metric endpoint_error_mm = 7.9 mm (lower is better)
-metric converged_frac = 0.5 frac (higher is better)
-metric peak_rss_mb = n/a MB (lower is better)
-info admm cap warnings captured: 0
-scene 0 corruption_seed=1 median_error=1.16 mm acc30=0.9401 top2=0.7500 \
-result_sha256=0a1b2c
-scene 1 corruption_seed=1001 median_error=0.256 mm acc30=0.9961 top2=1.0000 \
-result_sha256=ffee01
-gate FAIL: 1 of 2 solves failed
-{"correct": false, "attempted": 2, "failed": 1, "metrics": {}}
-"""
+ROOT = Path(__file__).resolve().parents[1]
+PANEL = ROOT / "tools" / "panel.py"
 
 
 def load_panel():
@@ -40,62 +25,33 @@ def load_panel():
     return module
 
 
-def test_parse_run_reads_scenes_run_metrics_and_failures():
-    run = load_panel().parse_run(RUN)
-    assert run["scenes"] == [
-        {
-            "scene": 0,
-            "corruption_seed": 1,
-            "median_error_mm": 1.16,
-            "acc30": 0.9401,
-            "top2": 0.75,
-            "result_sha256": "0a1b2c",
-        },
-        {
-            "scene": 1,
-            "corruption_seed": 1001,
-            "median_error_mm": 0.256,
-            "acc30": 0.9961,
-            "top2": 1.0,
-            "result_sha256": "ffee01",
-        },
-    ]
-    assert run["endpoint_error_mm"] == 7.9
-    assert run["converged_frac"] == 0.5
-    assert run["failed"] == 1
-
-
 def test_seeds_and_paired_tally():
     panel = load_panel()
     assert panel.parse_seeds("1-3,7") == [1, 2, 3, 7]
     assert panel.parse_seeds("5") == [5]
+    assert panel.parse_seeds("21-30") == list(range(21, 31))
+    assert panel.parse_seeds("3-4,1,9") == [1, 3, 4, 9]
+    # an empty range is refused before anything is loaded
+    with pytest.raises(SystemExit):
+        panel.main(["--base", ".", "--head", ".", "--seeds", "4-2"])
     # lower is better: one win, one loss, one tie, and a missing pair
     pairs = [(1.0, 0.5), (1.0, 2.0), (3.0, 3.0), (None, 1.0)]
     assert panel.tally(pairs, higher_better=False) == (1, 1, 1, 0.0)
     assert panel.tally(pairs, higher_better=True) == (1, 1, 1, 0.0)
 
 
-def test_parse_sweep_point_reads_its_line():
+def test_timing_summary_counts_wins_and_the_median_paired_change():
     panel = load_panel()
-    text = (
-        "some warning\n"
-        "sweep miss value=0.3 acc30=0.962600 median_error_mm=0.574 "
-        "converged=7 solves=8 warmup=512\n"
-    )
-    assert panel.parse_sweep_point(text) == {
-        "sweep": "miss",
-        "value": 0.3,
-        "acc30": 0.9626,
-        "median_error_mm": 0.574,
-        "converged": 7,
-        "solves": 8,
-        "warmup": 512,
-    }
-    # a line without the warm-up passes is not read
-    with pytest.raises(ValueError):
-        panel.parse_sweep_point(text.replace(" warmup=512", ""))
-    with pytest.raises(ValueError):
-        panel.parse_sweep_point("sweep miss value=0.3 acc30=0.96\n")
+    pairs = [(1.0, 0.8), (2.0, 1.0), (1.0, 1.0), (1.0, 1.1), (4.0, 3.0)]
+    out = panel.timing_summary(pairs)
+    assert (out["pairs"], out["wins"], out["losses"], out["ties"]) == (5, 3, 1, 1)
+    # paired changes -0.2, -0.5, 0, +0.1, -0.25: the median is -0.2
+    assert out["median_change"] == pytest.approx(-0.2)
+    assert out["base"]["median"] == 1.0 and out["head"]["median"] == 1.0
+    assert out["base"]["q1"] <= out["base"]["median"] <= out["base"]["q3"]
+    one = panel.timing_summary([(2.0, 1.5)])
+    assert one["head"] == {"median": 1.5, "q1": 1.5, "q3": 1.5}
+    assert one["median_change"] == pytest.approx(-0.25)
 
 
 def test_sweeps_are_c08s_and_print_side_by_side():
@@ -117,16 +73,29 @@ def test_sweeps_are_c08s_and_print_side_by_side():
     ]
 
 
-def test_sweep_line_round_trips():
-    # the line a sweep point prints is the line the panel reads
+def test_a_checkout_paired_with_itself_ties_everywhere(tmp_path):
     panel = load_panel()
-    line = panel.sweep_line("noise", 2.0, 0.98854, 5.2361, 5, 5, 241)
-    assert panel.parse_sweep_point(line) == {
-        "sweep": "noise",
-        "value": 2.0,
-        "acc30": 0.98854,
-        "median_error_mm": 5.2361,
-        "converged": 5,
-        "solves": 5,
-        "warmup": 241,
+    packages = {
+        side: panel.load_package(ROOT, f"panel_test_{side}") for side in panel.SIDES
     }
+    assert sys.modules["panel_test_base.solver"] is not sys.modules[
+        "panel_test_head.solver"
+    ]
+    scene = generate(
+        procedural_motion(3, 12, seed=1),
+        RigSpec(camera_count=4),
+        CorruptionSpec(seed=3, miss_rate=0.2),
+    )
+    records = {}
+    for side, package in packages.items():
+        config = package.SolverConfig(outer_max=4)
+        _, states = panel.solve_scenes(package, [scene], config)
+        records[side], errors = panel.scene_record(
+            package, scene, states[0], config, tmp_path
+        )
+        assert errors.shape == scene.observations.present.shape
+    base, head = records["base"], records["head"]
+    assert base["result_sha256"] == head["result_sha256"]
+    # the scene has observed and missing slots, so every metric has a pair
+    for name, higher in panel.SCENE_METRICS.items():
+        assert panel.tally([(base[name], head[name])], higher) == (0, 0, 1, 0)

@@ -1,50 +1,56 @@
-"""Paired accuracy panel: the same seeded scenes solved by two checkouts.
+"""Paired panel: two checkouts' accuracy and timing on the same seeded scenes.
 
 Run from anywhere, with two checkouts of the repository:
 
     python3 tools/panel.py --base ../parent --head . --seeds 1-10 \
-        --out ACCURACY.json
+        --reps 2 --out ACCURACY.json
 
-For every workload and seed it runs ``perfbench/run.py --workload W --seed S
---seconds 0`` in both checkouts, alternating which side runs first, so a
-slow spell of the host does not fall on one side only.  It reads each
-``scene`` line (median error, acc30, top-2 frequency and ``result_sha256``)
-and the run's ``endpoint_error_mm`` and ``converged_frac`` metrics, writes
-every pair to ``--out`` as JSON, and prints per workload the scenes whose
-result bytes are equal and, for each metric, the change's wins, losses and
-ties and the median paired difference (head minus base).
+Both checkouts' ``unsync3d`` packages load side by side in one process,
+each under its own module name, with BLAS threads pinned to 1.  The
+workloads, their scenes, the endpoint ranks and the correctness gate come
+from the head checkout's ``perfbench/``.  One pair is one workload seed's
+scenes solved by each side, alternating which side goes first; only the
+solves are timed, and ``--reps`` repeats every seed.  Each scene's first
+solve gives its result hash, accuracy (also over observed and over missing
+slots), warm-up passes, ``converged`` and gate failures; a later rep must
+repeat the hash.  Then both sides solve c08's two pooled sweeps on the
+head's scenes, point by point, again alternating.
 
-It then runs the two pooled sweeps of acceptance criterion c08 (pixel noise
-0-5 px at lambda3 = 100 over seeds 1-5, missing rate 0-0.5 over seeds 1-8;
-16 points, 48 frames, 4 cameras), one sweep point at a time in each
-checkout, again alternating sides, and prints each point's pooled acc30,
-median error and summed warm-up passes for base and head side by side.
-``--sweeps`` picks the sweeps and ``--workloads`` the benchmark workloads;
-either may be given empty.  It gives a verdict and gates nothing.
+Everything goes to ``--out`` as JSON.  It prints per workload the scenes
+with equal result bytes, each metric's wins, losses and ties of the head
+with the median paired difference, and the timing; and per sweep point the
+pooled accuracy, warm-up passes and converged solves side by side.  Result
+files go to a temporary directory, not to ``.perfbench_work/``, so a
+perfbench run can share the checkout.  It gates nothing.
 """
 
 import argparse
+import hashlib
+import importlib
+import importlib.util
 import json
 import os
-import re
 import statistics
-import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
-WORKLOADS = ("long_f240", "miss30_hard", "soft_noise3px")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SIDES = ("base", "head")
 
-SCENE_LINE = re.compile(
-    r"^scene (?P<scene>\d+) corruption_seed=(?P<corruption_seed>\d+) "
-    r"median_error=(?P<median_error_mm>\S+) mm acc30=(?P<acc30>\S+) "
-    r"top2=(?P<top2>\S+) result_sha256=(?P<result_sha256>[0-9a-f]+)$"
-)
-METRIC_LINE = re.compile(r"^metric (?P<name>\w+) = (?P<value>\S+) ")
-GATE_LINE = re.compile(r"^gate \w+: (?P<failed>\d+) of \d+ solves failed$")
-
 # metric -> whether higher is better; scene metrics first, then run metrics
-SCENE_METRICS = {"median_error_mm": False, "acc30": True, "top2": True}
+SCENE_METRICS = {
+    "median_error_mm": False,
+    "acc30": True,
+    "top2": True,
+    "warmup": False,
+    "converged": True,
+    "median_error_mm_observed": False,
+    "acc30_observed": True,
+    "median_error_mm_missing": False,
+    "acc30_missing": True,
+}
 RUN_METRICS = {"endpoint_error_mm": False, "converged_frac": True}
 
 # c08's pooled sweeps, as tests/test_acceptance.py runs them: name ->
@@ -54,31 +60,6 @@ SWEEPS = {
               {"lambda3": 100.0}),
     "miss": ("miss_rate", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5), range(1, 9), {}),
 }
-SWEEP_LINE = re.compile(
-    r"^sweep (?P<sweep>\w+) value=(?P<value>\S+) acc30=(?P<acc30>\S+) "
-    r"median_error_mm=(?P<median_error_mm>\S+) "
-    r"converged=(?P<converged>\d+) solves=(?P<solves>\d+) "
-    r"warmup=(?P<warmup>\d+)$"
-)
-
-
-def parse_run(text):
-    """The scene rows, run metrics and failed solves of one perfbench run."""
-    run = {"scenes": [], "failed": None}
-    run.update(dict.fromkeys(RUN_METRICS))
-    for line in text.splitlines():
-        if m := SCENE_LINE.match(line):
-            row = m.groupdict()
-            for key in ("scene", "corruption_seed"):
-                row[key] = int(row[key])
-            for key in SCENE_METRICS:
-                row[key] = float(row[key])
-            run["scenes"].append(row)
-        elif (m := METRIC_LINE.match(line)) and m["name"] in RUN_METRICS:
-            run[m["name"]] = None if m["value"] == "n/a" else float(m["value"])
-        elif m := GATE_LINE.match(line):
-            run["failed"] = int(m["failed"])
-    return run
 
 
 def parse_seeds(text):
@@ -90,79 +71,258 @@ def parse_seeds(text):
     return sorted(seeds)
 
 
-def parse_sweep_point(text):
-    """The pooled result of one sweep point, read from its ``sweep`` line."""
-    for line in text.splitlines():
-        if m := SWEEP_LINE.match(line):
-            row = m.groupdict()
-            for key in ("value", "acc30", "median_error_mm"):
-                row[key] = float(row[key])
-            for key in ("converged", "solves", "warmup"):
-                row[key] = int(row[key])
-            return row
-    raise ValueError("no sweep line in the output")
+def load_package(root, name):
+    """Import ``root``'s src/unsync3d as the package ``name``."""
+    src = Path(root).resolve() / "src" / "unsync3d"
+    if not (src / "__init__.py").is_file():
+        raise FileNotFoundError(f"no package source under {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, src / "__init__.py", submodule_search_locations=[str(src)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    importlib.import_module(f"{name}.sceneio")  # the package does not import it
+    return module
 
 
-def sweep_point(sweep, value):
-    """Solve one c08 sweep point with the importable unsync3d; its line.
+def solve_scenes(package, scenes, config):
+    """Seconds to solve ``scenes`` back to back, and the solve states."""
+    start = time.perf_counter()
+    states = [package.solve(s.observations, s.frames, config) for s in scenes]
+    return time.perf_counter() - start, states
 
-    The errors of every seed's scene are pooled, as c08 pools them, and the
-    solves' warm-up passes (their ``warmup-N`` flags) are summed.
-    """
+
+def scene_record(package, scene, state, config, workdir):
+    """One solve's result hash, accuracy, warm-up passes and ``converged``,
+    and its (P, F) point errors."""
     import numpy as np
-    from unsync3d.evaluate import evaluate
-    from unsync3d.solver import SolverConfig, solve
-    from unsync3d.synth import CorruptionSpec, RigSpec, generate, procedural_motion
 
-    field, _, seeds, config = SWEEPS[sweep]
-    motion = procedural_motion(16, 48, seed=1)
-    errors, converged, warmup = [], 0, 0
-    for seed in seeds:
-        scene = generate(
-            motion, RigSpec(camera_count=4),
-            CorruptionSpec(seed=seed, **{field: value}),
-        )
-        state = solve(scene.observations, scene.frames, SolverConfig(**config))
-        converged += state.converged
-        warmup += sum(
+    path = Path(workdir) / "result.json"
+    package.sceneio.save_result(path, state, config)
+    report = package.evaluate(
+        state.structure, scene.truth, state.weights, scene.truth_order
+    )
+    errors = report.per_point_errors
+    record = {
+        "result_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "median_error_mm": report.median_error,
+        "acc30": report.accuracy_at[30],
+        "top2": report.top2_neighbor_frequency,
+        "warmup": sum(
             int(flag.removeprefix("warmup-"))
             for flag in state.flags
             if flag.startswith("warmup-")
-        )
-        report = evaluate(state.structure, scene.truth, state.weights,
-                          scene.truth_order)
-        errors.append(report.per_point_errors.ravel())
-    pooled = np.concatenate(errors)
-    return sweep_line(sweep, value, np.mean(pooled < 30.0), np.median(pooled),
-                      converged, len(seeds), warmup)
+        ),
+        "converged": bool(state.converged),
+    }
+    present = scene.observations.present
+    for slots, chosen in (("observed", errors[present]), ("missing", errors[~present])):
+        empty = chosen.size == 0
+        record[f"median_error_mm_{slots}"] = None if empty else float(np.median(chosen))
+        record[f"acc30_{slots}"] = None if empty else float(np.mean(chosen < 30.0))
+    return record, errors
 
 
-def sweep_line(sweep, value, acc30, median_error_mm, converged, solves, warmup):
+def tally(pairs, higher_better):
+    """Wins, losses and ties of head against base, and the median difference."""
+    diffs = [head - base for base, head in pairs if None not in (base, head)]
+    signs = diffs if higher_better else [-d for d in diffs]
     return (
-        f"sweep {sweep} value={value:g} acc30={acc30:.6f} "
-        f"median_error_mm={median_error_mm:.6g} converged={converged} "
-        f"solves={solves} warmup={warmup}"
+        sum(d > 0 for d in signs),
+        sum(d < 0 for d in signs),
+        sum(d == 0 for d in signs),
+        statistics.median(diffs) if diffs else None,
     )
 
 
-def run_sweep_point(checkout, sweep, value):
-    # this file, run in the checkout on its own package, BLAS threads pinned
-    # as perfbench pins them
-    env = os.environ | {"PYTHONPATH": str(checkout / "src")}
-    env |= dict.fromkeys(
-        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"
-    )
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--sweep-point", sweep,
-         str(value)],
-        cwd=checkout, env=env, capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        raise SystemExit(
-            f"panel: {checkout}: sweep {sweep} {value} exited "
-            f"{proc.returncode}\n{proc.stderr}"
+def timing_summary(pairs):
+    """Paired statistics of (base seconds, head seconds) pairs.
+
+    Returns a dict with each side's median and quartiles, the head's wins,
+    losses and ties (a win is a faster head), and the median paired change
+    head / base - 1.
+    """
+    out = {"pairs": len(pairs)}
+    for i, side in enumerate(SIDES):
+        times = [pair[i] for pair in pairs]
+        q1, median, q3 = (
+            statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
         )
-    return parse_sweep_point(proc.stdout)
+        out[side] = {"median": median, "q1": q1, "q3": q3}
+    out["wins"] = sum(head < base for base, head in pairs)
+    out["losses"] = sum(head > base for base, head in pairs)
+    out["ties"] = len(pairs) - out["wins"] - out["losses"]
+    out["median_change"] = statistics.median(
+        head / base - 1.0 for base, head in pairs
+    )
+    return out
+
+
+def run_workload(packages, bench, problems, name, seeds, reps, workdir):
+    """Every (seed, rep) pair of one workload: the scene rows, each seed's
+    pooled run metrics and the timed pairs."""
+    import numpy as np
+
+    workload = bench.WORKLOADS[name]
+    configs = {
+        side: package.SolverConfig(**workload.config)
+        for side, package in packages.items()
+    }
+    scenes = {seed: bench.make_scenes(workload, seed) for seed in seeds}
+    # one untimed solve per side, so the one-time costs of a first solve in
+    # the process fall on no pair
+    for side in SIDES:
+        solve_scenes(packages[side], scenes[seeds[0]][:1], configs[side])
+    rows, runs, pairs = [], [], []
+    for rep in range(reps):
+        for j, seed in enumerate(seeds):
+            order = SIDES if (j + rep) % 2 == 0 else SIDES[::-1]
+            solved = {
+                side: solve_scenes(packages[side], scenes[seed], configs[side])
+                for side in order
+            }
+            pairs.append(
+                {"workload": name, "seed": seed, "rep": rep, "first": order[0]}
+                | {side: solved[side][0] for side in SIDES}
+            )
+            print(
+                f"ran {name} seed {seed} rep {rep} ({order[0]} first): base "
+                f"{solved['base'][0]:.3f} s head {solved['head'][0]:.3f} s",
+                file=sys.stderr,
+            )
+            got = {
+                side: [
+                    scene_record(packages[side], scene, state, configs[side], workdir)
+                    for scene, state in zip(scenes[seed], solved[side][1])
+                ]
+                for side in SIDES
+            }
+            if rep > 0:
+                for row in (r for r in rows if r["seed"] == seed):
+                    for side in SIDES:
+                        digest = got[side][row["scene"]][0]["result_sha256"]
+                        if digest != row[side]["result_sha256"]:
+                            row[side]["problems"].append(
+                                f"rep {rep}: result bytes differ from the first solve"
+                            )
+                continue
+            run = {"workload": name, "seed": seed}
+            for side in SIDES:
+                package, config = packages[side], configs[side]
+                endpoint = []
+                for scene, state, (record, errors) in zip(
+                    scenes[seed], solved[side][1], got[side]
+                ):
+                    allowed = package.support_mask(
+                        package.frame_video_ids(scene.frames),
+                        exclude_same_video=config.same_video_exclusion,
+                    ).allowed
+                    record["problems"] = problems(
+                        state, allowed, record["acc30"], workload.acc30_floor
+                    )
+                    ranks = scene.truth_order
+                    ends = (ranks < bench.ENDPOINT_RANKS) | (
+                        ranks >= ranks.size - bench.ENDPOINT_RANKS
+                    )
+                    endpoint.append(errors[:, ends].ravel())
+                run[side] = {
+                    "endpoint_error_mm": float(np.median(np.concatenate(endpoint))),
+                    "converged_frac": sum(r["converged"] for r, _ in got[side])
+                    / len(got[side]),
+                }
+            runs.append(run)
+            rows += [
+                {"workload": name, "seed": seed, "scene": i}
+                | {side: got[side][i][0] for side in SIDES}
+                for i in range(len(scenes[seed]))
+            ]
+    return rows, runs, pairs
+
+
+def run_sweeps(packages, synth, names, workdir):
+    """c08's sweep points, both sides on the same scenes; each point's
+    pooled acc30, median error, converged solves and summed warm-up passes."""
+    import numpy as np
+
+    motion = synth.procedural_motion(16, 48, seed=1)
+    points = []
+    for k, (sweep, value) in enumerate(
+        (name, v) for name in names for v in SWEEPS[name][1]
+    ):
+        field, _, seeds, fields = SWEEPS[sweep]
+        scenes = [
+            synth.generate(
+                motion, synth.RigSpec(camera_count=4),
+                synth.CorruptionSpec(seed=seed, **{field: value}),
+            )
+            for seed in seeds
+        ]
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        point = {"sweep": sweep, "value": value, "first": order[0]}
+        for side in order:
+            package = packages[side]
+            config = package.SolverConfig(**fields)
+            _, states = solve_scenes(package, scenes, config)
+            records = [
+                scene_record(package, scene, state, config, workdir)
+                for scene, state in zip(scenes, states)
+            ]
+            pooled = np.concatenate([errors.ravel() for _, errors in records])
+            point[side] = {
+                "acc30": float(np.mean(pooled < 30.0)),
+                "median_error_mm": float(np.median(pooled)),
+                "converged": sum(r["converged"] for r, _ in records),
+                "solves": len(records),
+                "warmup": sum(r["warmup"] for r, _ in records),
+            }
+        points.append(point)
+        print(f"ran sweep {sweep} {value:g} ({order[0]} first)", file=sys.stderr)
+    return points
+
+
+def summary(rows, runs, timing):
+    """Printed lines: per workload, equal bytes, each metric's tally and the
+    timing."""
+    out = []
+    for workload in timing:
+        scenes = [r for r in rows if r["workload"] == workload]
+        ran = [r for r in runs if r["workload"] == workload]
+        differ = [
+            r for r in scenes
+            if r["base"]["result_sha256"] != r["head"]["result_sha256"]
+        ]
+        failed = {
+            side: sum(bool(r[side]["problems"]) for r in scenes) for side in SIDES
+        }
+        out.append(
+            f"{workload}: {len(scenes) - len(differ)} of {len(scenes)} scenes "
+            f"with equal result bytes; failed scenes base {failed['base']}, "
+            f"head {failed['head']}"
+        )
+        out += [f"  differs: seed {r['seed']} scene {r['scene']}" for r in differ]
+        for source, metrics in ((scenes, SCENE_METRICS), (ran, RUN_METRICS)):
+            for name, higher in metrics.items():
+                pairs = [(r["base"][name], r["head"][name]) for r in source]
+                wins, losses, ties, median = tally(pairs, higher)
+                shown = "n/a" if median is None else f"{median:+.4g}"
+                out.append(
+                    f"  {name}: {wins} better, {losses} worse, {ties} equal; "
+                    f"median head - base {shown}"
+                )
+        t = timing[workload]
+        out.append(
+            "  solve seconds per pair: "
+            + "; ".join(
+                f"{side} median {t[side]['median']:.3f} (q1 {t[side]['q1']:.3f}, "
+                f"q3 {t[side]['q3']:.3f})"
+                for side in SIDES
+            )
+            + f"; head wins {t['wins']} of {t['pairs']} (losses {t['losses']}, "
+            f"ties {t['ties']}); median paired change "
+            f"{100.0 * t['median_change']:+.1f}%"
+        )
+    return out
 
 
 def sweep_summary(points):
@@ -183,113 +343,59 @@ def sweep_summary(points):
     return out
 
 
-def bench(checkout, workload, seed):
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", "0"],
-        cwd=checkout, capture_output=True, text=True,
-    )
-    # exit 1 means a solve failed the gate: its row still counts
-    if proc.returncode not in (0, 1):
-        raise SystemExit(
-            f"panel: {checkout}: perfbench {workload} seed {seed} exited "
-            f"{proc.returncode}\n{proc.stderr}"
-        )
-    return parse_run(proc.stdout)
-
-
-def tally(pairs, higher_better):
-    """Wins, losses and ties of head against base, and the median difference."""
-    diffs = [head - base for base, head in pairs if None not in (base, head)]
-    signs = diffs if higher_better else [-d for d in diffs]
-    return (
-        sum(d > 0 for d in signs),
-        sum(d < 0 for d in signs),
-        sum(d == 0 for d in signs),
-        statistics.median(diffs) if diffs else None,
-    )
-
-
-def summary(rows, runs):
-    """Printed lines: per workload, equal bytes and each metric's tally."""
-    out = []
-    for workload in dict.fromkeys(r["workload"] for r in runs):
-        scenes = [r for r in rows if r["workload"] == workload]
-        ran = [r for r in runs if r["workload"] == workload]
-        differ = [
-            r for r in scenes
-            if r["base"]["result_sha256"] != r["head"]["result_sha256"]
-        ]
-        failed = {side: sum(r[side]["failed"] or 0 for r in ran) for side in SIDES}
-        out.append(
-            f"{workload}: {len(scenes) - len(differ)} of {len(scenes)} scenes "
-            f"with equal result bytes; failed solves base {failed['base']}, "
-            f"head {failed['head']}"
-        )
-        out += [f"  differs: seed {r['seed']} scene {r['scene']}" for r in differ]
-        for source, metrics in ((scenes, SCENE_METRICS), (ran, RUN_METRICS)):
-            for name, higher in metrics.items():
-                pairs = [(r["base"][name], r["head"][name]) for r in source]
-                wins, losses, ties, median = tally(pairs, higher)
-                shown = "n/a" if median is None else f"{median:+.4g}"
-                out.append(
-                    f"  {name}: {wins} better, {losses} worse, {ties} equal; "
-                    f"median head - base {shown}"
-                )
-    return out
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, type=Path)
     parser.add_argument("--head", required=True, type=Path)
-    parser.add_argument("--workloads", nargs="*", default=list(WORKLOADS))
+    parser.add_argument("--workloads", nargs="*", default=None,
+                        help="default: every perfbench workload")
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"))
     parser.add_argument("--sweeps", nargs="*", choices=list(SWEEPS),
                         default=list(SWEEPS))
+    parser.add_argument("--reps", type=int, default=1)
     parser.add_argument("--out", type=Path, default=Path("ACCURACY.json"))
-    if argv is None:
-        argv = sys.argv[1:]
-    # one sweep point in the checkout the panel started this in
-    if argv[:1] == ["--sweep-point"]:
-        print(sweep_point(argv[1], float(argv[2])))
-        return 0
     args = parser.parse_args(argv)
+    if args.reps < 1 or not args.seeds:
+        parser.error("--reps must be at least 1 and --seeds name a seed")
+    # BLAS threads are pinned before numpy is first imported
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = "1"
     sides = {"base": args.base.resolve(), "head": args.head.resolve()}
-    rows, runs = [], []
-    for k, (workload, seed) in enumerate(
-        (w, s) for w in args.workloads for s in args.seeds
-    ):
-        order = SIDES if k % 2 == 0 else SIDES[::-1]
-        got = {side: bench(sides[side], workload, seed) for side in order}
-        runs.append(
-            {"workload": workload, "seed": seed, "first": order[0]}
-            | {side: {key: got[side][key] for key in (*RUN_METRICS, "failed")}
-               for side in SIDES}
+    sys.path[:0] = [str(sides["head"] / "perfbench"), str(sides["head"] / "src")]
+    import bench
+    import gate
+    from unsync3d import synth
+
+    workloads = list(bench.WORKLOADS) if args.workloads is None else args.workloads
+    unknown = sorted(set(workloads) - set(bench.WORKLOADS))
+    if unknown:
+        parser.error(
+            f"unknown workloads {unknown}; choose from {sorted(bench.WORKLOADS)}"
         )
-        for base, head in zip(got["base"]["scenes"], got["head"]["scenes"]):
-            rows.append(
-                {"workload": workload, "seed": seed, "scene": base["scene"],
-                 "base": base, "head": head}
+    packages = {
+        side: load_package(root, f"panel_{side}") for side, root in sides.items()
+    }
+    rows, runs, timing, timed = [], [], {}, []
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in workloads:
+            got = run_workload(
+                packages, bench, gate.problems, name, args.seeds, args.reps, workdir
             )
-        print(f"ran {workload} seed {seed} ({order[0]} first)", file=sys.stderr)
-    points = []
-    for k, (sweep, value) in enumerate(
-        (name, v) for name in args.sweeps for v in SWEEPS[name][1]
-    ):
-        order = SIDES if k % 2 == 0 else SIDES[::-1]
-        got = {side: run_sweep_point(sides[side], sweep, value) for side in order}
-        points.append({"sweep": sweep, "value": value, "first": order[0]} | got)
-        print(f"ran sweep {sweep} {value:g} ({order[0]} first)", file=sys.stderr)
+            rows += got[0]
+            runs += got[1]
+            timed += got[2]
+            timing[name] = timing_summary([(p["base"], p["head"]) for p in got[2]])
+        points = run_sweeps(packages, synth, args.sweeps, workdir)
     args.out.write_text(
         json.dumps(
             {"base": str(sides["base"]), "head": str(sides["head"]),
-             "rows": rows, "runs": runs, "sweeps": points},
+             "rows": rows, "runs": runs, "pairs": timed, "timing": timing,
+             "sweeps": points},
             indent=1, sort_keys=True,
         )
         + "\n"
     )
-    for line in summary(rows, runs) + sweep_summary(points):
+    for line in summary(rows, runs, timing) + sweep_summary(points):
         print(line)
     return 0
 
