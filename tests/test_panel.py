@@ -29,15 +29,19 @@ def test_seeds_and_paired_tally():
     panel = load_panel()
     assert panel.parse_seeds("1-3,7") == [1, 2, 3, 7]
     assert panel.parse_seeds("5") == [5]
+    # lower is better: one win, one loss, one tie, and a missing pair
+    pairs = [(1.0, 0.5), (1.0, 2.0), (3.0, 3.0), (None, 1.0)]
+    assert panel.tally(pairs, higher_better=False) == (1, 1, 1, 0.0)
+    assert panel.tally(pairs, higher_better=True) == (1, 1, 1, 0.0)
+
+
+def test_seed_ranges_are_the_panels():
+    panel = load_panel()
     assert panel.parse_seeds("21-30") == list(range(21, 31))
     assert panel.parse_seeds("3-4,1,9") == [1, 3, 4, 9]
     # an empty range is refused before anything is loaded
     with pytest.raises(SystemExit):
         panel.main(["--base", ".", "--head", ".", "--seeds", "4-2"])
-    # lower is better: one win, one loss, one tie, and a missing pair
-    pairs = [(1.0, 0.5), (1.0, 2.0), (3.0, 3.0), (None, 1.0)]
-    assert panel.tally(pairs, higher_better=False) == (1, 1, 1, 0.0)
-    assert panel.tally(pairs, higher_better=True) == (1, 1, 1, 0.0)
 
 
 def test_timing_summary_counts_wins_and_the_median_paired_change():
