@@ -24,6 +24,11 @@ Formats (all carry ``format`` and ``version`` fields):
             top2_sum_mean, top2_neighbor_frequency, counters, and
             per_point_errors.
 - analysis: per-point condition/residual diagnostics ("inf" for singular).
+
+Importing this module loads only ``errors``, ``geometry`` and ``evaluate`` of
+the package, not the solver: the config codec imports ``SolverConfig`` when
+it runs, so a process that only reads and writes files never loads the
+solver.
 """
 
 import json
@@ -39,7 +44,6 @@ from .geometry import (
     structure_from_points,
     structure_to_points,
 )
-from .solver import SolverConfig
 
 __all__ = [
     "save_scene",
@@ -216,19 +220,20 @@ def load_truth(path):
     return truth, order, hz, assignment
 
 
-_CONFIG_FIELDS = tuple(SolverConfig.__dataclass_fields__)
-
-
 def _encode_config(config):
     # SolverConfig fields verbatim, with the infinite lambda3 as null
-    doc = {name: getattr(config, name) for name in _CONFIG_FIELDS}
+    from .solver import SolverConfig
+
+    doc = {name: getattr(config, name) for name in SolverConfig.__dataclass_fields__}
     if math.isinf(doc["lambda3"]):
         doc["lambda3"] = None
     return doc
 
 
 def _decode_config(doc, path):
-    unknown = set(doc) - set(_CONFIG_FIELDS)
+    from .solver import SolverConfig
+
+    unknown = set(doc) - set(SolverConfig.__dataclass_fields__)
     if unknown:
         raise InputError(f"unknown config fields in {path}: {sorted(unknown)}")
     kwargs = dict(doc)

@@ -95,7 +95,7 @@ def test_a_checkout_paired_with_itself_ties_everywhere(tmp_path):
         config = package.SolverConfig(outer_max=4)
         _, states = panel.solve_scenes(package, [scene], config)
         records[side], errors = panel.scene_record(
-            package, scene, states[0], config, tmp_path
+            package, scene, states[0], config, tmp_path, endpoint_ranks=2
         )
         assert errors.shape == scene.observations.present.shape
     base, head = records["base"], records["head"]

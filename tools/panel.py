@@ -12,9 +12,10 @@ from the head checkout's ``perfbench/``.  One pair is one workload seed's
 scenes solved by each side, alternating which side goes first; only the
 solves are timed, and ``--reps`` repeats every seed.  Each scene's first
 solve gives its result hash, accuracy (also over observed and over missing
-slots), warm-up passes, ``converged`` and gate failures; a later rep must
-repeat the hash.  Then both sides solve c08's two pooled sweeps on the
-head's scenes, point by point, again alternating.
+slots, and the median over the endpoint frames), warm-up passes,
+``converged``, whether the coupled stage stopped at its cap and gate
+failures; a later rep must repeat the hash.  Then both sides solve c08's
+two pooled sweeps on the head's scenes, point by point, again alternating.
 
 Everything goes to ``--out`` as JSON.  It prints per workload the scenes
 with equal result bytes, each metric's wins, losses and ties of the head
@@ -50,6 +51,8 @@ SCENE_METRICS = {
     "acc30_observed": True,
     "median_error_mm_missing": False,
     "acc30_missing": True,
+    "median_error_mm_endpoint": False,
+    "coupled_at_cap": False,
 }
 RUN_METRICS = {"endpoint_error_mm": False, "converged_frac": True}
 
@@ -82,7 +85,10 @@ def load_package(root, name):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    importlib.import_module(f"{name}.sceneio")  # the package does not import it
+    # the package may load its submodules on first use; load the ones the
+    # panel calls now, so that no import lands inside a timed solve
+    for sub in ("solver", "evaluate", "sceneio"):
+        importlib.import_module(f"{name}.{sub}")
     return module
 
 
@@ -93,9 +99,15 @@ def solve_scenes(package, scenes, config):
     return time.perf_counter() - start, states
 
 
-def scene_record(package, scene, state, config, workdir):
-    """One solve's result hash, accuracy, warm-up passes and ``converged``,
-    and its (P, F) point errors."""
+def endpoint_frames(scene, ranks):
+    """The frames at the first and the last ``ranks`` capture ranks."""
+    order = scene.truth_order
+    return (order < ranks) | (order >= order.size - ranks)
+
+
+def scene_record(package, scene, state, config, workdir, endpoint_ranks):
+    """One solve's result hash, accuracy, warm-up passes, ``converged`` and
+    coupled-stage cap, and its (P, F) point errors."""
     import numpy as np
 
     path = Path(workdir) / "result.json"
@@ -115,7 +127,10 @@ def scene_record(package, scene, state, config, workdir):
             if flag.startswith("warmup-")
         ),
         "converged": bool(state.converged),
+        "coupled_at_cap": "stage0-outer-cap" in state.flags,
     }
+    ends = endpoint_frames(scene, endpoint_ranks)
+    record["median_error_mm_endpoint"] = float(np.median(errors[:, ends]))
     present = scene.observations.present
     for slots, chosen in (("observed", errors[present]), ("missing", errors[~present])):
         empty = chosen.size == 0
@@ -193,7 +208,10 @@ def run_workload(packages, bench, problems, name, seeds, reps, workdir):
             )
             got = {
                 side: [
-                    scene_record(packages[side], scene, state, configs[side], workdir)
+                    scene_record(
+                        packages[side], scene, state, configs[side], workdir,
+                        bench.ENDPOINT_RANKS,
+                    )
                     for scene, state in zip(scenes[seed], solved[side][1])
                 ]
                 for side in SIDES
@@ -221,10 +239,7 @@ def run_workload(packages, bench, problems, name, seeds, reps, workdir):
                     record["problems"] = problems(
                         state, allowed, record["acc30"], workload.acc30_floor
                     )
-                    ranks = scene.truth_order
-                    ends = (ranks < bench.ENDPOINT_RANKS) | (
-                        ranks >= ranks.size - bench.ENDPOINT_RANKS
-                    )
+                    ends = endpoint_frames(scene, bench.ENDPOINT_RANKS)
                     endpoint.append(errors[:, ends].ravel())
                 run[side] = {
                     "endpoint_error_mm": float(np.median(np.concatenate(endpoint))),
@@ -240,7 +255,7 @@ def run_workload(packages, bench, problems, name, seeds, reps, workdir):
     return rows, runs, pairs
 
 
-def run_sweeps(packages, synth, names, workdir):
+def run_sweeps(packages, synth, names, workdir, endpoint_ranks):
     """c08's sweep points, both sides on the same scenes; each point's
     pooled acc30, median error, converged solves and summed warm-up passes."""
     import numpy as np
@@ -265,7 +280,7 @@ def run_sweeps(packages, synth, names, workdir):
             config = package.SolverConfig(**fields)
             _, states = solve_scenes(package, scenes, config)
             records = [
-                scene_record(package, scene, state, config, workdir)
+                scene_record(package, scene, state, config, workdir, endpoint_ranks)
                 for scene, state in zip(scenes, states)
             ]
             pooled = np.concatenate([errors.ravel() for _, errors in records])
@@ -385,7 +400,9 @@ def main(argv=None):
             runs += got[1]
             timed += got[2]
             timing[name] = timing_summary([(p["base"], p["head"]) for p in got[2]])
-        points = run_sweeps(packages, synth, args.sweeps, workdir)
+        points = run_sweeps(
+            packages, synth, args.sweeps, workdir, bench.ENDPOINT_RANKS
+        )
     args.out.write_text(
         json.dumps(
             {"base": str(sides["base"]), "head": str(sides["head"]),
