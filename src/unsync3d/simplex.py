@@ -24,11 +24,10 @@ padded to the largest.  Masked atoms never enter the linear algebra, which
 keeps off-mask zeros exact, and each row only ever reduces along itself,
 in order, so its result has the same bytes however many rows share the
 call.  ``self_express`` (the warm-up's coder) is one run of that engine.
-During a solve's warm-up (``_coding_state``) the solve's mask carries a
-coder state: the mask's row layout, built once, the engine's gradient
-blocks, and the last code, which the next pass takes back as its warm
-start without validating or transposing it again.  The one
-projected-gradient loop, ``_projected_gradient``, solves the proximal
+A solve's warm-up codes with a ``_Coder``, a support mask that keeps the
+mask's row layout, built once, the engine's gradient blocks, and the last
+code, which the next pass takes back as its warm start without validating
+or transposing it again.  The one projected-gradient loop, ``_projected_gradient``, solves the proximal
 W-step of ``solver.admm_w_step``, and is the engine's fallback for a row
 that exhausts its iteration budget.
 
@@ -41,7 +40,6 @@ atoms) gets its least-norm optimum.
 """
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -593,12 +591,12 @@ def self_express(dictionary, mask, warm_start=None):
     column's active set; an invalid warm column (negative, non-finite, not
     summing to 1 over the allowed atoms) starts cold.
 
-    Inside ``_coding_state(mask)`` (a solve's warm-up) the mask carries a
-    coder state: the mask's row layout, built and checked once, and the
-    last code returned.  A warm start that is that code, unmodified, is
-    taken back from the engine's own rows instead of being validated and
-    transposed again, with the bytes validation would give it; any other
-    warm start is validated.  So the state changes no result.
+    A ``_Coder`` mask (a solve's warm-up) keeps the mask's row layout,
+    built and checked once, and the last code returned.  A warm start that
+    is that code, unmodified, is taken back from the engine's own rows
+    instead of being validated and transposed again, with the bytes
+    validation would give it; any other warm start is validated.  So the
+    state changes no result.
 
     Returns the F x F weight matrix.  Raises InputError for a mask that is
     not F x F, a ``warm_start`` of another shape, or a ``dictionary`` that
@@ -619,16 +617,16 @@ def self_express(dictionary, mask, warm_start=None):
     G = _gram(dictionary, "dictionary")
     # the rows of c = -2 G
     C = np.multiply(G.T, -2.0, order="C")
-    # outside a warm-up, a coder state for this call alone
-    coder = getattr(mask, "_coder", None) or _Coder(mask)
+    # any other mask gets a coder state for this call alone
+    coder = mask if isinstance(mask, _Coder) else _Coder(mask)
     W, cold = coder.start(warm_start)
     coder.rows = _code_rows(G, C, coder.rules, W, cold, coder.scratch)
     coder.code = np.ascontiguousarray(coder.rows.T)
     return coder.code
 
 
-class _Coder:
-    """The coder state of a solve's warm-up (``_coding_state``).
+class _Coder(SupportMask):
+    """A support mask with the coder state of a solve's warm-up.
 
     ``rules`` is the mask's row layout (``_rules``); ``code`` is the last
     code ``self_express`` returned and ``rows`` the engine's row-major
@@ -638,6 +636,7 @@ class _Coder:
 
     def __init__(self, mask):
         validate_mask(mask, min_allowed=1)
+        super().__init__(mask.allowed)
         self.rules = _rules(np.ascontiguousarray(mask.allowed.T))
         self.code = self.rows = None
         self.scratch = np.empty((2, *mask.allowed.shape))
@@ -668,17 +667,6 @@ class _Coder:
         values /= _row_sums(values, sizes)[:, None]
         np.put(rows, flat, values[valid])
         return rows, np.zeros(m, dtype=bool)
-
-
-@contextmanager
-def _coding_state(mask):
-    # a coder state on ``mask`` for the calls of self_express in the block
-    # (a solve's warm-up), dropped after it
-    mask._coder = _Coder(mask)
-    try:
-        yield
-    finally:
-        del mask._coder
 
 
 def sparsity_profile(weights, eps):

@@ -39,8 +39,9 @@ S (I + S / lambda3)^-1, whose points the filter then maps off the rays
 (``minimize_structure``).  Its geometry (slot layout, gather and scatter
 indices, observed rays) is planned once per ray field for both modes, and a
 solve builds its video pairs once, so each pass only gathers the new
-coupling, solves and scatters.  One loop alternates them in every phase.
-The coupled stage runs once, at the small ``FINAL_LAMBDA2`` (or lambda2, if
+coupling, solves and scatters.  The warm-up and the coupled stage are
+two plain loops of these steps (``_warm_up``, ``_coupled_stage``).  The
+coupled stage runs once, at the small ``FINAL_LAMBDA2`` (or lambda2, if
 lower): a trace of the smoothness prior steadies frames with missing data
 without biasing the observed ones much.
 """
@@ -66,7 +67,7 @@ from .geometry import (
 # minimize_on_simplex has no caller here; it stays a module global because
 # the benchmark's tracer wraps solver.minimize_on_simplex by name
 from .simplex import (
-    _coding_state,
+    _Coder,
     _gram,
     _projected_gradient,
     _solve_stack,
@@ -105,7 +106,7 @@ FINAL_LAMBDA2 = 1e-4
 # this much, relative, in a pass
 _OUTER_REL_TOL = 1e-6
 
-# the warm-up's extrapolation step beta (``_alternate``): its start, its
+# the warm-up's extrapolation step beta (``_warm_up``): its start, its
 # growth per kept extrapolated pass and its cap; a discarded pass halves it.
 # Extrapolating an alternating least-squares iterate under a monotone
 # safeguard follows Rajih, Comon & Harshman, "Enhanced line search", SIAM
@@ -834,12 +835,6 @@ def _fill_missing(structure, present, frames):
     return X
 
 
-def _code_step(state, cfg, mask, at):
-    # warm-up W-step: the exact coder at the structure ``at``, warm started
-    # from the last code
-    state.weights = self_express(at, mask, warm_start=state.weights)
-
-
 def _support_changes(before, after):
     # the number of columns whose support differs; all of them without a
     # code before
@@ -848,61 +843,57 @@ def _support_changes(before, after):
     return int(((before > 0.0) != (after > 0.0)).any(axis=0).sum())
 
 
-def _alternate(
-    state, cfg, problem, w_step, stop_term=None, code_first=False, anchor=None
-):
-    """Alternate exact X-steps with ``w_step`` on ``state``; (passes, settled).
+def _settled(prev, cur):
+    return abs(prev - cur) <= _OUTER_REL_TOL * abs(cur)
 
-    A pass runs ``w_step`` before the X-step when ``code_first``, else after
-    it.  The loop settles once |prev - cur| <= _OUTER_REL_TOL |cur| between
-    kept passes for the objective term ``stop_term``, or for the total if
-    None (then traced at entry and after every half-step), else stops at
-    ``outer_max`` passes.  The objective is Phi about ``anchor`` when given.
 
-    With ``code_first`` (the warm-up) ``w_step(state, cfg, mask, at)``
-    codes at the structure ``at``.  That is X, until, on hard rays, a kept
-    pass changes the support of at most one column; the next pass then
-    codes at the extrapolated X + beta (X - X_prev), X_prev the structure
-    the kept pass started from (both iterates, and so the extrapolated
-    points, lie on the rays).  The X-step depends only on the code, so
-    only the coder's input moves.  An extrapolated pass is kept only if the
-    stop quantity did not rise: then beta grows by ``_BETA_GROWTH`` up to
-    ``_BETA_MAX``.  Otherwise the pass is discarded, leaving the state of
-    the last kept pass, beta halves, and the loop codes at X until the
-    supports hold again.  A discarded pass counts against ``outer_max``.
-    Soft rays never extrapolate: their X-step also weighs the ray term, so
-    the stop quantity can rise in a plain pass and its test is no descent
-    test there.
+def _warm_up(state, config, problem):
+    """The decoupled warm-up on ``state``; returns whether it settled.
+
+    The depth initialization spreads the coded weights, and the coupled
+    loop keeps that spread as a fixed point; the warm-up contracts both
+    blocks toward the self-expressive solution instead.  At lambda2 = 0, a
+    pass codes exactly (``self_express``, warm started from the last code)
+    at the structure ``at``, then refits X.  ``at`` is X, until, on hard
+    rays, a kept pass changes the support of at most one column; the next
+    pass then codes at the extrapolated X + beta (X - X_prev), X_prev the
+    structure the kept pass started from (both iterates, and so the
+    extrapolated points, lie on the rays).  The X-step depends only on the
+    code, so only the coder's input moves.  An extrapolated pass is kept
+    only if the self-expression term did not rise: then beta grows by
+    ``_BETA_GROWTH`` up to ``_BETA_MAX``.  Otherwise the pass is
+    discarded, leaving the state of the last kept pass, beta halves, and
+    the loop codes at X until the supports hold again.  Soft rays never
+    extrapolate: their X-step also weighs the ray term, so the
+    self-expression term can rise in a plain pass and its test is no
+    descent test there.
+
+    The loop settles once the self-expression term changes by at most
+    ``_OUTER_REL_TOL`` (relative) between kept passes, else stops at
+    ``outer_max`` passes, discarded ones included; ``warmup-N`` records
+    the passes.  It codes with a ``simplex._Coder`` on the solve's mask,
+    which takes the last code back as the next warm start and changes no
+    byte of a code; it is dropped on return, before the coupled stage,
+    whose W-step holds the solve's memory peak.
     """
     rays, frames, mask = problem
-
-    def measure():
-        total, terms = objective(
-            state.structure, state.weights, cfg, frames, rays, anchor
-        )
-        if stop_term:
-            return terms[stop_term]
-        state.objective_trace.append(total)
-        return total
-
-    prev = math.inf if code_first else measure()
-    extrapolate = code_first and cfg.lambda3 == math.inf
+    cfg = replace(config, lambda2=0.0)
+    coder = _Coder(mask)
+    extrapolate = cfg.lambda3 == math.inf
+    prev, settled = math.inf, False
     beta, start, hold = _BETA0, None, False
     for passes in range(1, cfg.outer_max + 1):
         probe = extrapolate and hold
-        if code_first:
-            kept = (state.structure, state.depths, state.weights, len(state.flags))
-            at = state.structure
-            if probe:
-                at = at + beta * (at - start)
-            w_step(state, cfg, mask, at)
+        kept = (state.structure, state.depths, state.weights, len(state.flags))
+        at = state.structure
+        if probe:
+            at = at + beta * (at - start)
+        state.weights = self_express(at, coder, warm_start=state.weights)
         state.structure, state.depths, state.flags = x_step(
             state.structure, state.weights, cfg, rays, frames, state.flags
         )
-        if not code_first:
-            measure()
-            w_step(state, cfg, mask)
-        cur = measure()
+        _, terms = objective(state.structure, state.weights, cfg, frames, rays)
+        cur = terms["self_expression"]
         if probe and cur > prev:
             state.structure, state.depths, state.weights = kept[:3]
             del state.flags[kept[3] :]
@@ -913,50 +904,67 @@ def _alternate(
             start = kept[0]
             if probe:
                 beta = min(_BETA_GROWTH * beta, _BETA_MAX)
-        if abs(prev - cur) <= _OUTER_REL_TOL * abs(cur):
-            return passes, True
+        settled = _settled(prev, cur)
+        if settled:
+            break
         prev = cur
-    return cfg.outer_max, False
+    state.flags.append(f"warmup-{passes}")
+    return settled
 
 
-def _coupled_stage(state, cfg, problem, anchor):
-    # block coordinate descent on Phi: X-step, then the exact W-step about
-    # the anchor W0, started at it.  Its cap flag keeps the name stage0,
-    # which perfbench's solver.stop_reason.stage0 counts
-    def w_step(state, cfg, mask):
+def _coupled_stage(state, config, problem):
+    """The coupled stage on ``state``; returns whether it settled.
+
+    Block coordinate descent on Phi = f + (rho/2) ||W - W0||^2, W0 the
+    warm-up's last code (``state.weights`` on entry), at lambda2 =
+    min(lambda2, ``FINAL_LAMBDA2``), or at lambda2 itself without
+    ``second_stage``.  A pass is an exact X-step, then the exact W-step
+    about W0, started at it (``admm_w_step``); the trace records Phi at
+    entry and after every half-step.  The loop settles once Phi changes by
+    at most ``_OUTER_REL_TOL`` (relative) in a pass, else stops at
+    ``outer_max`` passes and flags ``stage0-outer-cap`` (the name
+    perfbench's solver.stop_reason.stage0 counts).
+    """
+    rays, frames, mask = problem
+    cfg = config
+    if config.second_stage:
+        cfg = replace(config, lambda2=min(config.lambda2, FINAL_LAMBDA2))
+    # no step changes a weight matrix in place
+    anchor = state.weights
+
+    def measure():
+        total, _ = objective(
+            state.structure, state.weights, cfg, frames, rays, anchor
+        )
+        state.objective_trace.append(total)
+        return total
+
+    prev, settled = measure(), False
+    for passes in range(1, cfg.outer_max + 1):
+        state.structure, state.depths, state.flags = x_step(
+            state.structure, state.weights, cfg, rays, frames, state.flags
+        )
+        measure()
         state.weights, _, _, info = admm_w_step(state.structure, mask, cfg, anchor)
         state.admm_iterations += info["iterations"]
-
-    state.outer_iterations, state.converged = _alternate(
-        state, cfg, problem, w_step, anchor=anchor
-    )
-    if not state.converged:
+        cur = measure()
+        settled = _settled(prev, cur)
+        if settled:
+            break
+        prev = cur
+    state.outer_iterations = passes
+    if not settled:
         state.flags.append("stage0-outer-cap")
+    return settled
 
 
 def solve(obs, frames, config=None):
     """Reconstruct structure and weights from unsynchronized observations.
 
-    After depth initialization one alternation loop runs every phase on one
-    ``SolveState``: the decoupled warm-up (exact coding, then a penalty-free
-    X refit, stopping on the self-expression term; on hard rays, once a
-    pass changes the support of at most one column, the next codes at the
-    extrapolated structure X + beta (X - X_prev) and is kept only if that
-    term did not rise, see ``_alternate``), then the coupled stage,
-    block coordinate descent on Phi = f + (rho/2) ||W - W0||^2 with W0 the
-    warm-up's last code (exact X-step, then the exact W-step about W0,
-    stopping on Phi, which the trace records).  Each loop stops once its
-    stop quantity changes by at most ``_OUTER_REL_TOL`` (relative) in a
-    pass, or at ``outer_max`` passes.  The coupled stage runs once, at
-    lambda2 = min(lambda2, ``FINAL_LAMBDA2``) with ``second_stage`` (the
-    default) and at lambda2 itself without it.  ``flags`` records
-    ``warmup-N`` (discarded extrapolated passes included) and
-    ``stage0-outer-cap``, the mark of a coupled stage that did not settle.
-    For the warm-up only, the mask carries the coder's state
-    (``simplex._coding_state``): its row layout, built once, and the last
-    code, taken back as the next warm start.  It changes no byte of a
-    code, and it is dropped before the coupled stage, whose W-step holds
-    the solve's memory peak.
+    After depth initialization two loops run on one ``SolveState``: the
+    decoupled warm-up (``_warm_up``), then the coupled stage about the
+    warm-up's last code (``_coupled_stage``); their docstrings give each
+    loop's steps, stop rule and flag.
     The solve works on the frames relabelled in (video_id, frame_in_video)
     order, and maps structure, depths, weights and frame flags back to the
     input's global indices: no labelling or list order of the frames, down
@@ -1015,20 +1023,8 @@ def solve(obs, frames, config=None):
     state = SolveState(structure, depths, flags=flags, scale_factor=factor)
     problem = (rays, scaled_frames, mask)
 
-    # The depth initialization spreads the coded weights, and the coupled
-    # loop keeps that spread as a fixed point; the decoupled warm-up
-    # contracts both blocks toward the self-expressive solution instead.
-    flat_cfg = replace(config, lambda2=0.0)
-    with _coding_state(mask):
-        passes, _ = _alternate(
-            state, flat_cfg, problem, _code_step, "self_expression", code_first=True
-        )
-    state.flags.append(f"warmup-{passes}")
-    # W0, the anchor: no step changes a weight matrix in place
-    anchor = state.weights
-    if config.second_stage:
-        config = replace(config, lambda2=min(config.lambda2, FINAL_LAMBDA2))
-    _coupled_stage(state, config, problem, anchor)
+    _warm_up(state, config, problem)
+    state.converged = _coupled_stage(state, config, problem)
     back = np.argsort(order)
     state.structure = state.structure[:, back] / factor
     state.depths = state.depths[:, back] / factor

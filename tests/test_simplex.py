@@ -766,25 +766,22 @@ def test_self_express_takes_back_its_own_last_code_with_the_same_bytes():
     for X in steps:
         warm = self_express(X, mask, warm_start=warm)
         plain.append(warm)
-    with simplex._coding_state(mask):
-        coder = mask._coder
-        warm = None
-        for X in steps:
-            warm = self_express(X, mask, warm_start=warm)
-            assert coder.code is warm
-            kept.append(warm)
-        # rows whose in-order sums miss 1 by an ulp, as a code may: taking
-        # them back divides them as validation would
-        rows = np.zeros(mask.allowed.T.shape)
-        for f in range(rows.shape[0]):
-            rows[f, np.flatnonzero(mask.allowed[:, f])[:10]] = 0.1
-        assert (np.cumsum(rows, axis=1)[:, -1] != 1.0).all()
-        coder.rows, coder.code = rows, np.ascontiguousarray(rows.T)
-        expected = simplex._start_rows(coder.code, coder.rules[0])
-        W, cold = coder.start(coder.code)
-        assert W.tobytes() == expected[0].tobytes() and not cold.any()
-    # the state lives only inside the block
-    assert not hasattr(mask, "_coder")
+    coder = simplex._Coder(mask)
+    warm = None
+    for X in steps:
+        warm = self_express(X, coder, warm_start=warm)
+        assert coder.code is warm
+        kept.append(warm)
+    # rows whose in-order sums miss 1 by an ulp, as a code may: taking
+    # them back divides them as validation would
+    rows = np.zeros(mask.allowed.T.shape)
+    for f in range(rows.shape[0]):
+        rows[f, np.flatnonzero(mask.allowed[:, f])[:10]] = 0.1
+    assert (np.cumsum(rows, axis=1)[:, -1] != 1.0).all()
+    coder.rows, coder.code = rows, np.ascontiguousarray(rows.T)
+    expected = simplex._start_rows(coder.code, coder.rules[0])
+    W, cold = coder.start(coder.code)
+    assert W.tobytes() == expected[0].tobytes() and not cold.any()
     for a, b in zip(plain, kept):
         assert a.tobytes() == b.tobytes()
         assert a.flags.c_contiguous and b.flags.c_contiguous
@@ -801,24 +798,29 @@ def test_self_express_validates_an_edited_or_foreign_warm_start(monkeypatch):
         return start_rows(w0, A)
 
     monkeypatch.setattr(simplex, "_start_rows", counting)
-    with simplex._coding_state(mask):
-        first = self_express(steps[0], mask)
-        again = self_express(steps[1], mask, warm_start=first)
-        assert validated == [None]
-        # edited in place after the coder returned it: a column made invalid
-        # (it must start cold) and a zero entry flipped to -0.0
-        edited = self_express(steps[2], mask, warm_start=again)
-        f = 3
-        edited[:, f] = 0.0
-        edited[np.flatnonzero(mask.allowed[:, f])[0], f] = 2.0
-        zero = np.argwhere((edited == 0.0) & mask.allowed)[0]
-        edited[tuple(zero)] = -0.0
-        reference = edited.copy()
-        out = self_express(steps[3], mask, warm_start=edited)
-        assert validated[-1] is edited
-        # a copy of the last code is not the code itself
-        copied = self_express(steps[4], mask, warm_start=out.copy())
-        assert validated[-1] is not out and np.array_equal(validated[-1], out)
+    coder = simplex._Coder(mask)
+    first = self_express(steps[0], coder)
+    again = self_express(steps[1], coder, warm_start=first)
+    assert validated == [None]
+    # edited in place after the coder returned it: a column made invalid
+    # (it must start cold) and a zero entry flipped to -0.0
+    edited = self_express(steps[2], coder, warm_start=again)
+    f = 3
+    edited[:, f] = 0.0
+    edited[np.flatnonzero(mask.allowed[:, f])[0], f] = 2.0
+    zero = np.argwhere((edited == 0.0) & mask.allowed)[0]
+    edited[tuple(zero)] = -0.0
+    reference = edited.copy()
+    out = self_express(steps[3], coder, warm_start=edited)
+    assert validated[-1] is edited
+    # a copy of the last code is not the code itself
+    copied = self_express(steps[4], coder, warm_start=out.copy())
+    assert validated[-1] is not out and np.array_equal(validated[-1], out)
+    # nor is a code of another coder state, or of a plain mask's call
+    foreign = self_express(steps[4], simplex._Coder(mask), warm_start=out)
+    assert validated[-1] is out
+    self_express(steps[4], mask, warm_start=foreign)
+    assert validated[-1] is foreign
     monkeypatch.undo()
     assert out.tobytes() == self_express(steps[3], mask, warm_start=reference).tobytes()
     assert copied.tobytes() == self_express(steps[4], mask, warm_start=out).tobytes()
