@@ -27,9 +27,10 @@ call.  ``self_express`` (the warm-up's coder) is one run of that engine.
 A solve's warm-up codes with a ``_Coder``, a support mask that keeps the
 mask's row layout, built once, the engine's gradient blocks, and the last
 code, which the next pass takes back as its warm start without validating
-or transposing it again.  The one projected-gradient loop, ``_projected_gradient``, solves the proximal
-W-step of ``solver.admm_w_step``, and is the engine's fallback for a row
-that exhausts its iteration budget.
+or transposing it again.  The one projected-gradient loop,
+``_projected_gradient``, solves the proximal W-step of
+``solver.admm_w_step``, and is the engine's fallback for a row that
+exhausts its iteration budget.
 
 Every stack of small linear systems in the package goes through one
 guarded solve, ``_solve_stack``: these KKT faces, and the structure step's

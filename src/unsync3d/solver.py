@@ -173,10 +173,13 @@ class SolverConfig:
 
 @dataclass
 class SolveState:
-    """Result of a solver run, and the state its alternation loop works on.
+    """Result of a solver run, and the state its two loops work on.
 
     ``admm_iterations`` counts the projected-gradient steps of every coupled
-    W-step; the name is the result files' key.
+    W-step; the name is the result files' key.  ``converged`` is True only
+    when the warm-up, the coupled stage and every coupled W-step settled
+    before their caps; a warm-up at its cap leaves it False although no
+    flag but ``warmup-N`` (N = ``outer_max``) marks it.
     """
 
     structure: np.ndarray
@@ -539,7 +542,9 @@ def x_step(structure, weights, config, rays, frames, flags=None):
 
     Returns (structure, depths, flags).  Minimizes the objective over the
     free structure variables; the resulting objective never exceeds the
-    previous one.
+    previous one.  ``structure``, the current iterate, does not enter the
+    update, which depends only on the weights, the config, the rays and
+    the frames; callers such as c03's stationarity check pass it anyway.
     """
     if flags is None:
         flags = []
@@ -843,10 +848,6 @@ def _support_changes(before, after):
     return int(((before > 0.0) != (after > 0.0)).any(axis=0).sum())
 
 
-def _settled(prev, cur):
-    return abs(prev - cur) <= _OUTER_REL_TOL * abs(cur)
-
-
 def _warm_up(state, config, problem):
     """The decoupled warm-up on ``state``; returns whether it settled.
 
@@ -904,7 +905,7 @@ def _warm_up(state, config, problem):
             start = kept[0]
             if probe:
                 beta = min(_BETA_GROWTH * beta, _BETA_MAX)
-        settled = _settled(prev, cur)
+        settled = abs(prev - cur) <= _OUTER_REL_TOL * abs(cur)
         if settled:
             break
         prev = cur
@@ -923,7 +924,8 @@ def _coupled_stage(state, config, problem):
     entry and after every half-step.  The loop settles once Phi changes by
     at most ``_OUTER_REL_TOL`` (relative) in a pass, else stops at
     ``outer_max`` passes and flags ``stage0-outer-cap`` (the name
-    perfbench's solver.stop_reason.stage0 counts).
+    perfbench's solver.stop_reason.stage0 counts).  It settled when the
+    loop settled and so did every W-step's projected-gradient loop.
     """
     rays, frames, mask = problem
     cfg = config
@@ -939,7 +941,7 @@ def _coupled_stage(state, config, problem):
         state.objective_trace.append(total)
         return total
 
-    prev, settled = measure(), False
+    prev, settled, w_settled = measure(), False, True
     for passes in range(1, cfg.outer_max + 1):
         state.structure, state.depths, state.flags = x_step(
             state.structure, state.weights, cfg, rays, frames, state.flags
@@ -947,15 +949,16 @@ def _coupled_stage(state, config, problem):
         measure()
         state.weights, _, _, info = admm_w_step(state.structure, mask, cfg, anchor)
         state.admm_iterations += info["iterations"]
+        w_settled &= info["converged"]
         cur = measure()
-        settled = _settled(prev, cur)
+        settled = abs(prev - cur) <= _OUTER_REL_TOL * abs(cur)
         if settled:
             break
         prev = cur
     state.outer_iterations = passes
     if not settled:
         state.flags.append("stage0-outer-cap")
-    return settled
+    return settled and w_settled
 
 
 def solve(obs, frames, config=None):
@@ -965,6 +968,7 @@ def solve(obs, frames, config=None):
     decoupled warm-up (``_warm_up``), then the coupled stage about the
     warm-up's last code (``_coupled_stage``); their docstrings give each
     loop's steps, stop rule and flag.
+
     The solve works on the frames relabelled in (video_id, frame_in_video)
     order, and maps structure, depths, weights and frame flags back to the
     input's global indices: no labelling or list order of the frames, down
@@ -1023,8 +1027,8 @@ def solve(obs, frames, config=None):
     state = SolveState(structure, depths, flags=flags, scale_factor=factor)
     problem = (rays, scaled_frames, mask)
 
-    _warm_up(state, config, problem)
-    state.converged = _coupled_stage(state, config, problem)
+    warmed = _warm_up(state, config, problem)
+    state.converged = _coupled_stage(state, config, problem) and warmed
     back = np.argsort(order)
     state.structure = state.structure[:, back] / factor
     state.depths = state.depths[:, back] / factor

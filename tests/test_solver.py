@@ -1143,20 +1143,27 @@ def test_solve_loop_calls_and_flags(monkeypatch):
 
 
 def test_solve_trace_monotone_and_flags(monkeypatch):
-    # the trace records Phi, which no block step raises; every coupled
-    # W-step runs at min(lambda2, FINAL_LAMBDA2), so a lambda2 below the
-    # final one is never raised, and at lambda2 itself without second_stage
+    # the trace records Phi, which no block step raises; every warm-up
+    # X-step runs at lambda2 = 0, and every coupled X-step and W-step at
+    # min(lambda2, FINAL_LAMBDA2), so a lambda2 below the final one is never
+    # raised, and at lambda2 itself without second_stage
     scene = make_scene(points=3, samples=24, cameras=3, seed=17)
-    lambda2s = []
-    w_step = solver.admm_w_step
+    lambda2s, x_lambda2s = [], []
+    w_step, step = solver.admm_w_step, solver.x_step
 
     def recorded(structure, mask, config, weights=None):
         lambda2s.append(config.lambda2)
         return w_step(structure, mask, config, weights)
 
+    def x_recorded(structure, weights, config, *args):
+        x_lambda2s.append(config.lambda2)
+        return step(structure, weights, config, *args)
+
     monkeypatch.setattr(solver, "admm_w_step", recorded)
+    monkeypatch.setattr(solver, "x_step", x_recorded)
     for lambda2, second_stage in ((0.1, True), (1e-5, True), (0.1, False)):
         lambda2s.clear()
+        x_lambda2s.clear()
         cfg = SolverConfig(
             outer_max=30, lambda2=lambda2, second_stage=second_stage
         )
@@ -1167,7 +1174,14 @@ def test_solve_trace_monotone_and_flags(monkeypatch):
         final = min(lambda2, solver.FINAL_LAMBDA2) if second_stage else lambda2
         assert len(lambda2s) == state.outer_iterations
         assert set(lambda2s) == {final}
-        assert any(flag.startswith("warmup-") for flag in state.flags)
+        (passes,) = [
+            int(flag.removeprefix("warmup-"))
+            for flag in state.flags
+            if flag.startswith("warmup-")
+        ]
+        assert len(x_lambda2s) == passes + state.outer_iterations
+        assert set(x_lambda2s[:passes]) == {0.0}
+        assert set(x_lambda2s[passes:]) == {final}
         assert state.outer_iterations >= 1
         assert state.weights.shape == (24, 24)
         assert np.allclose(state.weights.sum(axis=0), 1.0, atol=1e-8)
@@ -1331,6 +1345,34 @@ def test_warm_up_codes_equal_the_stateless_coder(monkeypatch):
     fresh = support_mask(ids)
     for at, warm, code in codes:
         assert self_express(at, fresh, warm_start=warm).tobytes() == code.tobytes()
+
+
+def test_converged_needs_every_loop_and_w_step_settled(monkeypatch):
+    # a warm-up stopped at its cap leaves converged False, though the
+    # coupled stage settles (in 3 passes) and no cap flag is added
+    state = solve(MISSING.observations, MISSING.frames, SolverConfig(outer_max=5))
+    assert [f for f in state.flags if not f.startswith("ridge:")] == ["warmup-5"]
+    assert state.outer_iterations == 3
+    assert not state.converged
+    # with every loop settled, one W-step stopped at its cap does too
+    scene = make_scene(points=3, samples=12, cameras=3, seed=20)
+    settled = solve(scene.observations, scene.frames)
+    assert settled.converged
+    w_step = solver.admm_w_step
+
+    def capped_last(structure, mask, config, weights=None):
+        out = w_step(structure, mask, config, weights)
+        calls.append(out[3]["converged"])
+        if len(calls) == settled.outer_iterations:
+            out[3]["converged"] = False
+        return out
+
+    calls = []
+    monkeypatch.setattr(solver, "admm_w_step", capped_last)
+    state = solve(scene.observations, scene.frames)
+    assert all(calls) and len(calls) == settled.outer_iterations
+    assert state.flags == settled.flags and not state.converged
+    assert state.weights.tobytes() == settled.weights.tobytes()
 
 
 def test_no_coder_state_outlives_the_warm_up(monkeypatch):
