@@ -25,12 +25,13 @@ keeps off-mask zeros exact, and each row only ever reduces along itself,
 in order, so its result has the same bytes however many rows share the
 call.  ``self_express`` (the warm-up's coder) is one run of that engine.
 A solve's warm-up codes with a ``_Coder``, a support mask that keeps the
-mask's row layout, built once, the engine's gradient blocks, and the last
-code, which the next pass takes back as its warm start without validating
-or transposing it again.  The one projected-gradient loop,
-``_projected_gradient``, solves the proximal W-step of
-``solver.admm_w_step``, and is the engine's fallback for a row that
-exhausts its iteration budget.
+mask's row layout, built once, and the last code, which the next pass
+takes back as its warm start without validating or transposing it again.
+The one projected-gradient loop, ``_projected_gradient``, solves the
+proximal W-step of ``solver.admm_w_step``, and is the engine's fallback
+for a row that exhausts its iteration budget.  Sorted projections, cold
+starts and in-order row sums work ``_BLOCK`` columns or rows at a time, so
+their temporaries stay small beside the F x F arrays.
 
 Every stack of small linear systems in the package goes through one
 guarded solve, ``_solve_stack``: these KKT faces, and the structure step's
@@ -102,14 +103,30 @@ def validate_mask(mask, min_allowed=1):
         )
 
 
+# columns one sorted projection, and rows one cold start or in-order row
+# sum, work at a time: their temporaries stay this many columns or rows
+_BLOCK = 16
+
+
 def project_to_masked_simplex(V, allowed):
     """Column-wise Euclidean projection onto the masked probability simplex.
 
     Sort based (Duchi et al. 2008).  Forbidden entries are sunk below any
     reachable threshold so the sorted prefix never selects them, and they
-    come out exactly 0.
+    come out exactly 0.  The columns are worked ``_BLOCK`` at a time, each
+    independently, so the sort's temporaries stay F x ``_BLOCK``.
     """
     V = np.asarray(V, dtype=float)
+    allowed = np.asarray(allowed)
+    W = np.empty_like(V)
+    for lo in range(0, V.shape[1], _BLOCK):
+        cols = slice(lo, lo + _BLOCK)
+        W[:, cols] = _project_block(V[:, cols], allowed[:, cols])
+    return W
+
+
+def _project_block(V, allowed):
+    # project_to_masked_simplex on a few columns
     sunk = np.where(allowed, V, -1e30)
     U = np.sort(sunk, axis=0)[::-1]
     css = np.cumsum(U, axis=0) - 1.0
@@ -132,11 +149,12 @@ def _project_near(V, allowed, support, count):
     A column whose threshold theta = (sum of V over its support - 1) / |support|
     is exceeded by V on exactly its support, among its allowed atoms,
     projects to max(V - theta, 0) on that support, with no sort.  The other
-    columns go through ``project_to_masked_simplex`` (a projection onto the
-    simplex ignores a shift of its input by a constant).  Entries off the
-    support come out +0.0.  ``support`` and ``count`` (its column sums as
-    floats) are updated in place to the supports of the result, so a loop
-    can pass them on to its next projection.
+    columns go through ``project_to_masked_simplex``, ``_BLOCK`` at a time
+    (a projection onto the simplex ignores a shift of its input by a
+    constant).  Entries off the support come out +0.0.  ``support`` and
+    ``count`` (its column sums as floats) are updated in place to the
+    supports of the result, so a loop can pass them on to its next
+    projection.
     """
     # einsum costs less than a masked np.sum(where=) and, unlike
     # multiply-and-sum, allocates no F x F temporary; it adds the same terms
@@ -148,20 +166,25 @@ def _project_near(V, allowed, support, count):
     above = V > 0.0
     above &= allowed
     above ^= support
-    missed = None
     # one test over all entries first: most calls miss no column
     if above.any() or not count.all():
         missed = above.any(axis=0)
         missed |= count == 0
-        fixed = project_to_masked_simplex(V[:, missed], allowed[:, missed])
+        del above
+        # the missed columns are sorted a block at a time, straight into V
+        # and their supports; the multiply below keeps them, as they are
+        # +0.0 off their new supports
+        missed = np.flatnonzero(missed)
+        for lo in range(0, missed.size, _BLOCK):
+            cols = missed[lo : lo + _BLOCK]
+            fixed = project_to_masked_simplex(V[:, cols], allowed[:, cols])
+            V[:, cols] = fixed
+            support[:, cols] = on = fixed > 0.0
+            count[cols] = on.sum(axis=0)
     # zero the rest by a multiply, four times cheaper than a masked write;
     # adding +0.0 turns the -0.0 of negative entries into +0.0
     V *= support
     V += 0.0
-    if missed is not None:
-        V[:, missed] = fixed
-        support[:, missed] = fixed > 0.0
-        count[missed] = support[:, missed].sum(axis=0)
     return V
 
 
@@ -177,9 +200,11 @@ def _projected_gradient(step_map, W, const, allowed, L):
     (``_project_near``), so only the columns whose support changed are
     sorted.  Stops once no entry moves by more than 1e-13, or after
     ``_PG_STEPS`` steps.  Returns (the last projected iterate, the steps
-    taken, whether it stopped before the cap).  Overwrites W.
+    taken, whether it stopped before the cap).  Overwrites W and const,
+    which becomes the step's shift const / L.
     """
-    shift = const / L
+    shift = const
+    shift /= L
     support = W > 0.0
     count = support.sum(axis=0).astype(float)
     V = np.empty_like(W)
@@ -345,26 +370,32 @@ def _start_rows(w0, A):
     W[cold] = 0.0
     np.clip(W, 0.0, None, out=W)
     # a sequential sum, unlike numpy's pairwise one, does not depend on
-    # where a row's zeros sit, so a gathered block gives the same bytes
-    total = np.cumsum(W, axis=1)[:, -1]
+    # where a row's zeros sit, so a gathered block gives the same bytes; it
+    # runs a block of rows at a time, as its running sums fill a block
+    total = np.empty(W.shape[0])
+    for lo in range(0, W.shape[0], _BLOCK):
+        total[lo : lo + _BLOCK] = np.cumsum(W[lo : lo + _BLOCK], axis=1)[:, -1]
     total[cold] = 1.0
     W /= total[:, None]
     return W, cold
 
 
-def _code_rows(H, C, rules, W, cold, scratch=None):
-    # the active-set engine on the rows of C, started at W (overwritten and
-    # returned); cold rows start at their best vertex.  Every array is
-    # row-major, so each row's float reductions run along one contiguous row
-    # in order, and a row's bytes do not depend on the other rows.
-    # ``scratch``, two blocks shaped like C, holds the gradient of a round
+def _code_rows(H, C, rules, W, cold, scale=1.0):
+    # the active-set engine on the problems whose linear terms are the rows
+    # of C times ``scale``, started at W (overwritten and returned); cold
+    # rows start at their best vertex, a block of rows at a time.  Every
+    # array is row-major, so each row's float reductions run along one
+    # contiguous row in order, and a row's bytes do not depend on the other
+    # rows.  ``scratch``, two blocks shaped like C, holds the gradient of a
+    # round for the length of the call
     A, counts, budget = rules
     m, n = C.shape
-    if scratch is None:
-        scratch = np.empty((2, m, n))
-    if cold.any():
-        score = np.where(A[cold], np.diagonal(H) + C[cold], np.inf)
-        W[np.flatnonzero(cold), np.argmin(score, axis=1)] = 1.0
+    scratch = np.empty((2, m, n))
+    cold = np.flatnonzero(cold)
+    for lo in range(0, cold.size, _BLOCK):
+        rows = cold[lo : lo + _BLOCK]
+        score = np.where(A[rows], np.diagonal(H) + scale * C[rows], np.inf)
+        W[rows, np.argmin(score, axis=1)] = 1.0
     done = counts == 1
     W[done] = A[done]
     support = W > 0.0
@@ -395,7 +426,7 @@ def _code_rows(H, C, rules, W, cold, scratch=None):
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             block = atoms[lo:hi, : sizes[lo]]
             face[lo:hi, : sizes[lo]] = _face_optima(
-                H, block, C[rows[lo:hi, None], block]
+                H, block, scale * C[rows[lo:hi, None], block]
             )
         bad = ~np.isfinite(face).all(axis=1)
         stuck[rows[bad]] = True
@@ -414,6 +445,7 @@ def _code_rows(H, C, rules, W, cold, scratch=None):
                 valid[ok],
                 face[ok],
                 scratch,
+                scale,
             )
         if neg.any():
             _drop_blocker(
@@ -432,7 +464,11 @@ def _code_rows(H, C, rules, W, cold, scratch=None):
             np.matmul(M, Wc, out=out)
 
         W[f, idx] = _projected_gradient(
-            step, W[f, idx][:, None], C[f, idx][:, None], A[f, idx][:, None], L
+            step,
+            W[f, idx][:, None],
+            scale * C[f, idx][:, None],
+            A[f, idx][:, None],
+            L,
         )[0][:, 0]
     return W
 
@@ -465,7 +501,9 @@ def _scatter(W, rows, atoms, valid, values):
     np.put(W, (rows[:, None] * W.shape[1] + atoms)[valid], values[valid])
 
 
-def _take_face(H, C, A, W, support, done, rows, atoms, valid, face, scratch):
+def _take_face(
+    H, C, A, W, support, done, rows, atoms, valid, face, scratch, scale
+):
     # a feasible face optimum becomes the iterate; the row is done when no
     # allowed atom off the support (if any) has a gradient below the
     # support's level, else the lowest such atom joins the support.  Rows
@@ -478,8 +516,9 @@ def _take_face(H, C, A, W, support, done, rows, atoms, valid, face, scratch):
     # gradient 2 H w + c, one support atom at a time over the prefix of rows
     # whose support has that many atoms (H is symmetric, so its rows serve
     # as its columns).  The rows of a warm pass span the whole F x F block,
-    # so it is worked in place in the two blocks of ``scratch``: a fresh
-    # block of that size costs its page faults each time
+    # so it is worked in place in the two blocks of ``scratch``, which
+    # ``_code_rows`` allocates once per call: a fresh block of that size
+    # costs its page faults each round
     g, buf = scratch[:, : rows.size]
     H.take(atoms[:, 0], axis=0, out=g, mode="clip")
     g *= w[:, :1]
@@ -488,7 +527,9 @@ def _take_face(H, C, A, W, support, done, rows, atoms, valid, face, scratch):
         term *= w[:k, t, None]
         g[:k] += term
     g *= 2.0
-    g += C.take(rows, axis=0, out=buf, mode="clip")
+    c = C.take(rows, axis=0, out=buf, mode="clip")
+    c *= scale
+    g += c
     off = ~A[rows]
     at = np.arange(rows.size)
     # the test's scale, max |g| over the allowed atoms (0 if larger)
@@ -587,10 +628,12 @@ def self_express(dictionary, mask, warm_start=None):
     Column f of the result is ``simplex_code`` of column f against the mask's
     f-th column.  All F columns are coded by one run of the active-set
     engine of ``minimize_on_simplex`` on the shared Gram matrix G = D^T D,
-    with linear terms -2 G and the mask as the allowed atoms.
-    ``warm_start`` (the F x F weights of an earlier pass) seeds each
-    column's active set; an invalid warm column (negative, non-finite, not
-    summing to 1 over the allowed atoms) starts cold.
+    with linear terms -2 G and the mask as the allowed atoms.  The engine
+    reads the linear terms' rows as G's rows times -2, with no copy of
+    -2 G: ``_gram`` gives a bitwise symmetric G, so its rows are its
+    columns.  ``warm_start`` (the F x F weights of an earlier pass) seeds
+    each column's active set; an invalid warm column (negative, non-finite,
+    not summing to 1 over the allowed atoms) starts cold.
 
     A ``_Coder`` mask (a solve's warm-up) keeps the mask's row layout,
     built and checked once, and the last code returned.  A warm start that
@@ -616,12 +659,10 @@ def self_express(dictionary, mask, warm_start=None):
             f"warm_start shape {np.shape(warm_start)} is not {F} x {F}"
         )
     G = _gram(dictionary, "dictionary")
-    # the rows of c = -2 G
-    C = np.multiply(G.T, -2.0, order="C")
     # any other mask gets a coder state for this call alone
     coder = mask if isinstance(mask, _Coder) else _Coder(mask)
     W, cold = coder.start(warm_start)
-    coder.rows = _code_rows(G, C, coder.rules, W, cold, coder.scratch)
+    coder.rows = _code_rows(G, G, coder.rules, W, cold, -2.0)
     coder.code = np.ascontiguousarray(coder.rows.T)
     return coder.code
 
@@ -631,8 +672,9 @@ class _Coder(SupportMask):
 
     ``rules`` is the mask's row layout (``_rules``); ``code`` is the last
     code ``self_express`` returned and ``rows`` the engine's row-major
-    array it was copied from; ``scratch`` is the engine's gradient blocks,
-    kept from call to call.
+    array it was copied from.  The engine's gradient blocks are not kept:
+    they live for one call, so the X-step between two calls does not hold
+    them.
     """
 
     def __init__(self, mask):
@@ -640,15 +682,22 @@ class _Coder(SupportMask):
         super().__init__(mask.allowed)
         self.rules = _rules(np.ascontiguousarray(mask.allowed.T))
         self.code = self.rows = None
-        self.scratch = np.empty((2, *mask.allowed.shape))
 
     def start(self, warm_start):
-        # (W, cold) as ``_start_rows`` gives them.  The last code, unchanged
-        # bit for bit, is taken back from its rows: they are finite,
-        # nonnegative and zero off the mask, and each sums to 1 to rounding
-        # over its positive entries, so validation would only divide each
-        # row by its in-order sum, which over those entries alone has the
-        # same bytes
+        # (W, cold) as ``_start_rows`` gives them.  The last code and its
+        # rows are let go first, so a validated warm start (after a
+        # discarded pass) is not built beside them
+        rows = self._take_back(warm_start)
+        if rows is None:
+            return _start_rows(warm_start, self.rules[0])
+        return rows, np.zeros(rows.shape[0], dtype=bool)
+
+    def _take_back(self, warm_start):
+        # the rows of the last code when ``warm_start`` is that code,
+        # unchanged bit for bit, else None.  They are finite, nonnegative
+        # and zero off the mask, and each sums to 1 to rounding over its
+        # positive entries, so validation would only divide each row by its
+        # in-order sum, which over those entries alone has the same bytes
         code, rows = self.code, self.rows
         self.code = self.rows = None
         if (
@@ -656,18 +705,18 @@ class _Coder(SupportMask):
             or warm_start is not code
             or not np.array_equal(code.view(np.int64), rows.T.view(np.int64))
         ):
-            return _start_rows(warm_start, self.rules[0])
+            return None
         m, n = rows.shape
         flat = np.flatnonzero(rows > 0.0)
         sizes = np.bincount(flat // n, minlength=m)
         if not sizes.all():
-            return _start_rows(warm_start, self.rules[0])
+            return None
         valid = np.arange(sizes.max()) < sizes[:, None]
         values = np.zeros(valid.shape)
         values[valid] = rows.ravel()[flat]
         values /= _row_sums(values, sizes)[:, None]
         np.put(rows, flat, values[valid])
-        return rows, np.zeros(m, dtype=bool)
+        return rows
 
 
 def sparsity_profile(weights, eps):

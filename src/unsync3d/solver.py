@@ -255,6 +255,14 @@ def soft_ray_cost(structure, rays):
     return float(np.clip(sq[rays.present], 0.0, None).sum())
 
 
+def _self_expression(X, W):
+    # the self-expression term (1/FP) ||X - X W||_F^2 of float arrays; the
+    # warm-up's stop test reads it alone
+    F = X.shape[1]
+    P = X.shape[0] // 3
+    return float(np.sum((X - X @ W) ** 2)) / (F * P)
+
+
 def objective(structure, weights, config, frames, rays=None, anchor=None):
     """Full cost and its separate terms.
 
@@ -266,10 +274,8 @@ def objective(structure, weights, config, frames, rays=None, anchor=None):
     """
     X = np.asarray(structure, dtype=float)
     W = np.asarray(weights, dtype=float)
-    F = X.shape[1]
-    P = X.shape[0] // 3
     terms = {
-        "self_expression": float(np.sum((X - X @ W) ** 2)) / (F * P),
+        "self_expression": _self_expression(X, W),
         "psi1": psi1(W),
         "psi2": psi2(X, frames),
         "soft_ray": 0.0,
@@ -645,7 +651,8 @@ def admm_w_step(structure, mask, config, weights=None):
             if skew:
                 out += (skew / L) * Wc.T
 
-    # the gradient's constant part, -(2/FP) G - rho W0, in G's place
+    # the gradient's constant part, -(2/FP) G - rho W0, in G's place, which
+    # the loop then scales into its step's shift
     const = G
     const *= -2.0 * inv_fp
     const -= rho * W
@@ -872,10 +879,12 @@ def _warm_up(state, config, problem):
     The loop settles once the self-expression term changes by at most
     ``_OUTER_REL_TOL`` (relative) between kept passes, else stops at
     ``outer_max`` passes, discarded ones included; ``warmup-N`` records
-    the passes.  It codes with a ``simplex._Coder`` on the solve's mask,
-    which takes the last code back as the next warm start and changes no
-    byte of a code; it is dropped on return, before the coupled stage,
-    whose W-step holds the solve's memory peak.
+    the passes.  A pass computes that term alone (``_self_expression``,
+    which ``objective`` shares), not psi1, psi2 or the soft-ray term, which
+    the loop never reads.  It codes with a ``simplex._Coder`` on the
+    solve's mask, which takes the last code back as the next warm start
+    and changes no byte of a code; it is dropped on return, before the
+    coupled stage.
     """
     rays, frames, mask = problem
     cfg = replace(config, lambda2=0.0)
@@ -893,8 +902,7 @@ def _warm_up(state, config, problem):
         state.structure, state.depths, state.flags = x_step(
             state.structure, state.weights, cfg, rays, frames, state.flags
         )
-        _, terms = objective(state.structure, state.weights, cfg, frames, rays)
-        cur = terms["self_expression"]
+        cur = _self_expression(state.structure, state.weights)
         if probe and cur > prev:
             state.structure, state.depths, state.weights = kept[:3]
             del state.flags[kept[3] :]
@@ -920,12 +928,13 @@ def _coupled_stage(state, config, problem):
     warm-up's last code (``state.weights`` on entry), at lambda2 =
     min(lambda2, ``FINAL_LAMBDA2``), or at lambda2 itself without
     ``second_stage``.  A pass is an exact X-step, then the exact W-step
-    about W0, started at it (``admm_w_step``); the trace records Phi at
-    entry and after every half-step.  The loop settles once Phi changes by
-    at most ``_OUTER_REL_TOL`` (relative) in a pass, else stops at
-    ``outer_max`` passes and flags ``stage0-outer-cap`` (the name
-    perfbench's solver.stop_reason.stage0 counts).  It settled when the
-    loop settled and so did every W-step's projected-gradient loop.
+    about W0, started at it (``admm_w_step``), with the last W let go
+    before the step; the trace records Phi at entry and after every
+    half-step.  The loop settles once Phi changes by at most
+    ``_OUTER_REL_TOL`` (relative) in a pass, else stops at ``outer_max``
+    passes and flags ``stage0-outer-cap`` (the name perfbench's
+    solver.stop_reason.stage0 counts).  It settled when the loop settled
+    and so did every W-step's projected-gradient loop.
     """
     rays, frames, mask = problem
     cfg = config
@@ -947,6 +956,8 @@ def _coupled_stage(state, config, problem):
             state.structure, state.weights, cfg, rays, frames, state.flags
         )
         measure()
+        # the step starts at the anchor: the last W is not held through it
+        state.weights = None
         state.weights, _, _, info = admm_w_step(state.structure, mask, cfg, anchor)
         state.admm_iterations += info["iterations"]
         w_settled &= info["converged"]

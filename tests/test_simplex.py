@@ -634,7 +634,7 @@ def test_self_express_warm_start_validation():
 
 def test_self_express_rejects_bad_input_by_its_own_names(monkeypatch):
     # the errors name self_express's arguments, and a rejected call builds
-    # no coder state (its F x F scratch blocks); RuntimeWarnings are errors
+    # no coder state (its mask layout); RuntimeWarnings are errors
     # here, so the overflowing Gram matrix must not warn either
     rng = np.random.default_rng(29)
     X = rng.normal(size=(6, 6))
@@ -824,3 +824,118 @@ def test_self_express_validates_an_edited_or_foreign_warm_start(monkeypatch):
     monkeypatch.undo()
     assert out.tobytes() == self_express(steps[3], mask, warm_start=reference).tobytes()
     assert copied.tobytes() == self_express(steps[4], mask, warm_start=out).tobytes()
+
+
+def _whole_projection(V, allowed):
+    # project_to_masked_simplex on every column at once, as it was before it
+    # worked in blocks: the blocked kernels' byte reference
+    sunk = np.where(allowed, V, -1e30)
+    U = np.sort(sunk, axis=0)[::-1]
+    css = np.cumsum(U, axis=0) - 1.0
+    ks = np.arange(1, V.shape[0] + 1)[:, None]
+    sizes = (U - css / ks > 0.0).sum(axis=0)
+    theta = css[sizes - 1, np.arange(V.shape[1])] / sizes
+    W = np.clip(V - theta[None, :], 0.0, None)
+    W[~allowed] = 0.0
+    return W
+
+
+def _whole_project_near(V, allowed, support, count):
+    # _project_near with one gathered projection of every missed column
+    theta = np.einsum("ij,ij->j", V, support)
+    theta -= 1.0
+    theta /= np.maximum(count, 1.0)
+    V -= theta
+    above = V > 0.0
+    above &= allowed
+    above ^= support
+    missed = None
+    if above.any() or not count.all():
+        missed = above.any(axis=0)
+        missed |= count == 0
+        fixed = _whole_projection(V[:, missed], allowed[:, missed])
+    V *= support
+    V += 0.0
+    if missed is not None:
+        V[:, missed] = fixed
+        support[:, missed] = fixed > 0.0
+        count[missed] = support[:, missed].sum(axis=0)
+    return V
+
+
+def _whole_start_rows(w0, A):
+    # _start_rows with one in-order sum over every row at once
+    W = np.zeros(A.shape)
+    np.copyto(W, np.asarray(w0, dtype=float).T, where=A)
+    finite = np.isfinite(W).all(axis=1)
+    W[~finite] = 0.0
+    cold = ~(
+        finite
+        & (W.min(axis=1) >= -1e-12)
+        & (np.abs(W.sum(axis=1) - 1.0) <= 1e-6)
+    )
+    W[cold] = 0.0
+    np.clip(W, 0.0, None, out=W)
+    total = np.cumsum(W, axis=1)[:, -1]
+    total[cold] = 1.0
+    W /= total[:, None]
+    return W, cold
+
+
+def _blocked_kernel_inputs(rng, n, m):
+    """V (n x m) and a mask with single-atom, tied and all-negative columns."""
+    V = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-2, 2, size=m)
+    allowed = rng.random((n, m)) < 0.6
+    allowed[rng.integers(0, n, size=m), np.arange(m)] = True
+    picks = rng.permutation(m)
+    single, tied, negative = picks[0::3], picks[1::3], picks[2::3]
+    allowed[:, single[: max(1, single.size // 2)]] = False
+    allowed[0, single[: max(1, single.size // 2)]] = True
+    # ties on a quarter grid, and the same value on half the entries
+    V[:, tied] = np.round(4.0 * V[:, tied]) / 4.0
+    V[: n // 2, tied[::2]] = 0.25
+    V[:, negative] = -np.abs(V[:, negative]) - 0.5
+    return V, allowed
+
+
+@pytest.mark.parametrize("m", [1, 15, 16, 17, 40])
+def test_blocked_kernels_keep_the_whole_array_bytes(m):
+    # the sorted projection, the support-first projection and the warm
+    # start's in-order row sums work a block of columns or rows at a time;
+    # every column and row keeps the bytes of the whole-array bodies
+    rng = np.random.default_rng(100 + m)
+    n = 30
+    for _ in range(4):
+        V, allowed = _blocked_kernel_inputs(rng, n, m)
+        ref = _whole_projection(V, allowed)
+        assert project_to_masked_simplex(V, allowed).tobytes() == ref.tobytes()
+        stale = _whole_projection(V + rng.normal(scale=0.3, size=V.shape), allowed)
+        hints = (ref > 0.0, stale > 0.0, np.zeros(V.shape, dtype=bool))
+        for support in hints:
+            got = [V.copy(), support.copy(), support.sum(axis=0).astype(float)]
+            want = [V.copy(), support.copy(), support.sum(axis=0).astype(float)]
+            simplex._project_near(*got[:1], allowed, *got[1:])
+            _whole_project_near(*want[:1], allowed, *want[1:])
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+        # warm starts, problems as columns: valid ones summing to 1 up to
+        # rounding, and ones that must start cold
+        w0 = np.where(allowed, np.abs(V) + 0.1, 0.0)
+        w0 /= w0.sum(axis=0)
+        w0[:, ::5] *= 1.5
+        w0[0, 1::7] = np.nan
+        w0[:, 2::6] = -w0[:, 2::6]
+        A = np.ascontiguousarray(allowed.T)
+        for a, b in zip(simplex._start_rows(w0, A), _whole_start_rows(w0, A)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_gram_is_bitwise_symmetric():
+    # self_express reads the linear terms' rows as G's rows times -2, which
+    # are its columns only if G is bitwise symmetric
+    rng = np.random.default_rng(31)
+    for shape in ((15, 240), (48, 48), (3, 7), (1, 5), (300, 40)):
+        X = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3, size=shape)
+        for D in (X, np.asfortranarray(X), np.repeat(X, 2, axis=1)[:, ::2]):
+            G = simplex._gram(D, "X")
+            assert G.tobytes() == np.ascontiguousarray(G.T).tobytes()

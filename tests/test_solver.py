@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -1086,25 +1087,35 @@ def test_solve_input_validation():
 def test_solve_loop_calls_and_flags(monkeypatch):
     """The warm-up and the one coupled stage run the one alternation loop.
 
-    Per solve: x_step = warm-up passes + outer iterations, admm_w_step =
-    outer (each starts at the warm-up's code), self_express =
-    warm-up passes, objective = warm-up passes + 2 outer + 1.
+    Per solve, counting the calls the loops make (not those nested in
+    another counted call): x_step = warm-up passes + outer iterations,
+    admm_w_step = outer (each starts at the warm-up's code), self_express =
+    warm-up passes, objective = 2 outer + 1, and the self-expression term
+    alone (``_self_expression``, the warm-up's stop test) = warm-up passes.
     """
     scene = make_scene(points=3, samples=12, cameras=3, seed=20)
     calls = {}
     infos = []
+    nested = [0]
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            out = fn(*args, **kwargs)
+            if not nested[0]:
+                calls[name] = calls.get(name, 0) + 1
+            nested[0] += 1
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                nested[0] -= 1
             if name == "admm_w_step":
                 infos.append(out[3])
             return out
 
         return wrapper
 
-    for name in ("x_step", "objective", "admm_w_step", "self_express"):
+    for name in (
+        "x_step", "objective", "admm_w_step", "self_express", "_self_expression"
+    ):
         monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
 
     def run(cfg):
@@ -1117,7 +1128,8 @@ def test_solve_loop_calls_and_flags(monkeypatch):
         assert calls["x_step"] == passes + outer
         assert calls["admm_w_step"] == outer
         assert calls["self_express"] == passes
-        assert calls["objective"] == passes + 2 * outer + 1
+        assert calls["objective"] == 2 * outer + 1
+        assert calls["_self_expression"] == passes
         assert len(state.objective_trace) == 2 * outer + 1
         assert state.admm_iterations == sum(i["iterations"] for i in infos)
         assert all(i["converged"] for i in infos)
@@ -1140,6 +1152,26 @@ def test_solve_loop_calls_and_flags(monkeypatch):
     assert not any(f.endswith("-outer-cap") for f in loose.flags)
     assert 2 <= passes < 100
     assert 2 <= loose.outer_iterations < 100
+
+
+def test_solve_memory_peak_stays_within_nine_f_by_f_arrays():
+    # the codes, the Gram matrix and the coupling are F x F, so a solve's
+    # traced peak is counted in F x F float arrays.  On this 240-frame
+    # scene at outer_max = 3 it read 12.8 of them when the W-step sorted
+    # every missed column at once and the coder kept its gradient blocks
+    # and -2 G through the X-step, and 6.6 since.  A small solve first
+    # keeps the first solve's one-time set-up in the process out of it
+    small = make_scene(points=3, samples=12, cameras=3, seed=20)
+    solve(small.observations, small.frames, SolverConfig(outer_max=1))
+    scene = make_scene(points=5, samples=240, cameras=4, seed=1)
+    F = len(scene.frames)
+    tracemalloc.start()
+    try:
+        solve(scene.observations, scene.frames, SolverConfig(outer_max=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * F * F * 8
 
 
 def test_solve_trace_monotone_and_flags(monkeypatch):
@@ -1227,12 +1259,14 @@ def _record_warm_up(monkeypatch, discard=False):
 
     Returns (codes, steps, terms): per coder call (one per warm-up pass) the
     structure coded at, the warm start and the code; per X-step its input
-    structure, its weights and its output structure; per warm-up objective
-    the self-expression term.  With ``discard`` an extrapolated pass, one
-    coded away from its X-step's input, reads an infinite term.
+    structure, its weights and its output structure; per warm-up pass the
+    self-expression term its stop test read.  With ``discard`` an
+    extrapolated pass, one coded away from its X-step's input, reads an
+    infinite term.
     """
     codes, steps, terms = [], [], []
-    coder, step, cost = solver.self_express, solver.x_step, solver.objective
+    coder, step = solver.self_express, solver.x_step
+    cost = solver._self_expression
 
     def coded(at, mask, warm_start=None):
         code = coder(at, mask, warm_start=warm_start)
@@ -1244,17 +1278,19 @@ def _record_warm_up(monkeypatch, discard=False):
         steps.append((structure, weights, out[0]))
         return out
 
-    def costed(structure, weights, config, frames, rays=None, anchor=None):
-        total, parts = cost(structure, weights, config, frames, rays, anchor)
-        if anchor is None:
+    def costed(X, W):
+        term = cost(X, W)
+        # one term per warm-up pass; the coupled stage's objective reads it
+        # too, after the last pass
+        if len(terms) < len(codes):
             if discard and not np.array_equal(codes[-1][0], steps[-1][0]):
-                parts = parts | {"self_expression": math.inf}
-            terms.append(parts["self_expression"])
-        return total, parts
+                term = math.inf
+            terms.append(term)
+        return term
 
     monkeypatch.setattr(solver, "self_express", coded)
     monkeypatch.setattr(solver, "x_step", stepped)
-    monkeypatch.setattr(solver, "objective", costed)
+    monkeypatch.setattr(solver, "_self_expression", costed)
     return codes, steps, terms
 
 
@@ -1288,8 +1324,8 @@ def test_warm_up_self_expression_never_rises_between_kept_passes(monkeypatch):
     kept_terms = [term for term, k in zip(terms, kept) if k]
     assert all(b <= a for a, b in zip(kept_terms, kept_terms[1:]))
     # soft rays never extrapolate: their X-step also weighs the ray term
-    codes.clear()
-    steps.clear()
+    for recorded in (codes, steps, terms):
+        recorded.clear()
     solve(MISSING.observations, MISSING.frames, SolverConfig(lambda3=100.0))
     assert len(codes) > 1 and not any(_warm_up_passes(codes, steps)[0])
 
@@ -1300,7 +1336,7 @@ def test_a_discarded_warm_up_pass_counts_and_keeps_the_last_kept_state(
     # every extrapolated pass reads a risen term, so the loop discards it:
     # the next pass starts from the state before it, codes at the structure
     # itself, and the next extrapolation takes half the step
-    codes, steps, _ = _record_warm_up(monkeypatch, discard=True)
+    codes, steps, terms = _record_warm_up(monkeypatch, discard=True)
     solve(MISSING.observations, MISSING.frames)
     extrapolated, kept = _warm_up_passes(codes, steps)
     probes = np.flatnonzero(extrapolated[:-1])
@@ -1321,8 +1357,8 @@ def test_a_discarded_warm_up_pass_counts_and_keeps_the_last_kept_state(
     # a warm-up whose last pass is discarded counts it, and the coupled
     # stage starts from the last kept pass's structure and code
     last = int(probes[0]) + 1
-    codes.clear()
-    steps.clear()
+    for recorded in (codes, steps, terms):
+        recorded.clear()
     state = solve(MISSING.observations, MISSING.frames, SolverConfig(outer_max=last))
     assert f"warmup-{last}" in state.flags and len(codes) == last
     assert not _warm_up_passes(codes, steps)[1][last - 1]

@@ -14,12 +14,15 @@ solves are timed, and ``--reps`` repeats every seed.  Each scene's first
 solve gives its result hash, accuracy (also over observed and over missing
 slots, and the median over the endpoint frames), warm-up passes,
 ``converged``, whether the coupled stage stopped at its cap and gate
-failures; a later rep must repeat the hash.  Then both sides solve c08's
+failures; a later rep must repeat the hash.  After the timed pairs each
+side solves the first seed's scene 0 once more, untimed, under
+``tracemalloc``, for its traced memory peak.  Then both sides solve c08's
 two pooled sweeps on the head's scenes, point by point, again alternating.
 
 Everything goes to ``--out`` as JSON.  It prints per workload the scenes
 with equal result bytes, each metric's wins, losses and ties of the head
-with the median paired difference, and the timing; and per sweep point the
+with the median paired difference, the timing and the traced peaks; and
+per sweep point the
 pooled accuracy, warm-up passes and converged solves side by side.  Result
 files go to a temporary directory, not to ``.perfbench_work/``, so a
 perfbench run can share the checkout.  It gates nothing.
@@ -35,6 +38,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -97,6 +101,16 @@ def solve_scenes(package, scenes, config):
     start = time.perf_counter()
     states = [package.solve(s.observations, s.frames, config) for s in scenes]
     return time.perf_counter() - start, states
+
+
+def traced_peak(package, scene, config):
+    """Bytes of the ``tracemalloc`` peak of one solve of ``scene``."""
+    tracemalloc.start()
+    try:
+        package.solve(scene.observations, scene.frames, config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def endpoint_frames(scene, ranks):
@@ -176,7 +190,7 @@ def timing_summary(pairs):
 
 def run_workload(packages, bench, problems, name, seeds, reps, workdir):
     """Every (seed, rep) pair of one workload: the scene rows, each seed's
-    pooled run metrics and the timed pairs."""
+    pooled run metrics, the timed pairs and each side's traced peak."""
     import numpy as np
 
     workload = bench.WORKLOADS[name]
@@ -252,7 +266,11 @@ def run_workload(packages, bench, problems, name, seeds, reps, workdir):
                 | {side: got[side][i][0] for side in SIDES}
                 for i in range(len(scenes[seed]))
             ]
-    return rows, runs, pairs
+    peaks = {
+        side: traced_peak(packages[side], scenes[seeds[0]][0], configs[side])
+        for side in SIDES
+    }
+    return rows, runs, pairs, peaks
 
 
 def run_sweeps(packages, synth, names, workdir, endpoint_ranks):
@@ -297,8 +315,8 @@ def run_sweeps(packages, synth, names, workdir, endpoint_ranks):
 
 
 def summary(rows, runs, timing):
-    """Printed lines: per workload, equal bytes, each metric's tally and the
-    timing."""
+    """Printed lines: per workload, equal bytes, each metric's tally, the
+    timing and the traced peaks."""
     out = []
     for workload in timing:
         scenes = [r for r in rows if r["workload"] == workload]
@@ -336,6 +354,12 @@ def summary(rows, runs, timing):
             + f"; head wins {t['wins']} of {t['pairs']} (losses {t['losses']}, "
             f"ties {t['ties']}); median paired change "
             f"{100.0 * t['median_change']:+.1f}%"
+        )
+        peak = t["traced_peak_bytes"]
+        out.append(
+            f"  traced peak of seed {scenes[0]['seed']} scene 0: base "
+            f"{peak['base'] / 1e6:.3f} MB head {peak['head'] / 1e6:.3f} MB "
+            f"({100.0 * (peak['head'] / peak['base'] - 1.0):+.1f}%)"
         )
     return out
 
@@ -400,6 +424,7 @@ def main(argv=None):
             runs += got[1]
             timed += got[2]
             timing[name] = timing_summary([(p["base"], p["head"]) for p in got[2]])
+            timing[name]["traced_peak_bytes"] = got[3]
         points = run_sweeps(
             packages, synth, args.sweeps, workdir, bench.ENDPOINT_RANKS
         )
