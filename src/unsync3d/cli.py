@@ -133,7 +133,7 @@ def _build_parser():
             sol.add_argument(
                 flag,
                 help="positive float, or 'inf' (the default; on noisy pixels "
-                "it matched or beat 100)",
+                "it matched 100 in accuracy and warm-up passes, in less time)",
             )
         else:
             sol.add_argument(flag, type=spec.type, help=_FIELD_HELP.get(spec.name))

@@ -16,11 +16,12 @@ points where observations are missing).
 Each block update exactly minimizes its block, so the objective trace is
 non-increasing across X-steps and W-steps.  A solve first runs a decoupled
 warm-up (exact coding, then X refits), which pulls the depth initialization
-into the self-expressive basin.  On hard rays, once a pass leaves the
-coded supports nearly unchanged, the warm-up codes at a structure
-extrapolated along its last step, and keeps such a pass only if the
-self-expression term did not rise.  Its last code W0 then anchors the
-coupled stage: it minimizes
+into the self-expressive basin.  Once a pass leaves the coded supports
+nearly unchanged, the warm-up codes at a structure extrapolated along its
+last step, and keeps such a pass only if its own cost (the cost above at
+lambda1 = lambda2 = 0) did not rise; in both ray modes alike, so soft rays
+at lambda3 = 100 take about as many passes as hard rays.  Its last code W0
+then anchors the coupled stage: it minimizes
 
     Phi(X, W) = f(X, W) + (rho/2) ||W - W0||_F^2,
 
@@ -37,13 +38,12 @@ system per point on its observed frames, in bounded stacks.  Both ray modes
 solve the same depth system, soft rays on the filtered coupling
 S (I + S / lambda3)^-1, whose points the filter then maps off the rays
 (``minimize_structure``).  Its geometry (slot layout, gather and scatter
-indices, observed rays) is planned once per ray field for both modes, and a
-solve builds its video pairs once, so each pass only gathers the new
-coupling, solves and scatters.  The warm-up and the coupled stage are
-two plain loops of these steps (``_warm_up``, ``_coupled_stage``).  The
-coupled stage runs once, at the small ``FINAL_LAMBDA2`` (or lambda2, if
-lower): a trace of the smoothness prior steadies frames with missing data
-without biasing the observed ones much.
+indices, observed rays) is planned once per ray field for both modes, so
+each pass only gathers the new coupling, solves and scatters.  The warm-up
+and the coupled stage are two plain loops of these steps (``_warm_up``,
+``_coupled_stage``).  The coupled stage runs once, at the small
+``FINAL_LAMBDA2`` (or lambda2, if lower): a trace of the smoothness prior
+steadies frames with missing data without biasing the observed ones much.
 """
 
 import math
@@ -122,12 +122,13 @@ class SolverConfig:
 
     lambda3 is the soft-ray weight; ``math.inf`` (the default) keeps points
     exactly on their viewing rays, while a finite value lets them move off
-    the rays.  On c08's noise sweep (0-5 px) hard rays matched or beat
-    lambda3 = 100 on acc@30 at every noise level, with median errors within
-    0.5% and fewer warm-up passes, so no finite value is advised for noisy
-    pixels.  rho is the weight of the anchor term (rho/2) ||W - W0||^2 that
-    the coupled stage adds to the cost, W0 being the warm-up's last code:
-    the larger it is, the closer the coupled W stays to that code.  lambda2
+    the rays.  On c08's noise sweep (0-5 px) hard rays matched lambda3 =
+    100 on acc@30 up to 4 px and beat it at 5 px, with median errors within
+    0.2%, about as many warm-up passes and no more time, so no finite value
+    is advised for noisy pixels.  rho is the weight of the anchor term
+    (rho/2) ||W - W0||^2 that the coupled stage adds to the cost, W0 being
+    the warm-up's last code: the larger it is, the closer the coupled W
+    stays to that code.  lambda2
     weighs the smoothness prior: the coupled stage runs at min(lambda2,
     ``FINAL_LAMBDA2``), or at lambda2 itself without ``second_stage`` (the
     name of an earlier second stage, kept for the tests, saved configs and
@@ -207,24 +208,6 @@ def video_pairs(frames):
     return np.column_stack([seq[:-1, 0][same], seq[1:, 0][same]])
 
 
-class _SolveFrames(tuple):
-    """A frame list carrying its video pairs.
-
-    ``solve`` wraps its frames once, so ``psi2`` and ``coupling_matrix``,
-    which run on every pass, do not rebuild them; they wrap any other
-    frame list per call (``_with_pairs``).
-    """
-
-    def __new__(cls, frames):
-        self = super().__new__(cls, frames)
-        self.pairs = video_pairs(self)
-        return self
-
-
-def _with_pairs(frames):
-    return frames if isinstance(frames, _SolveFrames) else _SolveFrames(frames)
-
-
 def psi1(weights):
     """Asymmetry penalty (1/F) ||W - W^T||_F^2."""
     W = np.asarray(weights, dtype=float)
@@ -236,7 +219,7 @@ def psi2(structure, frames):
 
     Defined as 0 (with a warning) when every video has a single frame.
     """
-    pairs = _with_pairs(frames).pairs
+    pairs = video_pairs(frames)
     if pairs.shape[0] == 0:
         warnings.warn("psi2 undefined with single-frame videos; returning 0")
         return 0.0
@@ -257,7 +240,7 @@ def soft_ray_cost(structure, rays):
 
 def _self_expression(X, W):
     # the self-expression term (1/FP) ||X - X W||_F^2 of float arrays; the
-    # warm-up's stop test reads it alone
+    # warm-up's cost is it plus any soft-ray term
     F = X.shape[1]
     P = X.shape[0] // 3
     return float(np.sum((X - X @ W) ** 2)) / (F * P)
@@ -310,7 +293,7 @@ def coupling_matrix(weights, config, frames, point_count):
     Q = np.eye(F) - W
     Mc = (Q @ Q.T) / (F * point_count)
     if config.lambda2 > 0:
-        pairs = _with_pairs(frames).pairs
+        pairs = video_pairs(frames)
         if pairs.shape[0] > 0:
             scale = config.lambda2 / pairs.shape[0]
             a, b = pairs.T
@@ -860,59 +843,59 @@ def _warm_up(state, config, problem):
 
     The depth initialization spreads the coded weights, and the coupled
     loop keeps that spread as a fixed point; the warm-up contracts both
-    blocks toward the self-expressive solution instead.  At lambda2 = 0, a
-    pass codes exactly (``self_express``, warm started from the last code)
-    at the structure ``at``, then refits X.  ``at`` is X, until, on hard
-    rays, a kept pass changes the support of at most one column; the next
+    blocks toward the self-expressive solution instead.  It is exact block
+    descent on its own cost, the cost at lambda1 = lambda2 = 0: the
+    self-expression term, plus lambda3 times the soft-ray term when lambda3
+    is finite.  A pass codes exactly (``self_express``, warm started from
+    the last code) at the structure ``at``, then refits X.  ``at`` is X,
+    until a kept pass changes the support of at most one column; the next
     pass then codes at the extrapolated X + beta (X - X_prev), X_prev the
-    structure the kept pass started from (both iterates, and so the
-    extrapolated points, lie on the rays).  The X-step depends only on the
-    code, so only the coder's input moves.  An extrapolated pass is kept
-    only if the self-expression term did not rise: then beta grows by
+    structure the kept pass started from (on hard rays both iterates, and
+    so the extrapolated points, lie on the rays).  The X-step depends only
+    on the code, so only the coder's input moves.  An extrapolated pass is
+    kept only if the cost did not rise: then beta grows by
     ``_BETA_GROWTH`` up to ``_BETA_MAX``.  Otherwise the pass is
     discarded, leaving the state of the last kept pass, beta halves, and
-    the loop codes at X until the supports hold again.  Soft rays never
-    extrapolate: their X-step also weighs the ray term, so the
-    self-expression term can rise in a plain pass and its test is no
-    descent test there.
+    the loop codes at X until the supports hold again.  Both ray modes
+    take these steps; on c08's noise sweep (0-5 px, 5 seeds each) at
+    lambda3 = 100 the soft warm-up took 128-321 passes per noise level,
+    within 8% of the hard one's 121-306, and every solve settled.
 
-    The loop settles once the self-expression term changes by at most
-    ``_OUTER_REL_TOL`` (relative) between kept passes, else stops at
-    ``outer_max`` passes, discarded ones included; ``warmup-N`` records
-    the passes.  A pass computes that term alone (``_self_expression``,
-    which ``objective`` shares), not psi1, psi2 or the soft-ray term, which
-    the loop never reads.  It codes with a ``simplex._Coder`` on the
-    solve's mask, which takes the last code back as the next warm start
-    and changes no byte of a code; it is dropped on return, before the
-    coupled stage.
+    The loop settles once the cost changes by at most ``_OUTER_REL_TOL``
+    (relative) between kept passes, else stops at ``outer_max`` passes,
+    discarded ones included; ``warmup-N`` records the passes.  A pass
+    computes that cost alone (``_self_expression``, which ``objective``
+    shares, and ``soft_ray_cost``), not psi1 or psi2, which the loop never
+    reads.  It codes with a ``simplex._Coder`` on the solve's mask, which
+    takes the last code back as the next warm start and changes no byte of
+    a code; it is dropped on return, before the coupled stage.
     """
     rays, frames, mask = problem
     cfg = replace(config, lambda2=0.0)
     coder = _Coder(mask)
-    extrapolate = cfg.lambda3 == math.inf
     prev, settled = math.inf, False
     beta, start, hold = _BETA0, None, False
     for passes in range(1, cfg.outer_max + 1):
-        probe = extrapolate and hold
         kept = (state.structure, state.depths, state.weights, len(state.flags))
         at = state.structure
-        if probe:
+        if hold:
             at = at + beta * (at - start)
         state.weights = self_express(at, coder, warm_start=state.weights)
         state.structure, state.depths, state.flags = x_step(
             state.structure, state.weights, cfg, rays, frames, state.flags
         )
         cur = _self_expression(state.structure, state.weights)
-        if probe and cur > prev:
+        if cfg.lambda3 < math.inf:
+            cur += cfg.lambda3 * soft_ray_cost(state.structure, rays)
+        if hold and cur > prev:
             state.structure, state.depths, state.weights = kept[:3]
             del state.flags[kept[3] :]
             beta, hold = 0.5 * beta, False
             continue
-        if extrapolate:
-            hold = _support_changes(kept[2], state.weights) <= 1
-            start = kept[0]
-            if probe:
-                beta = min(_BETA_GROWTH * beta, _BETA_MAX)
+        if hold:
+            beta = min(_BETA_GROWTH * beta, _BETA_MAX)
+        hold = _support_changes(kept[2], state.weights) <= 1
+        start = kept[0]
         settled = abs(prev - cur) <= _OUTER_REL_TOL * abs(cur)
         if settled:
             break
@@ -1026,17 +1009,16 @@ def solve(obs, frames, config=None):
     validate_mask(mask, min_allowed=2)
 
     scaled, factor = normalize_scale(frames)
-    scaled_frames = _SolveFrames(scaled)
-    rays = compute_rays(scaled_frames, obs)
-    depths, flags = initialize_depths(rays, scaled_frames)
+    rays = compute_rays(scaled, obs)
+    depths, flags = initialize_depths(rays, scaled)
     # init-unit-depth-frame-<f> flags name the input's frame labels
     for i, flag in enumerate(flags):
         if flag.startswith("init-unit-depth-frame-"):
             flags[i] = f"init-unit-depth-frame-{order[int(flag.rsplit('-', 1)[1])]}"
     structure = assemble_structure(depths, rays)
-    structure = _fill_missing(structure, rays.present, scaled_frames)
+    structure = _fill_missing(structure, rays.present, scaled)
     state = SolveState(structure, depths, flags=flags, scale_factor=factor)
-    problem = (rays, scaled_frames, mask)
+    problem = (rays, scaled, mask)
 
     warmed = _warm_up(state, config, problem)
     state.converged = _coupled_stage(state, config, problem) and warmed

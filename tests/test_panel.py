@@ -65,15 +65,16 @@ def test_sweeps_are_c08s_and_print_side_by_side():
     assert panel.SWEEPS["noise"][3] == {"lambda3": 100.0}
     assert panel.SWEEPS["miss"][1] == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
     assert list(panel.SWEEPS["miss"][2]) == list(range(1, 9))
-    side = {"acc30": 0.9388, "median_error_mm": 11.3, "converged": 0, "solves": 5,
-            "warmup": 500}
-    head = side | {"acc30": 0.9411, "median_error_mm": 10.7, "converged": 5,
-                   "warmup": 377}
+    side = {"acc30": 0.9388, "median_error_mm": 11.3, "top2": 0.3125,
+            "converged": 0, "solves": 5, "warmup": 500, "seconds": 1.234}
+    head = side | {"acc30": 0.9411, "median_error_mm": 10.7, "top2": 0.2917,
+                   "converged": 5, "warmup": 377, "seconds": 0.9}
     point = {"sweep": "noise", "value": 5.0, "base": side, "head": head}
     assert panel.sweep_summary([point]) == [
         "noise 5: acc30 base 0.9388 head 0.9411 (+0.0023); median_error_mm "
-        "base 11.3 head 10.7; warm-up passes base 500 head 377; converged "
-        "base 0/5 head 5/5"
+        "base 11.3 head 10.7; top2 base 0.3125 head 0.2917; warm-up passes "
+        "base 500 head 377; converged base 0/5 head 5/5; solve seconds base "
+        "1.23 head 0.90"
     ]
 
 
@@ -94,7 +95,7 @@ def test_a_checkout_paired_with_itself_ties_everywhere(tmp_path):
     # the interpreter's own allocations, which vary by a few percent
     wide = generate(procedural_motion(3, 96, seed=1), RigSpec(camera_count=4),
                     CorruptionSpec(seed=3))
-    records, peaks = {}, {}
+    records, peaks, points = {}, {}, {}
     for side, package in packages.items():
         config = package.SolverConfig(outer_max=4)
         _, states = panel.solve_scenes(package, [scene], config)
@@ -103,9 +104,19 @@ def test_a_checkout_paired_with_itself_ties_everywhere(tmp_path):
         )
         assert errors.shape == scene.observations.present.shape
         peaks[side] = panel.traced_peak(package, wide, config)
+        points[side] = panel.sweep_side(
+            package, [scene, scene], config, tmp_path, endpoint_ranks=2
+        )
     base, head = records["base"], records["head"]
     assert base["result_sha256"] == head["result_sha256"]
     assert abs(peaks["head"] - peaks["base"]) <= 0.01 * peaks["base"]
+    # a sweep point of two solves of the scene: every field but the
+    # seconds ties, and the top-2 frequency is the scene's
+    seconds = {side: points[side].pop("seconds") for side in panel.SIDES}
+    assert min(seconds.values()) > 0.0
+    assert points["base"] == points["head"]
+    assert points["head"]["top2"] == head["top2"]
+    assert points["head"]["solves"] == 2
     # the scene has observed and missing slots, so every metric has a pair
     for name, higher in panel.SCENE_METRICS.items():
         assert panel.tally([(base[name], head[name])], higher) == (0, 0, 1, 0)

@@ -528,12 +528,13 @@ def test_planned_minimize_structure_matches_reference_and_never_goes_stale(case)
 
 
 def test_solve_plans_x_step_and_video_pairs_once(monkeypatch):
-    """The passes of a solve reuse its X-step plan and video pairs.
+    """The passes of a solve reuse its X-step plan.
 
-    ``_slots`` runs once per stack with a missing observation and
-    ``video_pairs`` once per solve, however many passes the solve takes, in
-    either ray mode; a ray field solved with hard, then soft rays keeps one
-    plan for both.
+    ``_slots`` runs once per stack with a missing observation, however many
+    passes the solve takes, in either ray mode; a ray field solved with
+    hard, then soft rays keeps one plan for both.  ``video_pairs`` runs only
+    in the coupled stage, the one loop with a smoothness prior: once for
+    each of its X-steps and objective evaluations, 3 outer + 1 times.
     """
     scene = make_scene(points=4, samples=24, cameras=4, seed=19, miss_rate=0.2)
     present = scene.observations.present
@@ -562,7 +563,7 @@ def test_solve_plans_x_step_and_video_pairs_once(monkeypatch):
         passes = int(warmup.removeprefix("warmup-"))
         assert calls["x_step"] == passes + state.outer_iterations >= 2
         assert calls["_slots"] == len(stacks)
-        assert calls["video_pairs"] == 1
+        assert calls["video_pairs"] == 3 * state.outer_iterations + 1
 
     calls.clear()
     scaled, _ = normalize_scale(scene.frames)
@@ -1259,10 +1260,10 @@ def _record_warm_up(monkeypatch, discard=False):
 
     Returns (codes, steps, terms): per coder call (one per warm-up pass) the
     structure coded at, the warm start and the code; per X-step its input
-    structure, its weights and its output structure; per warm-up pass the
-    self-expression term its stop test read.  With ``discard`` an
-    extrapolated pass, one coded away from its X-step's input, reads an
-    infinite term.
+    structure, its weights, its output structure and its (rays, frames);
+    per warm-up pass the self-expression term, the first term of the cost
+    its stop test read.  With ``discard`` an extrapolated pass, one coded
+    away from its X-step's input, reads an infinite term.
     """
     codes, steps, terms = [], [], []
     coder, step = solver.self_express, solver.x_step
@@ -1275,7 +1276,7 @@ def _record_warm_up(monkeypatch, discard=False):
 
     def stepped(structure, weights, *args):
         out = step(structure, weights, *args)
-        steps.append((structure, weights, out[0]))
+        steps.append((structure, weights, out[0], args[1:3]))
         return out
 
     def costed(X, W):
@@ -1323,11 +1324,23 @@ def test_warm_up_self_expression_never_rises_between_kept_passes(monkeypatch):
         assert kept[i - 1] and solver._support_changes(before, after) <= 1
     kept_terms = [term for term, k in zip(terms, kept) if k]
     assert all(b <= a for a, b in zip(kept_terms, kept_terms[1:]))
-    # soft rays never extrapolate: their X-step also weighs the ray term
+    # soft rays take the same steps; what their kept passes never raise is
+    # the warm-up's cost at lambda2 = 0, the self-expression term plus
+    # lambda3 times the ray term, which is objective's at lambda1 = 0 too
     for recorded in (codes, steps, terms):
         recorded.clear()
-    solve(MISSING.observations, MISSING.frames, SolverConfig(lambda3=100.0))
-    assert len(codes) > 1 and not any(_warm_up_passes(codes, steps)[0])
+    soft = SolverConfig(lambda3=100.0)
+    solve(MISSING.observations, MISSING.frames, soft)
+    extrapolated, kept = _warm_up_passes(codes, steps)
+    pairs = list(zip(extrapolated, kept))
+    assert (True, True) in pairs and (True, False) in pairs
+    bare = replace(soft, lambda1=0.0, lambda2=0.0)
+    costs = []
+    for term, (_, weights, X, (rays, frames)) in zip(terms, steps):
+        costs.append(term + soft.lambda3 * soft_ray_cost(X, rays))
+        assert objective(X, weights, bare, frames, rays)[0] == costs[-1]
+    kept_costs = [cost for cost, k in zip(costs, kept) if k]
+    assert all(b <= a for a, b in zip(kept_costs, kept_costs[1:]))
 
 
 def test_a_discarded_warm_up_pass_counts_and_keeps_the_last_kept_state(
@@ -1362,7 +1375,7 @@ def test_a_discarded_warm_up_pass_counts_and_keeps_the_last_kept_state(
     state = solve(MISSING.observations, MISSING.frames, SolverConfig(outer_max=last))
     assert f"warmup-{last}" in state.flags and len(codes) == last
     assert not _warm_up_passes(codes, steps)[1][last - 1]
-    structure, weights, _ = steps[last]
+    structure, weights = steps[last][:2]
     assert structure is steps[last - 2][2] and weights is codes[last - 2][2]
 
 

@@ -22,8 +22,8 @@ two pooled sweeps on the head's scenes, point by point, again alternating.
 Everything goes to ``--out`` as JSON.  It prints per workload the scenes
 with equal result bytes, each metric's wins, losses and ties of the head
 with the median paired difference, the timing and the traced peaks; and
-per sweep point the
-pooled accuracy, warm-up passes and converged solves side by side.  Result
+per sweep point the pooled accuracy, the mean top-2 frequency, warm-up
+passes, converged solves and summed solve seconds side by side.  Result
 files go to a temporary directory, not to ``.perfbench_work/``, so a
 perfbench run can share the checkout.  It gates nothing.
 """
@@ -273,11 +273,31 @@ def run_workload(packages, bench, problems, name, seeds, reps, workdir):
     return rows, runs, pairs, peaks
 
 
-def run_sweeps(packages, synth, names, workdir, endpoint_ranks):
-    """c08's sweep points, both sides on the same scenes; each point's
-    pooled acc30, median error, converged solves and summed warm-up passes."""
+def sweep_side(package, scenes, config, workdir, endpoint_ranks):
+    """One side's solves of one sweep point: pooled acc30 and median error,
+    mean top-2 frequency, converged solves, summed warm-up passes and
+    summed solve seconds."""
     import numpy as np
 
+    seconds, states = solve_scenes(package, scenes, config)
+    records = [
+        scene_record(package, scene, state, config, workdir, endpoint_ranks)
+        for scene, state in zip(scenes, states)
+    ]
+    pooled = np.concatenate([errors.ravel() for _, errors in records])
+    return {
+        "acc30": float(np.mean(pooled < 30.0)),
+        "median_error_mm": float(np.median(pooled)),
+        "top2": float(np.mean([r["top2"] for r, _ in records])),
+        "converged": sum(r["converged"] for r, _ in records),
+        "solves": len(records),
+        "warmup": sum(r["warmup"] for r, _ in records),
+        "seconds": seconds,
+    }
+
+
+def run_sweeps(packages, synth, names, workdir, endpoint_ranks):
+    """c08's sweep points, both sides on the same scenes (``sweep_side``)."""
     motion = synth.procedural_motion(16, 48, seed=1)
     points = []
     for k, (sweep, value) in enumerate(
@@ -295,20 +315,10 @@ def run_sweeps(packages, synth, names, workdir, endpoint_ranks):
         point = {"sweep": sweep, "value": value, "first": order[0]}
         for side in order:
             package = packages[side]
-            config = package.SolverConfig(**fields)
-            _, states = solve_scenes(package, scenes, config)
-            records = [
-                scene_record(package, scene, state, config, workdir, endpoint_ranks)
-                for scene, state in zip(scenes, states)
-            ]
-            pooled = np.concatenate([errors.ravel() for _, errors in records])
-            point[side] = {
-                "acc30": float(np.mean(pooled < 30.0)),
-                "median_error_mm": float(np.median(pooled)),
-                "converged": sum(r["converged"] for r, _ in records),
-                "solves": len(records),
-                "warmup": sum(r["warmup"] for r, _ in records),
-            }
+            point[side] = sweep_side(
+                package, scenes, package.SolverConfig(**fields), workdir,
+                endpoint_ranks,
+            )
         points.append(point)
         print(f"ran sweep {sweep} {value:g} ({order[0]} first)", file=sys.stderr)
     return points
@@ -365,8 +375,9 @@ def summary(rows, runs, timing):
 
 
 def sweep_summary(points):
-    """Printed lines: each sweep point's acc30, median error and warm-up
-    passes, side by side."""
+    """Printed lines: each sweep point's acc30, median error, top-2
+    frequency, warm-up passes, converged solves and solve seconds, side by
+    side."""
     out = []
     for point in points:
         base, head = point["base"], point["head"]
@@ -375,9 +386,11 @@ def sweep_summary(points):
             f"{base['acc30']:.4f} head {head['acc30']:.4f} "
             f"({head['acc30'] - base['acc30']:+.4f}); median_error_mm base "
             f"{base['median_error_mm']:.4g} head {head['median_error_mm']:.4g}; "
+            f"top2 base {base['top2']:.4f} head {head['top2']:.4f}; "
             f"warm-up passes base {base['warmup']} head {head['warmup']}; "
             f"converged base {base['converged']}/{base['solves']} head "
-            f"{head['converged']}/{head['solves']}"
+            f"{head['converged']}/{head['solves']}; solve seconds base "
+            f"{base['seconds']:.2f} head {head['seconds']:.2f}"
         )
     return out
 
