@@ -234,8 +234,11 @@ def soft_ray_cost(structure, rays):
     points = structure_to_points(structure, P)
     rel = points - rays.centers[None, :, :]
     along = np.einsum("pfa,pfa->pf", rel, rays.directions)
-    sq = np.einsum("pfa,pfa->pf", rel, rel) - along**2
-    return float(np.clip(sq[rays.present], 0.0, None).sum())
+    # the offset from the ray itself, not |rel|^2 - along^2: that difference
+    # of two squared depths loses the distance's leading digits to rounding
+    perp = rel - along[:, :, None] * rays.directions
+    sq = np.einsum("pfa,pfa->pf", perp, perp)
+    return float(sq[rays.present].sum())
 
 
 def _self_expression(X, W):

@@ -241,6 +241,19 @@ def test_soft_ray_cost_on_ray_points_vanish():
     assert soft_ray_cost(X, rays) > 1e-3
 
 
+def test_soft_ray_cost_keeps_a_small_offset_far_along_its_ray():
+    # a point 1e-6 off a ray at depth 1000: the distance is read from the
+    # offset itself, not from the difference of two squared depths of 1e6,
+    # whose rounding is as large as the squared distance
+    centers = np.array([[0.3, -0.2, 0.1]])
+    directions = np.array([[[2.0, 3.0, 6.0]]]) / 7.0
+    side = np.array([3.0, -2.0, 0.0]) / math.sqrt(13.0)
+    point = centers[0] + 1000.0 * directions[0, 0] + 1e-6 * side
+    rays = RayField(directions, centers, np.ones((1, 1), dtype=bool))
+    cost = soft_ray_cost(point.reshape(3, 1), rays)
+    assert cost == pytest.approx(1e-12, rel=1e-6, abs=0.0)
+
+
 def offdiag_weights(F, rng):
     W = rng.uniform(size=(F, F))
     np.fill_diagonal(W, 0.0)
@@ -1560,8 +1573,19 @@ def test_solve_does_not_depend_on_the_frame_list_order():
     assert moved.flags == base.flags
 
 
+# soft rays at lambda3 = 100: the soft-ray term, taken as |rel|^2 - along^2,
+# carried rounding of 1e-7 of the warm-up's cost, so the warm-up settled a
+# pass earlier after the motion and W moved by 8e-4
+ROUNDED_STOP = (
+    make_scene(points=3, samples=13, cameras=4, seed=2567),
+    SolverConfig(outer_max=20, lambda3=100.0),
+    np.random.default_rng(2124631531),
+)
+
+
 @settings(max_examples=10, deadline=None)
 @given(small_scenes())
+@example(ROUNDED_STOP)
 def test_solve_commutes_with_a_rigid_motion(case):
     # rotating, translating and uniformly scaling the cameras with the world
     # leaves every pixel in place: the weights stay, and the structure moves
