@@ -323,20 +323,30 @@ def load_result(path):
             "depths": depths,
             "weights": np.array(doc["weights"], dtype=float),
             "objective_trace": [float(v) for v in doc["objective_trace"]],
-            "flags": list(doc["flags"]),
+            "flags": doc["flags"],
             "scale_factor": float(doc["scale_factor"]),
             "counters": dict(doc["counters"]),
-            "converged": bool(doc["converged"]),
+            "converged": doc["converged"],
             "config": doc.get("config"),
         }
     except _MALFORMED as exc:
         raise InputError(f"malformed result file {path}: {exc}") from exc
-    # save_result writes finite structure and weights and integer counters
+    # save_result writes finite structure and weights, integer counters, a
+    # boolean converged and a list of string flags: "false" is no False,
+    # and a string is no list of flags
     for key in ("structure", "weights"):
         if not np.isfinite(out[key]).all():
             raise InputError(f"malformed result file {path}: {key} must be finite")
     if not all(type(v) is int for v in out["counters"].values()):
         raise InputError(f"malformed result file {path}: counters must be integers")
+    if type(doc["converged"]) is not bool:
+        raise InputError(f"malformed result file {path}: converged must be a boolean")
+    if type(doc["flags"]) is not list or not all(
+        type(flag) is str for flag in doc["flags"]
+    ):
+        raise InputError(
+            f"malformed result file {path}: flags must be a list of strings"
+        )
     return out
 
 

@@ -106,14 +106,11 @@ FINAL_LAMBDA2 = 1e-4
 # this much, relative, in a pass
 _OUTER_REL_TOL = 1e-6
 
-# the warm-up's extrapolation step beta (``_warm_up``): its start, its
-# growth per kept extrapolated pass and its cap; a discarded pass halves it.
-# Extrapolating an alternating least-squares iterate under a monotone
-# safeguard follows Rajih, Comon & Harshman, "Enhanced line search", SIAM
-# J. Matrix Anal. Appl. 2008
-_BETA0 = 1.0
-_BETA_GROWTH = 1.2
-_BETA_MAX = 2.0
+# the warm-up's extrapolation step (``_warm_up``), fixed.  Extrapolating an
+# alternating least-squares iterate under a monotone safeguard follows
+# Rajih, Comon & Harshman, "Enhanced line search", SIAM J. Matrix Anal.
+# Appl. 2008
+_STEP = 2.0
 
 
 @dataclass
@@ -123,12 +120,12 @@ class SolverConfig:
     lambda3 is the soft-ray weight; ``math.inf`` (the default) keeps points
     exactly on their viewing rays, while a finite value lets them move off
     the rays.  On c08's noise sweep (0-5 px) hard rays matched lambda3 =
-    100 on acc@30 up to 4 px and beat it at 5 px, with median errors within
-    0.2%, about as many warm-up passes and no more time, so no finite value
-    is advised for noisy pixels.  rho is the weight of the anchor term
-    (rho/2) ||W - W0||^2 that the coupled stage adds to the cost, W0 being
-    the warm-up's last code: the larger it is, the closer the coupled W
-    stays to that code.  lambda2
+    100 on acc@30 and the median error to four digits at every noise
+    level, with about as many warm-up passes and 6-11% less time, so no
+    finite value is advised for noisy pixels.  rho is the weight of the
+    anchor term (rho/2) ||W - W0||^2 that the coupled stage adds to the
+    cost, W0 being the warm-up's last code: the larger it is, the closer
+    the coupled W stays to that code.  lambda2
     weighs the smoothness prior: the coupled stage runs at min(lambda2,
     ``FINAL_LAMBDA2``), or at lambda2 itself without ``second_stage`` (the
     name of an earlier second stage, kept for the tests, saved configs and
@@ -852,17 +849,16 @@ def _warm_up(state, config, problem):
     is finite.  A pass codes exactly (``self_express``, warm started from
     the last code) at the structure ``at``, then refits X.  ``at`` is X,
     until a kept pass changes the support of at most one column; the next
-    pass then codes at the extrapolated X + beta (X - X_prev), X_prev the
-    structure the kept pass started from (on hard rays both iterates, and
-    so the extrapolated points, lie on the rays).  The X-step depends only
-    on the code, so only the coder's input moves.  An extrapolated pass is
-    kept only if the cost did not rise: then beta grows by
-    ``_BETA_GROWTH`` up to ``_BETA_MAX``.  Otherwise the pass is
-    discarded, leaving the state of the last kept pass, beta halves, and
-    the loop codes at X until the supports hold again.  Both ray modes
-    take these steps; on c08's noise sweep (0-5 px, 5 seeds each) at
-    lambda3 = 100 the soft warm-up took 128-321 passes per noise level,
-    within 8% of the hard one's 121-306, and every solve settled.
+    pass then codes at the extrapolated X + ``_STEP`` (X - X_prev), X_prev
+    the structure the kept pass started from (on hard rays both iterates,
+    and so the extrapolated points, lie on the rays).  The X-step depends
+    only on the code, so only the coder's input moves.  An extrapolated
+    pass is kept only if the cost did not rise; otherwise it is discarded,
+    leaving the state of the last kept pass, and the loop codes at X until
+    the supports hold again.  The loop carries no state beyond its last
+    kept pass.  Both ray modes take these steps; on c08's noise sweep
+    (0-5 px, 5 seeds each) the warm-up took 132-309 passes per noise level
+    at lambda3 = 100 and 132-307 on hard rays, and every solve settled.
 
     The loop settles once the cost changes by at most ``_OUTER_REL_TOL``
     (relative) between kept passes, else stops at ``outer_max`` passes,
@@ -877,12 +873,12 @@ def _warm_up(state, config, problem):
     cfg = replace(config, lambda2=0.0)
     coder = _Coder(mask)
     prev, settled = math.inf, False
-    beta, start, hold = _BETA0, None, False
+    start, hold = None, False
     for passes in range(1, cfg.outer_max + 1):
         kept = (state.structure, state.depths, state.weights, len(state.flags))
         at = state.structure
         if hold:
-            at = at + beta * (at - start)
+            at = at + _STEP * (at - start)
         state.weights = self_express(at, coder, warm_start=state.weights)
         state.structure, state.depths, state.flags = x_step(
             state.structure, state.weights, cfg, rays, frames, state.flags
@@ -893,10 +889,8 @@ def _warm_up(state, config, problem):
         if hold and cur > prev:
             state.structure, state.depths, state.weights = kept[:3]
             del state.flags[kept[3] :]
-            beta, hold = 0.5 * beta, False
+            hold = False
             continue
-        if hold:
-            beta = min(_BETA_GROWTH * beta, _BETA_MAX)
         hold = _support_changes(kept[2], state.weights) <= 1
         start = kept[0]
         settled = abs(prev - cur) <= _OUTER_REL_TOL * abs(cur)

@@ -76,6 +76,26 @@ def test_sweeps_are_c08s_and_print_side_by_side():
         "base 500 head 377; converged base 0/5 head 5/5; solve seconds base "
         "1.23 head 0.90"
     ]
+    # per workload, each side's summed warm-up passes and converged solves
+    blank = dict.fromkeys(panel.SCENE_METRICS, 0.0) | {
+        "result_sha256": "x", "problems": []
+    }
+    scenes = [((100, False), (90, True)), ((40, True), (45, True))]
+    rows = [
+        {"workload": "w", "seed": 1, "scene": i}
+        | {
+            side: blank | {"warmup": w, "converged": c}
+            for side, (w, c) in zip(panel.SIDES, sides)
+        }
+        for i, sides in enumerate(scenes)
+    ]
+    timing = {"w": panel.timing_summary([(1.0, 1.0)])}
+    timing["w"]["traced_peak_bytes"] = {"base": 1e6, "head": 1e6}
+    lines = panel.summary(rows, [], timing)
+    assert lines[:2] == [
+        "w: 2 of 2 scenes with equal result bytes; failed scenes base 0, head 0",
+        "  warm-up passes base 140 head 135; converged base 1/2 head 2/2",
+    ]
 
 
 def test_a_checkout_paired_with_itself_ties_everywhere(tmp_path):
@@ -120,3 +140,10 @@ def test_a_checkout_paired_with_itself_ties_everywhere(tmp_path):
     # the scene has observed and missing slots, so every metric has a pair
     for name, higher in panel.SCENE_METRICS.items():
         assert panel.tally([(base[name], head[name])], higher) == (0, 0, 1, 0)
+    # the workload's summed warm-up passes and converged solves tie too
+    rows = [{"workload": "w", "seed": 1, "scene": 0} | records]
+    totals = panel.workload_totals(rows)
+    assert totals["base"] == totals["head"]
+    assert totals["head"] == {
+        "warmup": head["warmup"], "converged": head["converged"], "solves": 1
+    }

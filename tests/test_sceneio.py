@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from unsync3d import sceneio
 from unsync3d.errors import InputError
 from unsync3d.evaluate import evaluate
-from unsync3d.solver import SolverConfig, solve
+from unsync3d.solver import SolverConfig, SolveState, solve
 from unsync3d.synth import CorruptionSpec, RigSpec, generate, procedural_motion
 
 
@@ -273,6 +273,21 @@ def test_loaders_map_out_of_range_numbers_to_input_error(tmp_path, scene):
         p.write_text(json.dumps(body))
         with pytest.raises(InputError, match="malformed"):
             load(p)
+    # a result's converged must be a JSON boolean and its flags a list of
+    # strings: "false" is not False, and "warmup-3" is not a flag list
+    state = SolveState(np.zeros((3, 3)), np.ones((1, 3)), np.eye(3), flags=["a"])
+    for key, bad in (
+        ("converged", "false"),
+        ("converged", 0),
+        ("flags", "warmup-3"),
+        ("flags", [3]),
+    ):
+        sceneio.save_result(p, state)
+        doc = json.loads(p.read_text())
+        doc[key] = bad
+        p.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=f"malformed result file .*{key}"):
+            sceneio.load_result(p)
 
 
 def test_load_scene_rejects_camera_index_outside_int64(tmp_path, scene):

@@ -1041,6 +1041,17 @@ def test_normalize_scale_unit_mean_distance_and_errors():
     with pytest.raises(InputError):
         normalize_scale(coincident)
 
+    # one moving camera: the distances are taken between its frame centers
+    single = [
+        replace(f, video_id=0, frame_in_video=f.global_index) for f in scene.frames
+    ]
+    scaled, factor = normalize_scale(single)
+    centers = np.stack([f.center for f in scaled])
+    iu = np.triu_indices(len(single), k=1)
+    dists = np.linalg.norm(centers[iu[0]] - centers[iu[1]], axis=1)
+    assert np.isclose(dists.mean(), 1.0)
+    assert np.allclose(centers, orig * factor)
+
 
 def test_fill_missing_interpolates_along_video_order():
     scene = make_scene(points=2, samples=16, cameras=2, seed=15)
@@ -1361,7 +1372,7 @@ def test_a_discarded_warm_up_pass_counts_and_keeps_the_last_kept_state(
 ):
     # every extrapolated pass reads a risen term, so the loop discards it:
     # the next pass starts from the state before it, codes at the structure
-    # itself, and the next extrapolation takes half the step
+    # itself, and the next extrapolation takes the same fixed step
     codes, steps, terms = _record_warm_up(monkeypatch, discard=True)
     solve(MISSING.observations, MISSING.frames)
     extrapolated, kept = _warm_up_passes(codes, steps)
@@ -1371,14 +1382,14 @@ def test_a_discarded_warm_up_pass_counts_and_keeps_the_last_kept_state(
         assert not kept[i] and not extrapolated[i + 1]
         assert steps[i + 1][0] is steps[i][0]
         assert codes[i + 1][1] is codes[i][1]
-    # the step is beta (X - X_prev), X_prev the last kept pass's start; past
-    # a few halvings it drowns in the rounding of X
-    betas = [
+    # the step is _STEP (X - X_prev), X_prev the last kept pass's start,
+    # however many passes were discarded before it
+    ratios = [
         np.linalg.norm(codes[i][0] - steps[i][0])
         / np.linalg.norm(steps[i][0] - steps[i - 1][0])
-        for i in probes[:4]
+        for i in probes
     ]
-    assert np.allclose(betas, [1.0, 0.5, 0.25, 0.125], rtol=1e-6)
+    assert np.allclose(ratios, solver._STEP, rtol=1e-6)
 
     # a warm-up whose last pass is discarded counts it, and the coupled
     # stage starts from the last kept pass's structure and code
@@ -1571,6 +1582,27 @@ def test_solve_does_not_depend_on_the_frame_list_order():
     assert np.array_equal(moved.weights, base.weights)
     assert np.array_equal(moved.structure, base.structure)
     assert moved.flags == base.flags
+
+
+def test_unit_depth_flag_names_the_input_frame_label():
+    # frame 5 sees point 0 alone, and only its own video sees point 0, so
+    # it has no cross-video partner; solve works on the frames in video
+    # order, where it is frame 5, but flags it by its label in the input
+    scene = make_scene(points=4, samples=24, cameras=3, seed=16)
+    ids = np.array([f.video_id for f in scene.frames])
+    present = scene.observations.present.copy()
+    present[1:, 5] = False
+    present[0, ids != ids[5]] = False
+    measures = np.where(present[:, :, None], scene.observations.measures, np.nan)
+    perm = np.random.default_rng(1).permutation(len(scene.frames))
+    frames = [replace(scene.frames[p], global_index=i) for i, p in enumerate(perm)]
+    obs = ObservationSet(measures[:, perm], present[:, perm])
+    state = solve(obs, frames, SolverConfig(outer_max=5))
+    label = int(np.flatnonzero(perm == 5)[0])
+    assert label != 5
+    assert [f for f in state.flags if f.startswith("init-")] == [
+        f"init-unit-depth-frame-{label}"
+    ]
 
 
 # soft rays at lambda3 = 100: the soft-ray term, taken as |rel|^2 - along^2,

@@ -20,8 +20,9 @@ side solves the first seed's scene 0 once more, untimed, under
 two pooled sweeps on the head's scenes, point by point, again alternating.
 
 Everything goes to ``--out`` as JSON.  It prints per workload the scenes
-with equal result bytes, each metric's wins, losses and ties of the head
-with the median paired difference, the timing and the traced peaks; and
+with equal result bytes, each side's summed warm-up passes and converged
+solves, each metric's wins, losses and ties of the head with the median
+paired difference, the timing and the traced peaks; and
 per sweep point the pooled accuracy, the mean top-2 frequency, warm-up
 passes, converged solves and summed solve seconds side by side.  Result
 files go to a temporary directory, not to ``.perfbench_work/``, so a
@@ -324,9 +325,23 @@ def run_sweeps(packages, synth, names, workdir, endpoint_ranks):
     return points
 
 
+def workload_totals(scenes):
+    """Each side's summed warm-up passes and converged solves over a
+    workload's scene rows, and the number of solves."""
+    return {
+        side: {
+            "warmup": sum(r[side]["warmup"] for r in scenes),
+            "converged": sum(r[side]["converged"] for r in scenes),
+            "solves": len(scenes),
+        }
+        for side in SIDES
+    }
+
+
 def summary(rows, runs, timing):
-    """Printed lines: per workload, equal bytes, each metric's tally, the
-    timing and the traced peaks."""
+    """Printed lines: per workload, equal bytes, each side's summed warm-up
+    passes and converged solves, each metric's tally, the timing and the
+    traced peaks."""
     out = []
     for workload in timing:
         scenes = [r for r in rows if r["workload"] == workload]
@@ -344,6 +359,13 @@ def summary(rows, runs, timing):
             f"head {failed['head']}"
         )
         out += [f"  differs: seed {r['seed']} scene {r['scene']}" for r in differ]
+        totals = workload_totals(scenes)
+        base, head = totals["base"], totals["head"]
+        out.append(
+            f"  warm-up passes base {base['warmup']} head {head['warmup']}; "
+            f"converged base {base['converged']}/{base['solves']} head "
+            f"{head['converged']}/{head['solves']}"
+        )
         for source, metrics in ((scenes, SCENE_METRICS), (ran, RUN_METRICS)):
             for name, higher in metrics.items():
                 pairs = [(r["base"][name], r["head"][name]) for r in source]
